@@ -96,7 +96,8 @@ class AnisotropyDensity:
     def gamma_terms(self, p):
         """Individual terms gamma_l(p) = [p . G_l p]^(1/2), shape (L, ...)."""
         p = self._check_vec(p)
-        quad = np.einsum("...i,lij,...j->l...", p, self._matrices, p)
+        quad = np.stack([np.einsum("...i,...i->...", p @ mat, p)
+                         for mat in self._matrices])
         return np.sqrt(np.maximum(quad, 0.0))
 
     def gamma(self, p):
@@ -123,6 +124,20 @@ class AnisotropyDensity:
         p = self._check_vec(p)
         return self.gamma(p)[..., None] * self.gamma_grad(p)
 
+    def b_coefficients(self, q):
+        """Weights c_l(q) of the linearization B(q) = sum_l c_l(q) G_l.
+
+        c_l(q) = gamma(q) / gamma_l(q) for q != 0 and c_l(0) = L, so
+        B(0) = L sum_l G_l.  Accepts a single vector (d,) or a batch
+        (..., d) and returns shape (L,) or (L, ...).
+        """
+        q = self._check_vec(q)
+        terms = self.gamma_terms(q)
+        norms = np.linalg.norm(q, axis=-1)
+        zero = (norms == 0.0) | np.any(terms < _UNDERFLOW_GUARD * norms, axis=0)
+        safe = np.where(zero, 1.0, terms)
+        return np.where(zero, float(self.n_terms), terms.sum(axis=0) / safe)
+
     def b_matrix(self, q):
         """SPD linearization B(q) with B(p) p = A'(p) for p != 0.
 
@@ -130,20 +145,8 @@ class AnisotropyDensity:
         B(0) = L sum_l G_l, so the zero-gradient case needs no smoothing.
         Accepts a batch (..., d) and returns (..., d, d).
         """
-        q = self._check_vec(q)
-        single = q.ndim == 1
-        q = np.atleast_2d(q)
-        terms = self.gamma_terms(q)
-        norms = np.linalg.norm(q, axis=-1)
-        zero = norms == 0.0
-        zero |= np.any(terms < _UNDERFLOW_GUARD * norms[None], axis=0)
-        safe = np.where(zero[None], 1.0, terms)
-        coeff = terms.sum(axis=0)[None] / safe
-        out = np.einsum("l...,lij->...ij", coeff, self._matrices)
-        if np.any(zero):
-            b0 = self.n_terms * self._matrices.sum(axis=0)
-            out[zero] = b0
-        return out[0] if single else out
+        return np.einsum("l...,lij->...ij", self.b_coefficients(q),
+                         self._matrices)
 
     # -- derived densities ---------------------------------------------
 

@@ -42,7 +42,13 @@ def _cmd_run(args):
                             setup.geometry, out_dir=out_dir,
                             config_text=emit_config(setup))
     final = result.final_state
-    print(f"run {setup.run_id}: {final.n} steps to t = {final.t:.6g}")
+    scheme = setup.scheme
+    flow = ""
+    if scheme.scheme == "allen_cahn" and not scheme.implicit:
+        flow_t = final.t / (1.0 + scheme.tau / scheme.eps**2)
+        flow = f" (flow time n*tau/(1 + tau/eps^2) = {flow_t:.6g})"
+    print(f"run {setup.run_id}: {final.n} steps to t = n*tau = "
+          f"{final.t:.6g}{flow}")
     print(f"  E_gamma_h = {final.report.e_gamma_h:.12g}"
           + (f", F_gamma_h = {final.report.f_gamma_h:.12g}"
              if final.report.f_gamma_h is not None else ""))

@@ -63,13 +63,14 @@ class StepData:
     dirichlet: bool = False
 
 
-def discrete_energy(mesh, aniso, eps, u):
+def discrete_energy(mesh, aniso, eps, u, mass=None):
     """Discrete interface energy of ``u`` in K^h.
 
     Gradient term eps/2 * sum_sigma |sigma| gamma(grad u|_sigma)^2 plus
     lumped potential eps^(-1) * sum_j M_j (1 - u_j^2)/2.  Values outside
     [-1, 1] by more than 1e-12 are rejected; smaller excursions are
-    projected so the potential stays nonnegative.
+    projected so the potential stays nonnegative.  ``mass`` is the lumped
+    mass vector of the mesh, computed here when not given.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_vertices,):
@@ -78,7 +79,7 @@ def discrete_energy(mesh, aniso, eps, u):
         raise ValueError("field leaves the admissible set K^h")
     grads = mesh.element_gradients(u)
     grad_energy = 0.5 * eps * float(mesh.element_volume @ aniso.gamma(grads) ** 2)
-    m = lumped_mass(mesh)
+    m = lumped_mass(mesh) if mass is None else mass
     uc = np.clip(u, -1.0, 1.0)
     pot_energy = float(m @ (0.5 * (1.0 - uc * uc))) / eps
     return EnergyReport(

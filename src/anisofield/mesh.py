@@ -7,10 +7,57 @@ the same volume h^d / d!.
 """
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["SimplicialMesh", "build_uniform_mesh"]
+__all__ = ["SimplicialMesh", "SlotMap", "build_uniform_mesh"]
+
+
+class SlotMap(NamedTuple):
+    """Fixed CSR pattern of the P1 matrices on a mesh.
+
+    ``indptr`` and ``indices`` describe the sorted pattern of all vertex
+    pairs that share an element; ``slots[e, a, b]`` is the position in
+    the CSR data of the entry (elements[e, a], elements[e, b]).
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    slots: np.ndarray
+
+    @property
+    def nnz(self):
+        return self.indices.size
+
+
+def _build_slot_map(elements, n_vertices):
+    """Slot map of a mesh, keyed by row * n_vertices + column.
+
+    The keys of the off-diagonal pairs are sorted in place once and
+    deduplicated; the slots are then looked up one local pair at a time,
+    which keeps the temporaries at one index array per pair.
+    """
+    n = n_vertices
+    nloc = elements.shape[1]
+    pairs = [(a, b) for a in range(nloc) for b in range(nloc)]
+    keys = np.concatenate(
+        [elements[:, a] * n + elements[:, b] for a, b in pairs if a != b])
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    diag = np.flatnonzero(np.bincount(elements.ravel(), minlength=n)) * (n + 1)
+    keys = np.insert(keys, np.searchsorted(keys, diag), diag)
+    rows = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = (keys - rows * n).astype(np.int32)
+    # intp, the index type np.bincount works in, so assembly casts nothing
+    slots = np.empty(elements.shape + (nloc,), dtype=np.intp)
+    for a, b in pairs:
+        slots[:, a, b] = np.searchsorted(keys, elements[:, a] * n + elements[:, b])
+    for arr in (indptr, indices, slots):
+        arr.setflags(write=False)
+    return SlotMap(indptr, indices, slots)
 
 
 class SimplicialMesh:
@@ -29,6 +76,9 @@ class SimplicialMesh:
     element_volume : (n_elements,) float array
     basis_gradients : (n_elements, dim + 1, dim) float array
         Constant gradients of the local P1 basis functions.
+    slot_map : SlotMap
+        CSR pattern and element-entry slots of the P1 matrices, built on
+        first use.
     """
 
     def __init__(self, dim, half_width, subdivisions, vertices, elements,
@@ -53,6 +103,7 @@ class SimplicialMesh:
         for arr in (self.vertices, self.elements, self.boundary_mask,
                     self.element_volume, self.basis_gradients):
             arr.setflags(write=False)
+        self._slot_map = None
 
     @property
     def n_vertices(self):
@@ -71,6 +122,13 @@ class SimplicialMesh:
         return (f"SimplicialMesh(dim={self.dim}, H={self.half_width}, "
                 f"N={self.subdivisions}, {self.n_vertices} vertices, "
                 f"{self.n_elements} elements)")
+
+    @property
+    def slot_map(self):
+        """The mesh's ``SlotMap``, built on first use."""
+        if self._slot_map is None:
+            self._slot_map = _build_slot_map(self.elements, self.n_vertices)
+        return self._slot_map
 
     def element_gradient(self, element_index, nodal_values):
         """Constant gradient of the P1 interpolant on one element."""

@@ -107,6 +107,14 @@ def write_energy_csv(path, records):
 _CELL_TYPES = {2: 5, 3: 10}  # VTK triangle / tetrahedron
 
 
+def _write_rows(fh, row_format, rows):
+    """Write ``row_format % row`` for each row of a 2d array, formatting
+    4096 rows at a time so no whole-file string is held in memory."""
+    for start in range(0, len(rows), 4096):
+        fh.write("".join([row_format % tuple(row)
+                          for row in rows[start:start + 4096].tolist()]))
+
+
 def write_vtk_snapshot(path, mesh, fields):
     """Legacy ASCII VTK snapshot of nodal scalar fields on the mesh.
 
@@ -125,17 +133,15 @@ def write_vtk_snapshot(path, mesh, fields):
         fh.write("anisotropic phase field snapshot\n")
         fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
         fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for p in points:
-            fh.write(" ".join(f"{x:.17g}" for x in p) + "\n")
+        _write_rows(fh, "%.17g %.17g %.17g\n", points)
         fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nloc + 1)}\n")
-        for elem in mesh.elements:
-            fh.write(f"{nloc} " + " ".join(str(v) for v in elem) + "\n")
+        _write_rows(fh, f"{nloc}" + " %d" * nloc + "\n", mesh.elements)
         fh.write(f"CELL_TYPES {mesh.n_elements}\n")
         fh.write("\n".join([str(_CELL_TYPES[mesh.dim])] * mesh.n_elements) + "\n")
         fh.write(f"POINT_DATA {mesh.n_vertices}\n")
         for name, values in fields.items():
             fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.write("\n".join(f"{v:.17g}" for v in np.asarray(values)) + "\n")
+            _write_rows(fh, "%.17g\n", np.asarray(values).reshape(-1, 1))
 
 
 def run_id_for(config_text):
@@ -143,11 +149,23 @@ def run_id_for(config_text):
     return hashlib.sha256(config_text.encode("utf-8")).hexdigest()[:12]
 
 
-def prepare_run_dir(out_dir):
+def prepare_run_dir(out_dir, run_id):
+    """Create ``out_dir`` for the run ``run_id`` and return its file paths.
+
+    A directory whose manifest names another run is refused, so two runs
+    never share one energy CSV; the same run id resumes.
+    """
     os.makedirs(out_dir, exist_ok=True)
+    manifest = os.path.join(out_dir, "manifest.json")
+    if os.path.exists(manifest):
+        with open(manifest, "r", encoding="utf-8") as fh:
+            previous = json.load(fh).get("run_id")
+        if previous != run_id:
+            raise ValueError(f"{out_dir} holds run {previous}, not {run_id}; "
+                             "choose another output directory")
     return {
         "csv": os.path.join(out_dir, "energy.csv"),
-        "manifest": os.path.join(out_dir, "manifest.json"),
+        "manifest": manifest,
     }
 
 

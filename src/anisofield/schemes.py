@@ -29,7 +29,8 @@ import scipy.sparse as sp
 from .diagnostics import (StepData, dirichlet_energy_functional,
                           discrete_energy, stability_residual)
 from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
-                  isotropic_stiffness, lumped_mass)
+                  isotropic_block, isotropic_stiffness, lumped_mass,
+                  stiffness_blocks)
 from .obstacle import pattern_coloring, solve_coupled_ch, solve_obstacle
 
 __all__ = [
@@ -133,7 +134,12 @@ class StepStats:
 
 @dataclass
 class SchemeState:
-    """State after step ``n``: fields, energies and solver statistics."""
+    """State after step ``n``: fields, energies and solver statistics.
+
+    ``t`` is n tau.  For the standard ``allen_cahn`` scheme the step
+    approximates the flow at n tau / (1 + tau/eps^2) (see
+    ``allen_cahn_step``); for the ``implicit`` variant at n tau.
+    """
 
     n: int
     t: float
@@ -225,8 +231,10 @@ def initial_profile(mesh, eps, geometry):
 
 class Workspace:
     """Per-mesh caches shared across steps (mass vector, matrix coloring,
-    isotropic stiffness).  The sparsity pattern of the assembled matrices
-    is fixed per mesh, so the Gauss-Seidel coloring is computed once."""
+    isotropic stiffness, element blocks of the stiffness matrices).  The
+    sparsity pattern of the assembled matrices is fixed per mesh, so the
+    Gauss-Seidel coloring is computed once; it and the blocks are built
+    on first use."""
 
     def __init__(self, mesh):
         self.mesh = mesh
@@ -234,6 +242,8 @@ class Workspace:
         self.mass_total = float(self.mass.sum())
         self._groups = None
         self._iso = None
+        self._iso_block = None
+        self._aniso_blocks = None
 
     def groups_for(self, matrix):
         if self._groups is None:
@@ -246,11 +256,27 @@ class Workspace:
             self._iso = isotropic_stiffness(self.mesh)
         return self._iso
 
+    @property
+    def iso_block(self):
+        """Isotropic element block, the weight of the mobility stiffness."""
+        if self._iso_block is None:
+            self._iso_block = isotropic_block(self.mesh)
+        return self._iso_block
 
-def initial_state(mesh, aniso, config, u0):
+    def aniso_blocks(self, aniso):
+        """Element blocks of ``aniso``'s weight matrices, kept for the last
+        density asked for."""
+        if self._aniso_blocks is None or self._aniso_blocks[0] is not aniso:
+            self._aniso_blocks = (aniso, stiffness_blocks(self.mesh,
+                                                          aniso.matrices))
+        return self._aniso_blocks[1]
+
+
+def initial_state(mesh, aniso, config, u0, workspace=None):
     """State at t = 0 for the given admissible initial data."""
     u0 = np.asarray(u0, dtype=float)
-    report = discrete_energy(mesh, aniso, config.eps, u0)
+    report = discrete_energy(mesh, aniso, config.eps, u0,
+                             mass=workspace.mass if workspace else None)
     if config.scheme == "cahn_hilliard_dirichlet":
         report = report.with_dirichlet(dirichlet_energy_functional(
             report, config.alpha, config.c_psi, config.w_bdry))
@@ -276,7 +302,8 @@ def allen_cahn_step(state, config, mesh, aniso, workspace=None):
     ws = workspace or Workspace(mesh)
     u_old = state.u
     eps, tau = config.eps, config.tau
-    k_aniso = assemble_anisotropic_stiffness(mesh, aniso, u_old)
+    k_aniso = assemble_anisotropic_stiffness(mesh, aniso, u_old,
+                                             ws.aniso_blocks(aniso))
     a_mat = (eps * k_aniso + sp.diags((eps / tau) * ws.mass)).tocsr()
     if config.implicit:
         a_mat = (a_mat - sp.diags(ws.mass / eps)).tocsr()
@@ -290,7 +317,7 @@ def allen_cahn_step(state, config, mesh, aniso, workspace=None):
     w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * (u - u_old)
     delta = u - u_old
     dissipation = (eps / tau) * float(ws.mass @ (delta * delta))
-    report = discrete_energy(mesh, aniso, eps, u)
+    report = discrete_energy(mesh, aniso, eps, u, mass=ws.mass)
     report.stability_residual = stability_residual(
         state.report, report, StepData(dissipation))
     stats = StepStats(sol.iterations, sol.residual, sol.converged, False)
@@ -309,8 +336,10 @@ def _conserved_step(state, config, mesh, aniso, ws, dirichlet):
         vals = 1.0 - u_old * u_old
         regularized = bool(np.any(vals < MOBILITY_FLOOR))
         k_b = assemble_mobility_stiffness(
-            mesh, u_old, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR))
-    k_aniso = assemble_anisotropic_stiffness(mesh, aniso, u_old)
+            mesh, u_old, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR),
+            ws.iso_block)
+    k_aniso = assemble_anisotropic_stiffness(mesh, aniso, u_old,
+                                             ws.aniso_blocks(aniso))
     u, w, stats = solve_coupled_ch(
         ws.mass, k_b, k_aniso, u_old,
         theta=theta, tau=tau, eps=eps, alpha=config.alpha, c_psi=config.c_psi,
@@ -322,7 +351,7 @@ def _conserved_step(state, config, mesh, aniso, ws, dirichlet):
     else:
         dissipation = (tau * config.c_psi / (2.0 * theta * config.alpha)
                        * float(w @ (k_b @ w)))
-    report = discrete_energy(mesh, aniso, eps, u)
+    report = discrete_energy(mesh, aniso, eps, u, mass=ws.mass)
     if dirichlet:
         report = report.with_dirichlet(dirichlet_energy_functional(
             report, config.alpha, config.c_psi, config.w_bdry))
@@ -417,13 +446,13 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     ws = Workspace(mesh)
     u0 = (np.asarray(geometry, dtype=float) if isinstance(geometry, np.ndarray)
           else initial_profile(mesh, config.eps, geometry))
-    state = initial_state(mesh, aniso, config, u0)
+    state = initial_state(mesh, aniso, config, u0, ws)
 
     writer = None
     snapshot_paths = []
     csv_path = manifest_path = None
     if out_dir is not None:
-        paths = output.prepare_run_dir(out_dir)
+        paths = output.prepare_run_dir(out_dir, output.run_id_for(config_text))
         csv_path = paths["csv"]
         manifest_path = paths["manifest"]
         writer = output.EnergyCsvWriter(csv_path)

@@ -8,6 +8,7 @@ quadrature summation for energies.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from anisofield import AnisotropyDensity
 
@@ -20,6 +21,28 @@ def random_spd_density(dim=2, n_terms=2, seed=42):
         r = rng.standard_normal((dim, dim))
         mats.append(r.T @ r + 0.1 * np.eye(dim))
     return AnisotropyDensity(mats)
+
+
+def reference_stiffness(mesh, weights):
+    """Element-by-element P1 assembly of sum |sigma| grad_j . W_sigma grad_i.
+
+    ``weights`` holds one d x d matrix per element.  Each element block is
+    formed by a three-operand einsum, symmetrized, and the blocks are
+    scattered as COO triplets and converted to sorted CSR.
+    """
+    g = mesh.basis_gradients
+    local = np.einsum("eid,edc,ejc->eij", g, weights, g)
+    local = 0.5 * (local + local.transpose(0, 2, 1))
+    local *= mesh.element_volume[:, None, None]
+    nloc = mesh.dim + 1
+    shape = (mesh.n_elements, nloc, nloc)
+    rows = np.broadcast_to(mesh.elements[:, :, None], shape)
+    cols = np.broadcast_to(mesh.elements[:, None, :], shape)
+    n = mesh.n_vertices
+    mat = sp.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                        shape=(n, n)).tocsr()
+    mat.sort_indices()
+    return mat
 
 
 def fd_gradient(func, p, step):

@@ -50,6 +50,25 @@ def test_run_emits_artifacts(tmp_path, capsys):
                          "snapshot_000005.vtk"]
 
 
+def test_run_refuses_directory_of_another_run(tmp_path, capsys):
+    first = tmp_path / "first.cfg"
+    first.write_text(TINY_RUN)
+    second = tmp_path / "second.cfg"
+    second.write_text(TINY_RUN.replace("radius = 0.3", "radius = 0.25"))
+    out = tmp_path / "out"
+    assert main(["run", str(first), "--out", str(out)]) == 0
+    csv_bytes = (out / "energy.csv").read_bytes()
+    manifest = (out / "manifest.json").read_bytes()
+    capsys.readouterr()
+    assert main(["run", str(second), "--out", str(out)]) == 2
+    assert "holds run" in capsys.readouterr().err
+    assert (out / "energy.csv").read_bytes() == csv_bytes
+    assert (out / "manifest.json").read_bytes() == manifest
+    # the same configuration resumes: every step is already written
+    assert main(["run", str(first), "--out", str(out)]) == 0
+    assert (out / "energy.csv").read_bytes() == csv_bytes
+
+
 def test_run_reports_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[scheme]\nscheme = allen_cahn\n")

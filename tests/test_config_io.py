@@ -299,6 +299,43 @@ def test_vtk_point_count_round_trip(tmp_path, dim, n):
     assert "SCALARS W double 1" in text
 
 
+def _reference_vtk(path, mesh, fields):
+    """Per-value formatting loop the snapshot writer must reproduce."""
+    points = mesh.vertices
+    if mesh.dim == 2:
+        points = np.column_stack([points, np.zeros(mesh.n_vertices)])
+    nloc = mesh.dim + 1
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("# vtk DataFile Version 3.0\n")
+        fh.write("anisotropic phase field snapshot\n")
+        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
+        fh.write(f"POINTS {mesh.n_vertices} double\n")
+        for p in points:
+            fh.write(" ".join(f"{x:.17g}" for x in p) + "\n")
+        fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nloc + 1)}\n")
+        for elem in mesh.elements:
+            fh.write(f"{nloc} " + " ".join(str(v) for v in elem) + "\n")
+        fh.write(f"CELL_TYPES {mesh.n_elements}\n")
+        cell_type = {2: 5, 3: 10}[mesh.dim]
+        fh.write("\n".join([str(cell_type)] * mesh.n_elements) + "\n")
+        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+        for name, values in fields.items():
+            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
+            fh.write("\n".join(f"{v:.17g}" for v in np.asarray(values)) + "\n")
+
+
+@pytest.mark.parametrize("dim,n", [(2, 7), (3, 3)])
+def test_vtk_bytes_match_reference_writer(tmp_path, dim, n):
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    rng = np.random.default_rng(dim)
+    u = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+    u[:3] = [-1.0, 1.0, -0.0]
+    fields = {"U": u, "W": rng.standard_normal(mesh.n_vertices) * 1e-7}
+    write_vtk_snapshot(tmp_path / "new.vtk", mesh, fields)
+    _reference_vtk(tmp_path / "ref.vtk", mesh, fields)
+    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+
+
 def test_vtk_rejects_mismatched_field(tmp_path):
     mesh = build_uniform_mesh(2, 0.5, 1)
     with pytest.raises(ValueError):

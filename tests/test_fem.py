@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+import anisofield.mesh
 from anisofield import (AnisotropyDensity, assemble_anisotropic_stiffness,
                         assemble_mobility_stiffness, build_uniform_mesh,
                         isotropic, isotropic_stiffness, lumped_mass,
                         make_regularized_l1)
-from conftest import random_spd_density
+from conftest import random_spd_density, reference_stiffness
 
 
 def test_lumped_mass_interior_vertex_2d():
@@ -106,3 +107,63 @@ def test_mobility_rejects_negative_values(mesh2d_small):
     u = np.zeros(mesh2d_small.n_vertices)
     with pytest.raises(ValueError):
         assemble_mobility_stiffness(mesh2d_small, u, lambda v: v - 1.0)
+
+
+def _plateau_field(mesh, seed):
+    """Random field clipped to [-1, 1], so whole elements sit on a plateau
+    and get the zero-gradient branch."""
+    u = np.random.default_rng(seed).uniform(-3.0, 3.0, mesh.n_vertices)
+    return np.clip(u, -1.0, 1.0)
+
+
+def _assert_matches_reference(k, ref):
+    np.testing.assert_array_equal(k.indptr, ref.indptr)
+    np.testing.assert_array_equal(k.indices, ref.indices)
+    assert abs(k - ref).max() <= 1e-13 * abs(ref).max()
+    assert abs(k - k.T).max() == 0.0
+
+
+@pytest.mark.parametrize("dim,n", [(2, 12), (3, 4)])
+@pytest.mark.parametrize("density", ["spd3", "l1reg", "iso"])
+def test_anisotropic_stiffness_matches_reference_assembly(dim, n, density):
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    aniso = {"spd3": random_spd_density(dim, n_terms=3),
+             "l1reg": make_regularized_l1(dim, 0.01),
+             "iso": isotropic(dim)}[density]
+    u = _plateau_field(mesh, 6)
+    grads = mesh.element_gradients(u)
+    zero = np.linalg.norm(grads, axis=1) == 0.0
+    assert zero.any() and not zero.all()
+    k = assemble_anisotropic_stiffness(mesh, aniso, u)
+    _assert_matches_reference(k, reference_stiffness(mesh, aniso.b_matrix(grads)))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 12), (3, 4)])
+def test_mobility_and_isotropic_stiffness_match_reference_assembly(dim, n):
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    eye = np.broadcast_to(np.eye(dim), (mesh.n_elements, dim, dim))
+    _assert_matches_reference(isotropic_stiffness(mesh),
+                              reference_stiffness(mesh, eye))
+    u = _plateau_field(mesh, 7)
+    k_b = assemble_mobility_stiffness(mesh, u, lambda v: 1.0 - v * v)
+    factor = (1.0 - u * u)[mesh.elements].mean(axis=1)
+    _assert_matches_reference(
+        k_b, reference_stiffness(mesh, factor[:, None, None] * eye))
+
+
+def test_slot_map_is_built_once_per_mesh(monkeypatch):
+    builds = []
+    build = anisofield.mesh._build_slot_map
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(anisofield.mesh, "_build_slot_map", counting)
+    mesh = build_uniform_mesh(2, 0.5, 6)
+    u = _plateau_field(mesh, 8)
+    assemble_anisotropic_stiffness(mesh, make_regularized_l1(2, 0.1), u)
+    assemble_anisotropic_stiffness(mesh, isotropic(2), -u)
+    isotropic_stiffness(mesh)
+    assemble_mobility_stiffness(mesh, u, lambda v: 1.0 - v * v)
+    assert len(builds) == 1

@@ -6,6 +6,8 @@ every time step is a single linear variational inequality and the
 discrete interface energy is nonincreasing for any step size.
 """
 
+__version__ = "0.1.0"  # set before the submodules, which record it
+
 from .anisotropy import (AnisotropyDensity, isotropic, make_regularized_l1,
                          rotation_2d, rotation_3d, verify_inequalities)
 from .config import ConfigError, RunSetup, emit_config, parse_config
@@ -21,8 +23,6 @@ from .schemes import (C_PSI, Circle, Cuboid, MultiCircle, RunResult,
                       Uniform, Workspace, allen_cahn_step, cahn_hilliard_step,
                       cahn_hilliard_dirichlet_step, implicit_tau_bound,
                       initial_profile, initial_state, run_simulation)
-
-__version__ = "0.1.0"
 
 __all__ = [
     "AnisotropyDensity", "isotropic", "make_regularized_l1", "rotation_2d",

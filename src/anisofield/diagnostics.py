@@ -21,7 +21,6 @@ from .fem import lumped_mass
 
 __all__ = [
     "EnergyReport",
-    "StepData",
     "discrete_energy",
     "dirichlet_energy_functional",
     "stability_residual",
@@ -53,16 +52,6 @@ class EnergyReport:
         return replace(self, f_gamma_h=f_value)
 
 
-@dataclass(frozen=True)
-class StepData:
-    """What the stability monitor needs from one completed step: the
-    nonnegative dissipation produced by the scheme and which energy
-    (plain or boundary-augmented) the inequality is stated for."""
-
-    dissipation: float
-    dirichlet: bool = False
-
-
 def discrete_energy(mesh, aniso, eps, u, mass=None):
     """Discrete interface energy of ``u`` in K^h.
 
@@ -90,28 +79,27 @@ def discrete_energy(mesh, aniso, eps, u, mass=None):
     )
 
 
-def dirichlet_energy_functional(report, alpha, c_psi, w_bdry, mass_raw=None):
+def dirichlet_energy_functional(report, alpha, c_psi, w_bdry):
     """Boundary-augmented energy 2 alpha / c_psi * E - w_bdry * (U, 1).
 
-    The pairing (U, 1) uses the lumped rule, which is exact for P1 fields;
-    it defaults to the mass recorded in ``report``.
+    The pairing (U, 1) is the lumped mass recorded in ``report``, which is
+    exact for P1 fields.
     """
-    mass = report.mass if mass_raw is None else mass_raw
-    return 2.0 * alpha / c_psi * report.e_gamma_h - w_bdry * mass
+    return 2.0 * alpha / c_psi * report.e_gamma_h - w_bdry * report.mass
 
 
-def stability_residual(prev_report, curr_report, step_data):
-    """Left minus right side of the per-step stability inequality.
+def stability_residual(prev_report, curr_report, dissipation):
+    """Left minus right side of the per-step stability inequality, for
+    ``f_gamma_h`` when the report carries one (prescribed boundary
+    potential) and ``e_gamma_h`` otherwise.
 
     A converged step keeps this at roundoff level (nonpositive up to
     solver tolerance); positive values flag an energy increase beyond the
     dissipation actually paid.
     """
-    if step_data.dirichlet:
-        return (curr_report.f_gamma_h + step_data.dissipation
-                - prev_report.f_gamma_h)
-    return (curr_report.e_gamma_h + step_data.dissipation
-            - prev_report.e_gamma_h)
+    if curr_report.f_gamma_h is not None:
+        return curr_report.f_gamma_h + dissipation - prev_report.f_gamma_h
+    return curr_report.e_gamma_h + dissipation - prev_report.e_gamma_h
 
 
 @dataclass

@@ -1,18 +1,18 @@
 """Solvers for the box-constrained problems arising in every time step.
 
-Two entry points:
+Both solvers run one primal active-set loop (:func:`_active_set`) and
+differ only in the subsolve of each round:
 
 * :func:`solve_obstacle` handles the symmetric obstacle problem
   (A x - b) . (chi - x) >= 0 for all chi in [-1, 1]^n with A SPD, via
-  projected Gauss-Seidel sweeps.  Once the active set settles, the
-  inactive equations are solved directly (one sparse factorization per
-  active-set guess), which drives the KKT residual to solver precision
-  regardless of the conditioning of A.
+  projected Gauss-Seidel sweeps.  Once the bound pattern settles, the
+  loop solves the inactive equations by a sparse LU, which drives the KKT
+  residual to solver precision regardless of the conditioning of A.
 
 * :func:`solve_coupled_ch` handles the coupled saddle-point step of the
   conserved schemes: a lumped mass equation for (U, W) together with the
-  box-constrained variational inequality for U, solved by a primal
-  active-set loop with sparse direct subsolves.
+  box-constrained variational inequality for U.  Each round solves the
+  saddle system on the inactive set by a sparse LU.
 
 Both are deterministic: fixed inputs and sweep order give bit-identical
 results.  Convergence is measured by the componentwise KKT violation
@@ -27,7 +27,7 @@ import scipy.sparse.linalg as spla
 
 __all__ = [
     "ViSolution",
-    "CoupledStats",
+    "SolverStats",
     "kkt_violation",
     "pattern_coloring",
     "solve_obstacle",
@@ -53,8 +53,9 @@ class ViSolution:
 
 
 @dataclass
-class CoupledStats:
-    """Statistics of one coupled Cahn-Hilliard solve."""
+class SolverStats:
+    """Statistics of one step's constrained solve; ``mobility_regularized``
+    is set by a degenerate-mobility step that floored the mobility."""
 
     iterations: int
     residual: float
@@ -86,6 +87,11 @@ def _multiplier(residual, x):
     return mult
 
 
+def _bound_pattern(x):
+    """+1 / -1 at nodes on the upper / lower bound, 0 elsewhere (int8)."""
+    return (x >= 1.0).view(np.int8) - (x <= -1.0).view(np.int8)
+
+
 def pattern_coloring(matrix):
     """Greedy coloring of the sparsity pattern; groups are mutually
     non-adjacent index sets, so a Gauss-Seidel sweep can update each group
@@ -104,51 +110,70 @@ def pattern_coloring(matrix):
     return [np.flatnonzero(colors == c) for c in range(colors.max() + 1)]
 
 
-def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
-    """Direct active-set refinement starting from an iterate's bound pattern.
+def _active_set(x, subsolve, kkt, tol, max_rounds):
+    """Primal active-set loop shared by both constrained solvers.
 
-    Repeatedly solves the equations restricted to the inactive set and
-    exchanges nodes violating primal feasibility or multiplier signs.  A
-    node sitting exactly at a bound with zero multiplier is classified
-    inactive, which keeps the active set minimal.
+    Starts from the bound pattern of ``x``.  Each round,
+    ``subsolve(act, inactive)`` returns the iterate with the nodes pinned
+    at ``act`` (+1, -1, or 0 for free) and any extra unknowns, and
+    ``kkt(x_clip, extra)`` the VI residual vector and the KKT residual of
+    the clipped iterate.  Free nodes leaving the box are pinned; pinned
+    nodes stay pinned while their multiplier is positive.  The loop stops
+    on a revisited active set, a singular subproblem or after
+    ``max_rounds``, with its lowest-residual iterate (``x`` and None if
+    no round finished).  Returns ``(x, extra, residual, rounds, converged)``.
     """
-    n = a_mat.shape[0]
-    act = np.zeros(n, dtype=np.int8)
-    act[x >= 1.0] = 1
-    act[x <= -1.0] = -1
+    act = _bound_pattern(x)
     seen = set()
-    best_x, best_res = x, np.inf
+    best_x, best_extra, best_res = x, None, np.inf
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         key = act.tobytes()
         if key in seen:
             break
         seen.add(key)
-        inactive = np.flatnonzero(act == 0)
+        try:
+            x_new, extra = subsolve(act, np.flatnonzero(act == 0))
+        except (RuntimeError, np.linalg.LinAlgError):
+            break
+        x_clip = np.clip(x_new, -1.0, 1.0)
+        r, res = kkt(x_clip, extra)
+        if res < best_res:
+            best_x, best_extra, best_res = x_clip, extra, res
+        if res <= tol:
+            return x_clip, extra, res, rounds, True
+        new_act = np.zeros(x.size, dtype=np.int8)
+        new_act[(act == 0) & (x_new > 1.0)] = 1
+        new_act[(act == 0) & (x_new < -1.0)] = -1
+        new_act[(act == 1) & (-r > 0.0)] = 1
+        new_act[(act == -1) & (r > 0.0)] = -1
+        act = new_act
+    return best_x, best_extra, best_res, rounds, False
+
+
+def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
+    """Direct active-set refinement of an obstacle iterate, one sparse LU
+    of the inactive block per round: ``(x, residual, rounds, converged)``."""
+    def subsolve(act, inactive):
         x_new = act.astype(float)
         if inactive.size:
             pinned = a_mat @ x_new
             sub = a_mat[inactive][:, inactive].tocsc()
             x_new[inactive] = spla.splu(sub).solve(
                 rhs[inactive] - pinned[inactive])
-        x_clip = np.clip(x_new, -1.0, 1.0)
+        return x_new, None
+
+    def kkt(x_clip, _):
         r = a_mat @ x_clip - rhs
-        res = float(kkt_violation(r, x_clip).max())
-        if res < best_res:
-            best_x, best_res = x_clip, res
-        if res <= tol:
-            return x_clip, res, rounds, True
-        new_act = np.zeros(n, dtype=np.int8)
-        new_act[(act == 0) & (x_new > 1.0)] = 1
-        new_act[(act == 0) & (x_new < -1.0)] = -1
-        new_act[(act == 1) & (-r > 0.0)] = 1
-        new_act[(act == -1) & (r > 0.0)] = -1
-        act = new_act
-    return best_x, best_res, rounds, False
+        return r, float(kkt_violation(r, x_clip).max())
+
+    x, _, residual, rounds, ok = _active_set(x, subsolve, kkt, tol,
+                                             max_rounds)
+    return x, residual, rounds, ok
 
 
 def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000,
-                   groups=None, polish=True):
+                   groups=None):
     """Solve the obstacle problem (A x - rhs) . (chi - x) >= 0 on [-1, 1]^n.
 
     Parameters
@@ -167,12 +192,11 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000,
         Precomputed :func:`pattern_coloring` of ``a_mat``; computed here
         when omitted.  The pattern of the phase-field matrices is fixed
         per mesh, so callers in the time loop pass a cached coloring.
-    polish : bool
-        Refine with direct active-set solves once the bound pattern stops
-        changing between sweeps (default).  Set False for pure sweeps.
 
-    Returns a :class:`ViSolution`; non-convergence within the budget is
-    flagged on the result, with the best iterate returned.
+    Once two consecutive sweeps leave the same bound pattern, the
+    iterate is refined by direct active-set solves.  Returns a
+    :class:`ViSolution`; non-convergence within the budget is flagged on
+    the result, with the best iterate returned.
     """
     a_mat = a_mat.tocsr()
     n = a_mat.shape[0]
@@ -187,8 +211,6 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000,
 
     iterations = 0
     last_pattern = None
-    stable = 0
-    residual = np.inf
     for _ in range(max_iter):
         for g, a_g, d_g in subs:
             x[g] = np.clip((rhs[g] - a_g @ x + d_g * x[g]) / d_g, -1.0, 1.0)
@@ -197,18 +219,16 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000,
         residual = float(kkt_violation(r, x).max())
         if residual <= tol:
             return ViSolution(x, _multiplier(r, x), iterations, residual, True)
-        if polish:
-            pattern = ((x >= 1.0).view(np.int8) - (x <= -1.0).view(np.int8)).tobytes()
-            stable = stable + 1 if pattern == last_pattern else 0
+        pattern = _bound_pattern(x).tobytes()
+        if pattern != last_pattern:
             last_pattern = pattern
-            if stable >= 1:
-                x, residual, rounds, ok = _active_set_polish(a_mat, rhs, x, tol)
-                iterations += rounds
-                if ok:
-                    r = a_mat @ x - rhs
-                    return ViSolution(x, _multiplier(r, x), iterations,
-                                      residual, True)
-                stable, last_pattern = 0, None
+            continue
+        x, residual, rounds, ok = _active_set_polish(a_mat, rhs, x, tol)
+        iterations += rounds
+        if ok:
+            r = a_mat @ x - rhs
+            return ViSolution(x, _multiplier(r, x), iterations, residual, True)
+        last_pattern = None
     r = a_mat @ x - rhs
     return ViSolution(x, _multiplier(r, x), iterations,
                       float(kkt_violation(r, x).max()), False)
@@ -238,9 +258,10 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
 
     for all chi in [-1, 1]^n, where c = c_psi / (2 alpha).  For each
     active-set guess the reduced equations form a symmetric saddle system
-    solved by a sparse LU factorization; the sets are then updated from
-    primal overshoots and multiplier signs until the KKT residual (VI
-    violation and mass-equation defect) drops below ``tol``.
+    solved by a sparse LU factorization; the sets are then updated by the
+    rule of :func:`_active_set` until the KKT residual (VI violation and
+    mass-equation defect) drops below ``tol``.  A solve that stops short
+    returns its lowest-residual iterate.
 
     With natural boundary conditions the nodal mass of U is conserved by
     construction and the solvability condition |(u_old, 1)^h| < |Omega| is
@@ -248,7 +269,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     iterate (a diagnostic variant whose subproblems may be indefinite; its
     failures are reported through the returned stats, not raised).
 
-    Returns ``(U, W, stats)`` with U in [-1, 1]^n.
+    Returns ``(U, W, stats)`` with U in [-1, 1]^n and a
+    :class:`SolverStats`.
     """
     n = mass.size
     u_old = np.asarray(u_old, dtype=float)
@@ -275,65 +297,39 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     if dirichlet:
         rhs_mass += scale * (k_b[wdofs] @ w_fixed)
 
-    act = np.zeros(n, dtype=np.int8)
-    act[u_old >= 1.0] = 1
-    act[u_old <= -1.0] = -1
-
-    u = u_old.copy()
-    w = w_fixed.copy()
-    seen = set()
-    iterations = 0
-    residual = np.inf
-    converged = False
-    for iterations in range(1, max_iter + 1):
-        key = act.tobytes()
-        if key in seen:
-            break
-        seen.add(key)
-        inactive = np.flatnonzero(act == 0)
+    def subsolve(act, inactive):
         u_pin = act.astype(float)
-        try:
-            if inactive.size == 0:
-                u = u_pin
-                w = _solve_w_only(kb_ww, rhs_mass + c * mass[wdofs] * u[wdofs],
-                                  mass, wdofs, w_fixed, scale, dirichlet)
-            else:
-                s11 = eps * k_aniso[inactive][:, inactive]
-                if implicit:
-                    s11 = s11 - sp.diags(mass[inactive] / eps)
-                s12 = -c * _coupling_block(mass, inactive, wdofs, n)
-                saddle = sp.bmat([[s11, s12], [s12.T, kb_ww]], format="csc")
-                rhs1 = mass[inactive] * ((0.0 if implicit else u_old[inactive] / eps)
-                                         + c * w_fixed[inactive])
-                rhs1 -= eps * (k_aniso[inactive] @ u_pin)
-                rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
-                z = spla.splu(saddle).solve(np.concatenate([rhs1, rhs2]))
-                u = u_pin
-                u[inactive] = z[:inactive.size]
-                w = w_fixed.copy()
-                w[wdofs] = z[inactive.size:]
-        except (RuntimeError, np.linalg.LinAlgError):
-            break  # singular subproblem (possible for the implicit variant)
+        if inactive.size == 0:
+            return u_pin, _solve_w_only(
+                kb_ww, rhs_mass + c * mass[wdofs] * u_pin[wdofs], mass,
+                wdofs, w_fixed, scale, dirichlet)
+        s11 = eps * k_aniso[inactive][:, inactive]
+        if implicit:
+            s11 = s11 - sp.diags(mass[inactive] / eps)
+        s12 = -c * _coupling_block(mass, inactive, wdofs, n)
+        saddle = sp.bmat([[s11, s12], [s12.T, kb_ww]], format="csc")
+        rhs1 = mass[inactive] * ((0.0 if implicit else u_old[inactive] / eps)
+                                 + c * w_fixed[inactive])
+        rhs1 -= eps * (k_aniso[inactive] @ u_pin)
+        rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
+        z = spla.splu(saddle).solve(np.concatenate([rhs1, rhs2]))
+        u_pin[inactive] = z[:inactive.size]
+        w = w_fixed.copy()
+        w[wdofs] = z[inactive.size:]
+        return u_pin, w
 
-        u_clip = np.clip(u, -1.0, 1.0)
+    def kkt(u_clip, w):
         pot = u_clip if implicit else u_old
         r = eps * (k_aniso @ u_clip) - mass * (c * w + pot / eps)
         mass_defect = (theta / tau) * mass * (u_clip - u_old) + k_b @ w
-        residual = float(max(kkt_violation(r, u_clip).max(),
-                             np.abs(mass_defect[wdofs]).max()))
-        if residual <= tol:
-            u = u_clip
-            converged = True
-            break
-        new_act = np.zeros(n, dtype=np.int8)
-        new_act[(act == 0) & (u > 1.0)] = 1
-        new_act[(act == 0) & (u < -1.0)] = -1
-        new_act[(act == 1) & (-r > 0.0)] = 1
-        new_act[(act == -1) & (r > 0.0)] = -1
-        act = new_act
-        u = u_clip
+        return r, float(max(kkt_violation(r, u_clip).max(),
+                            np.abs(mass_defect[wdofs]).max()))
 
-    return u, w, CoupledStats(iterations, residual, converged)
+    u, w, residual, rounds, converged = _active_set(
+        u_old.copy(), subsolve, kkt, tol, max_iter)
+    if w is None:
+        w = w_fixed
+    return u, w, SolverStats(rounds, residual, converged)
 
 
 def _solve_w_only(kb_ww, rhs, mass, wdofs, w_fixed, scale, dirichlet):

@@ -9,17 +9,20 @@ legacy ASCII VTK unstructured-grid format readable by any VTK viewer.
 import hashlib
 import json
 import os
+import platform
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
+import scipy
+
+from . import __version__
 
 __all__ = [
     "CSV_HEADER",
     "CsvRecord",
     "EnergyCsvWriter",
-    "write_energy_csv",
     "write_vtk_snapshot",
     "RunManifest",
     "run_id_for",
@@ -44,6 +47,18 @@ class CsvRecord:
     solver_iters: int
     solver_residual: float
     mobility_regularized: bool
+
+    @classmethod
+    def of(cls, state):
+        """The row of a scheme state: its energy report and solver stats."""
+        rep, stats = state.report, state.stats
+        return cls(
+            step=state.n, t=state.t, e_gamma_h=rep.e_gamma_h,
+            f_gamma_h=rep.f_gamma_h, mass=rep.mass,
+            grad_energy=rep.gradient_energy, pot_energy=rep.potential_energy,
+            stab_residual=rep.stability_residual,
+            solver_iters=stats.iterations, solver_residual=stats.residual,
+            mobility_regularized=stats.mobility_regularized)
 
     def to_line(self):
         num = lambda x: f"{x:.17g}"
@@ -95,13 +110,6 @@ class EnergyCsvWriter:
 
     def __exit__(self, *exc):
         self.close()
-
-
-def write_energy_csv(path, records):
-    """Write (or resume) the energy CSV for a sequence of step records."""
-    with EnergyCsvWriter(path) as writer:
-        for record in records:
-            writer.write(record)
 
 
 _CELL_TYPES = {2: 5, 3: 10}  # VTK triangle / tetrahedron
@@ -175,32 +183,32 @@ def snapshot_path(out_dir, step, prefix="snapshot"):
 
 @dataclass
 class RunManifest:
-    """Reproducibility record: the resolved config, the emitted files and
-    the per-step wall clock.  The manifest plus the package version fully
-    determine the run."""
+    """Reproducibility record: the resolved config, how the run ended
+    (``completed``; ``failed`` if truncated; ``aborted`` if a solver
+    failure was raised), the emitted files, the per-step wall clock and
+    the versions of the package, Python, numpy and scipy.  The manifest
+    determines the run; its fields are the keys of ``manifest.json``."""
 
     run_id: str
-    config_text: str
-    csv_path: Optional[str]
-    snapshot_paths: tuple
+    status: str
+    config: str
+    csv: Optional[str]
+    snapshots: list
     step_seconds: list
     created: str
+    versions: dict
 
     @classmethod
-    def collect(cls, config_text, csv_path, snapshot_paths, step_seconds):
-        return cls(run_id=run_id_for(config_text), config_text=config_text,
-                   csv_path=csv_path, snapshot_paths=snapshot_paths,
-                   step_seconds=list(step_seconds),
-                   created=time.strftime("%Y-%m-%dT%H:%M:%S"))
+    def collect(cls, config_text, csv_path, snapshot_paths, step_seconds,
+                status):
+        return cls(run_id_for(config_text), status, config_text, csv_path,
+                   list(snapshot_paths), list(step_seconds),
+                   time.strftime("%Y-%m-%dT%H:%M:%S"),
+                   {"anisofield": __version__,
+                    "python": platform.python_version(),
+                    "numpy": np.__version__, "scipy": scipy.__version__})
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump({
-                "run_id": self.run_id,
-                "config": self.config_text,
-                "csv": self.csv_path,
-                "snapshots": list(self.snapshot_paths),
-                "step_seconds": self.step_seconds,
-                "created": self.created,
-            }, fh, indent=2)
+            json.dump(asdict(self), fh, indent=2)
         return path

@@ -20,25 +20,26 @@ silently accepted.
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
 
-from .diagnostics import (StepData, dirichlet_energy_functional,
-                          discrete_energy, stability_residual)
+from . import output
+from .diagnostics import (dirichlet_energy_functional, discrete_energy,
+                          stability_residual)
 from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
                   isotropic_block, isotropic_stiffness, lumped_mass,
                   stiffness_blocks)
-from .obstacle import pattern_coloring, solve_coupled_ch, solve_obstacle
+from .obstacle import (SolverStats, pattern_coloring, solve_coupled_ch,
+                       solve_obstacle)
 
 __all__ = [
     "C_PSI",
     "MOBILITY_FLOOR",
     "SchemeConfig",
     "SchemeState",
-    "StepStats",
     "Circle",
     "MultiCircle",
     "Sphere",
@@ -125,14 +126,6 @@ class SchemeConfig:
 
 
 @dataclass
-class StepStats:
-    iterations: int = 0
-    residual: float = 0.0
-    converged: bool = True
-    mobility_regularized: bool = False
-
-
-@dataclass
 class SchemeState:
     """State after step ``n``: fields, energies and solver statistics.
 
@@ -146,8 +139,8 @@ class SchemeState:
     u: np.ndarray
     w: np.ndarray
     report: "object"
-    dissipation: float = 0.0
-    stats: StepStats = field(default_factory=StepStats)
+    dissipation: float
+    stats: SolverStats
 
 
 # -- initial data -----------------------------------------------------
@@ -280,7 +273,8 @@ def initial_state(mesh, aniso, config, u0, workspace=None):
     if config.scheme == "cahn_hilliard_dirichlet":
         report = report.with_dirichlet(dirichlet_energy_functional(
             report, config.alpha, config.c_psi, config.w_bdry))
-    return SchemeState(0, 0.0, u0, np.zeros(mesh.n_vertices), report)
+    return SchemeState(0, 0.0, u0, np.zeros(mesh.n_vertices), report, 0.0,
+                       SolverStats(0, 0.0, True))
 
 
 def allen_cahn_step(state, config, mesh, aniso, workspace=None):
@@ -318,9 +312,9 @@ def allen_cahn_step(state, config, mesh, aniso, workspace=None):
     delta = u - u_old
     dissipation = (eps / tau) * float(ws.mass @ (delta * delta))
     report = discrete_energy(mesh, aniso, eps, u, mass=ws.mass)
-    report.stability_residual = stability_residual(
-        state.report, report, StepData(dissipation))
-    stats = StepStats(sol.iterations, sol.residual, sol.converged, False)
+    report.stability_residual = stability_residual(state.report, report,
+                                                   dissipation)
+    stats = SolverStats(sol.iterations, sol.residual, sol.converged)
     return SchemeState(state.n + 1, (state.n + 1) * tau, u, w, report,
                        dissipation, stats)
 
@@ -355,12 +349,11 @@ def _conserved_step(state, config, mesh, aniso, ws, dirichlet):
     if dirichlet:
         report = report.with_dirichlet(dirichlet_energy_functional(
             report, config.alpha, config.c_psi, config.w_bdry))
-    report.stability_residual = stability_residual(
-        state.report, report, StepData(dissipation, dirichlet))
-    step_stats = StepStats(stats.iterations, stats.residual, stats.converged,
-                           regularized)
+    report.stability_residual = stability_residual(state.report, report,
+                                                   dissipation)
+    stats.mobility_regularized = regularized
     return SchemeState(state.n + 1, (state.n + 1) * tau, u, w, report,
-                       dissipation, step_stats)
+                       dissipation, stats)
 
 
 def cahn_hilliard_step(state, config, mesh, aniso, workspace=None):
@@ -412,21 +405,6 @@ class RunResult:
     manifest_path: Optional[str] = None
 
 
-def _record_from_state(state, dirichlet):
-    from .output import CsvRecord
-
-    rep = state.report
-    return CsvRecord(
-        step=state.n, t=state.t, e_gamma_h=rep.e_gamma_h,
-        f_gamma_h=rep.f_gamma_h if dirichlet else None,
-        mass=rep.mass, grad_energy=rep.gradient_energy,
-        pot_energy=rep.potential_energy,
-        stab_residual=rep.stability_residual,
-        solver_iters=state.stats.iterations,
-        solver_residual=state.stats.residual,
-        mobility_regularized=state.stats.mobility_regularized)
-
-
 def run_simulation(config, mesh, aniso, geometry, out_dir=None,
                    on_step: Optional[Callable] = None, strict=True,
                    config_text=""):
@@ -436,13 +414,12 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     manifest below ``out_dir`` when given; ``on_step`` is called with
     every state (including the initial one).  Per-step energy increases
     beyond 10x the solver tolerance are counted, a solve that misses its
-    tolerance aborts with a state dump (``strict=True``) or truncates the
-    run with ``failed`` set.
+    tolerance ends the run with a state dump: ``strict=True`` raises
+    :class:`SolverFailure` (manifest status ``aborted``), otherwise the run
+    is truncated with ``failed`` set (status ``failed``).  The manifest is
+    written on every one of these exits.
     """
-    from . import output
-
     step_fn = _STEP_FUNCTIONS[config.scheme]
-    dirichlet = config.scheme == "cahn_hilliard_dirichlet"
     ws = Workspace(mesh)
     u0 = (np.asarray(geometry, dtype=float) if isinstance(geometry, np.ndarray)
           else initial_profile(mesh, config.eps, geometry))
@@ -457,7 +434,7 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
         manifest_path = paths["manifest"]
         writer = output.EnergyCsvWriter(csv_path)
 
-    records = [_record_from_state(state, dirichlet)]
+    records = [output.CsvRecord.of(state)]
     if writer:
         writer.write(records[-1])
     if on_step:
@@ -465,13 +442,13 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
 
     n_steps = max(int(round(config.t_end / config.tau)), 1)
     violations = 0
-    failed = False
+    failure = None
     step_seconds = []
     for n in range(1, n_steps + 1):
         tic = time.perf_counter()
         state = step_fn(state, config, mesh, aniso, ws)
         step_seconds.append(time.perf_counter() - tic)
-        records.append(_record_from_state(state, dirichlet))
+        records.append(output.CsvRecord.of(state))
         if writer:
             writer.write(records[-1])
         if state.report.stability_residual > 10.0 * config.tol:
@@ -489,20 +466,19 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
                 output.write_vtk_snapshot(dump, mesh,
                                           {"U": state.u, "W": state.w})
                 snapshot_paths.append(dump)
-            if strict:
-                if writer:
-                    writer.close()
-                raise SolverFailure(
-                    f"step {n}: solver stopped at residual "
-                    f"{state.stats.residual:.3e} (tol {config.tol:.1e})")
-            failed = True
+            failure = SolverFailure(
+                f"step {n}: solver stopped at residual "
+                f"{state.stats.residual:.3e} (tol {config.tol:.1e})")
             break
     if writer:
         writer.close()
     if out_dir is not None:
-        manifest = output.RunManifest.collect(
-            config_text=config_text, csv_path=csv_path,
-            snapshot_paths=tuple(snapshot_paths), step_seconds=step_seconds)
-        manifest.write(manifest_path)
-    return RunResult(state, records, violations, failed, step_seconds,
-                     csv_path, tuple(snapshot_paths), manifest_path)
+        status = ("completed" if failure is None
+                  else "aborted" if strict else "failed")
+        output.RunManifest.collect(config_text, csv_path, snapshot_paths,
+                                   step_seconds, status).write(manifest_path)
+    if failure is not None and strict:
+        raise failure
+    return RunResult(state, records, violations, failure is not None,
+                     step_seconds, csv_path, tuple(snapshot_paths),
+                     manifest_path)

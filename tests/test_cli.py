@@ -45,27 +45,41 @@ def test_run_emits_artifacts(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["run_id"]
     assert manifest["csv"] == str(csv_path)
+    assert manifest["status"] == "completed"
+    assert set(manifest["versions"]) == {"anisofield", "python", "numpy",
+                                         "scipy"}
     snapshots = sorted(p for p in os.listdir(out) if p.endswith(".vtk"))
     assert snapshots == ["snapshot_000002.vtk", "snapshot_000004.vtk",
                          "snapshot_000005.vtk"]
 
 
-def test_run_refuses_directory_of_another_run(tmp_path, capsys):
+# a first run that completes, and one that dies on a strict SolverFailure
+FIRST_RUNS = {
+    "completed": (TINY_RUN, 0, "completed"),
+    "aborted": (TINY_RUN.replace("t_end = 5e-4", "t_end = 5e-4\ntol = 1e-30"),
+                2, "aborted"),
+}
+
+
+@pytest.mark.parametrize("first_run", list(FIRST_RUNS))
+def test_run_refuses_directory_of_another_run(tmp_path, capsys, first_run):
+    text, code, status = FIRST_RUNS[first_run]
     first = tmp_path / "first.cfg"
-    first.write_text(TINY_RUN)
+    first.write_text(text)
     second = tmp_path / "second.cfg"
-    second.write_text(TINY_RUN.replace("radius = 0.3", "radius = 0.25"))
+    second.write_text(text.replace("radius = 0.3", "radius = 0.25"))
     out = tmp_path / "out"
-    assert main(["run", str(first), "--out", str(out)]) == 0
+    assert main(["run", str(first), "--out", str(out)]) == code
     csv_bytes = (out / "energy.csv").read_bytes()
     manifest = (out / "manifest.json").read_bytes()
+    assert json.loads(manifest)["status"] == status
     capsys.readouterr()
     assert main(["run", str(second), "--out", str(out)]) == 2
     assert "holds run" in capsys.readouterr().err
     assert (out / "energy.csv").read_bytes() == csv_bytes
     assert (out / "manifest.json").read_bytes() == manifest
     # the same configuration resumes: every step is already written
-    assert main(["run", str(first), "--out", str(out)]) == 0
+    assert main(["run", str(first), "--out", str(out)]) == code
     assert (out / "energy.csv").read_bytes() == csv_bytes
 
 

@@ -260,16 +260,6 @@ def test_csv_rejects_foreign_file(tmp_path):
         EnergyCsvWriter(path)
 
 
-def test_write_energy_csv_convenience(tmp_path):
-    from anisofield.output import write_energy_csv
-
-    path = tmp_path / "energy.csv"
-    write_energy_csv(path, [_record(0), _record(1)])
-    write_energy_csv(path, [_record(1), _record(2)])  # resume, no duplicates
-    rows = path.read_text().splitlines()[1:]
-    assert [int(r.split(",", 1)[0]) for r in rows] == [0, 1, 2]
-
-
 # -- VTK snapshots -------------------------------------------------------
 
 

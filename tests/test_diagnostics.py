@@ -10,7 +10,6 @@ from anisofield import (Circle, SimplicialMesh, build_uniform_mesh,
                         initial_profile, isotropic, make_regularized_l1,
                         stability_residual, wulff_shape_distance,
                         zero_level_set)
-from anisofield.diagnostics import StepData
 from anisofield.anisotropy import unit_directions
 
 EPS_INV = 16.0 * math.pi
@@ -100,9 +99,9 @@ def test_dirichlet_functional_examples(mesh2d_small):
 def test_stability_residual_is_lhs_minus_rhs(mesh2d_small):
     u = np.zeros(mesh2d_small.n_vertices)
     rep = discrete_energy(mesh2d_small, isotropic(2), 0.1, u)
-    same = stability_residual(rep, rep, StepData(dissipation=0.0))
+    same = stability_residual(rep, rep, 0.0)
     assert same == 0.0
-    up = stability_residual(rep, rep, StepData(dissipation=0.5))
+    up = stability_residual(rep, rep, 0.5)
     assert up == pytest.approx(0.5)
 
 

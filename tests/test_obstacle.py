@@ -9,7 +9,8 @@ import scipy.sparse as sp
 from anisofield import (Circle, assemble_anisotropic_stiffness, build_uniform_mesh,
                         initial_profile, isotropic, isotropic_stiffness,
                         lumped_mass, solve_coupled_ch, solve_obstacle)
-from anisofield.obstacle import kkt_violation, pattern_coloring
+from anisofield.obstacle import (_active_set_polish, kkt_violation,
+                                 pattern_coloring)
 from conftest import enumerate_coupled_solution, projected_gradient_box_qp
 
 
@@ -59,10 +60,29 @@ def test_nonconvergence_is_flagged():
     rng = np.random.default_rng(1)
     r = rng.standard_normal((30, 30))
     a_mat = sp.csr_matrix(r.T @ r + 0.01 * np.eye(30))
-    sol = solve_obstacle(a_mat, rng.standard_normal(30), max_iter=1, polish=False)
+    sol = solve_obstacle(a_mat, rng.standard_normal(30), max_iter=1)
     assert not sol.converged
     assert sol.residual > 0.0
     assert np.abs(sol.solution).max() <= 1.0  # partial result stays feasible
+
+
+def test_active_set_stops_on_a_revisited_set():
+    # on this system the direct active-set loop cycles from the all-free
+    # start; the shared loop must leave at the first revisit, not run on
+    # to its round budget, and the sweeps must still reach the solution
+    rng = np.random.default_rng(2)
+    n = int(rng.integers(2, 31))
+    r = rng.standard_normal((n, n))
+    a_mat = sp.csr_matrix(r.T @ r + 0.01 * np.eye(n))
+    rhs = 3.0 * rng.standard_normal(n)
+    x, residual, rounds, ok = _active_set_polish(a_mat, rhs, np.zeros(n), 1e-10)
+    assert not ok
+    assert rounds == 10 < 50
+    assert residual > 1e-10
+    assert np.abs(x).max() <= 1.0
+    sol = solve_obstacle(a_mat, rhs, tol=1e-10)
+    assert sol.converged
+    assert sol.residual <= 1e-10
 
 
 def test_pattern_coloring_is_valid(mesh2d_small):
@@ -180,3 +200,20 @@ def test_coupled_kkt_structure(mesh2d_small):
     assert np.abs(r[interior]).max() <= tol
     assert np.all(r[u >= 1.0] <= tol)
     assert np.all(r[u <= -1.0] >= -tol)
+
+
+def test_coupled_nonconvergence_is_flagged():
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    eps = 1.0 / (16.0 * math.pi)
+    u_old = initial_profile(mesh, eps, Circle((0.1, 0.0), 0.3))
+    mass, k_b, k_aniso = _coupled_inputs(mesh, u_old, b0=2.0)
+    kwargs = dict(theta=1.0, tau=1e-3, eps=eps, alpha=1.0, tol=1e-9)
+    u, w, stats = solve_coupled_ch(mass, k_b, k_aniso, u_old, max_iter=1,
+                                   **kwargs)
+    assert not stats.converged
+    assert stats.residual > 1e-9
+    assert np.abs(u).max() <= 1.0  # the returned iterate stays feasible
+    assert np.all(np.isfinite(w))
+    u, w, stats = solve_coupled_ch(mass, k_b, k_aniso, u_old, **kwargs)
+    assert stats.converged
+    assert stats.iterations == 3

@@ -1,5 +1,6 @@
 """Time stepping: initial data, per-step contracts and the run driver."""
 
+import json
 import math
 
 import numpy as np
@@ -243,6 +244,22 @@ def test_run_simulation_nonstrict_truncates(mesh2d_medium):
                             Circle((0.0, 0.0), 0.3), strict=False)
     assert result.failed
     assert result.final_state.n < int(round(cfg.t_end / cfg.tau))
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_run_simulation_writes_manifest_on_solver_failure(mesh2d_medium,
+                                                          tmp_path, strict):
+    cfg = _ac_config(max_sweeps=1)
+    args = (cfg, mesh2d_medium, make_regularized_l1(2, 0.01),
+            Circle((0.0, 0.0), 0.3))
+    if strict:
+        with pytest.raises(SolverFailure):
+            run_simulation(*args, out_dir=tmp_path)
+    else:
+        assert run_simulation(*args, out_dir=tmp_path, strict=False).failed
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == ("aborted" if strict else "failed")
+    assert len(manifest["step_seconds"]) == 1
 
 
 def test_scheme_config_validation():

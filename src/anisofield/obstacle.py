@@ -4,10 +4,12 @@ Both solvers run one primal active-set loop (:func:`_active_set`) and
 differ only in the subsolve of each round:
 
 * :func:`solve_obstacle` handles the symmetric obstacle problem
-  (A x - b) . (chi - x) >= 0 for all chi in [-1, 1]^n with A SPD, via
-  projected Gauss-Seidel sweeps.  Once the bound pattern settles, the
-  loop solves the inactive equations by a sparse LU, which drives the KKT
-  residual to solver precision regardless of the conditioning of A.
+  (A x - b) . (chi - x) >= 0 for all chi in [-1, 1]^n with A SPD.  The
+  loop starts from the bound pattern of the warm start and solves the
+  inactive equations by a sparse LU each round, which drives the KKT
+  residual to solver precision regardless of the conditioning of A.  If
+  it stops short (it can cycle), colored projected Gauss-Seidel sweeps
+  settle the bound pattern and the loop is run again from there.
 
 * :func:`solve_coupled_ch` handles the coupled saddle-point step of the
   conserved schemes: a lumped mass equation for (U, W) together with the
@@ -42,7 +44,7 @@ class ViSolution:
     ``solution`` lies in [-1, 1]^n by construction, ``multiplier`` holds
     the complementarity witness (nonnegative at correctly active nodes),
     ``residual`` is the maximum KKT violation and ``iterations`` counts
-    Gauss-Seidel sweeps plus direct polish solves.
+    the active-set rounds plus any fallback Gauss-Seidel sweeps.
     """
 
     solution: np.ndarray
@@ -152,7 +154,7 @@ def _active_set(x, subsolve, kkt, tol, max_rounds):
 
 
 def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
-    """Direct active-set refinement of an obstacle iterate, one sparse LU
+    """Active-set obstacle solve from the bound pattern of ``x``, one LU
     of the inactive block per round: ``(x, residual, rounds, converged)``."""
     def subsolve(act, inactive):
         x_new = act.astype(float)
@@ -172,8 +174,7 @@ def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
     return x, residual, rounds, ok
 
 
-def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000,
-                   groups=None):
+def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000):
     """Solve the obstacle problem (A x - rhs) . (chi - x) >= 0 on [-1, 1]^n.
 
     Parameters
@@ -187,16 +188,14 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000,
     tol : float
         Absolute bound on the maximum KKT violation.
     max_iter : int
-        Sweep budget for the projected Gauss-Seidel iteration.
-    groups : list of index arrays, optional
-        Precomputed :func:`pattern_coloring` of ``a_mat``; computed here
-        when omitted.  The pattern of the phase-field matrices is fixed
-        per mesh, so callers in the time loop pass a cached coloring.
+        Sweep budget for the fallback projected Gauss-Seidel iteration.
 
-    Once two consecutive sweeps leave the same bound pattern, the
-    iterate is refined by direct active-set solves.  Returns a
-    :class:`ViSolution`; non-convergence within the budget is flagged on
-    the result, with the best iterate returned.
+    The active-set loop runs first, from the bound pattern of ``x0``.
+    Only if it stops short is ``a_mat`` colored and swept from ``x0``;
+    once two consecutive sweeps leave the same bound pattern, the loop
+    is run again from the sweep iterate.  Returns a :class:`ViSolution`;
+    non-convergence within the budget is flagged on the result, with the
+    best iterate returned.
     """
     a_mat = a_mat.tocsr()
     n = a_mat.shape[0]
@@ -205,11 +204,12 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000,
     if np.any(diag <= 0.0):
         raise ValueError("system matrix has a nonpositive diagonal entry")
     x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
-    if groups is None:
-        groups = pattern_coloring(a_mat)
-    subs = [(g, a_mat[g], diag[g]) for g in groups]
+    y, residual, iterations, ok = _active_set_polish(a_mat, rhs, x, tol)
+    if ok:
+        r = a_mat @ y - rhs
+        return ViSolution(y, _multiplier(r, y), iterations, residual, True)
 
-    iterations = 0
+    subs = [(g, a_mat[g], diag[g]) for g in pattern_coloring(a_mat)]
     last_pattern = None
     for _ in range(max_iter):
         for g, a_g, d_g in subs:

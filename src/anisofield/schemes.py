@@ -18,6 +18,7 @@ stability residual; increases beyond solver tolerance are flagged, never
 silently accepted.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ from .diagnostics import (dirichlet_energy_functional, discrete_energy,
 from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
                   isotropic_block, isotropic_stiffness, lumped_mass,
                   stiffness_blocks)
+# pattern_coloring is not called here; the benchmark tracer wraps this name
 from .obstacle import (SolverStats, pattern_coloring, solve_coupled_ch,
                        solve_obstacle)
 
@@ -94,7 +96,6 @@ class SchemeConfig:
     implicit: bool = False
     tol: float = 1e-9
     max_sweeps: int = 10_000
-    max_updates: int = 100
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -223,38 +224,23 @@ def initial_profile(mesh, eps, geometry):
 
 
 class Workspace:
-    """Per-mesh caches shared across steps (mass vector, matrix coloring,
-    isotropic stiffness, element blocks of the stiffness matrices).  The
-    sparsity pattern of the assembled matrices is fixed per mesh, so the
-    Gauss-Seidel coloring is computed once; it and the blocks are built
-    on first use."""
+    """Per-mesh caches shared across steps: the mass vector, built here,
+    and the isotropic stiffness and the element blocks of the stiffness
+    matrices, built on first use."""
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.mass = lumped_mass(mesh)
-        self.mass_total = float(self.mass.sum())
-        self._groups = None
-        self._iso = None
-        self._iso_block = None
         self._aniso_blocks = None
 
-    def groups_for(self, matrix):
-        if self._groups is None:
-            self._groups = pattern_coloring(matrix)
-        return self._groups
-
-    @property
+    @functools.cached_property
     def iso_stiffness(self):
-        if self._iso is None:
-            self._iso = isotropic_stiffness(self.mesh)
-        return self._iso
+        return isotropic_stiffness(self.mesh)
 
-    @property
+    @functools.cached_property
     def iso_block(self):
         """Isotropic element block, the weight of the mobility stiffness."""
-        if self._iso_block is None:
-            self._iso_block = isotropic_block(self.mesh)
-        return self._iso_block
+        return isotropic_block(self.mesh)
 
     def aniso_blocks(self, aniso):
         """Element blocks of ``aniso``'s weight matrices, kept for the last
@@ -305,8 +291,7 @@ def allen_cahn_step(state, config, mesh, aniso, workspace=None):
     else:
         rhs = ws.mass * ((eps / tau) + 1.0 / eps) * u_old
     sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol,
-                         max_iter=config.max_sweeps,
-                         groups=ws.groups_for(a_mat))
+                         max_iter=config.max_sweeps)
     u = sol.solution
     w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * (u - u_old)
     delta = u - u_old
@@ -339,7 +324,7 @@ def _conserved_step(state, config, mesh, aniso, ws, dirichlet):
         theta=theta, tau=tau, eps=eps, alpha=config.alpha, c_psi=config.c_psi,
         w_bdry=config.w_bdry if dirichlet else None,
         boundary_mask=mesh.boundary_mask if dirichlet else None,
-        tol=config.tol, max_iter=config.max_updates, implicit=config.implicit)
+        tol=config.tol, implicit=config.implicit)
     if dirichlet:
         dissipation = tau * config.b0 * float(w @ (ws.iso_stiffness @ w))
     else:
@@ -416,8 +401,9 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     beyond 10x the solver tolerance are counted, a solve that misses its
     tolerance ends the run with a state dump: ``strict=True`` raises
     :class:`SolverFailure` (manifest status ``aborted``), otherwise the run
-    is truncated with ``failed`` set (status ``failed``).  The manifest is
-    written on every one of these exits.
+    is truncated with ``failed`` set (status ``failed``).  A step that
+    raises also ends the run with status ``aborted``.  The manifest is
+    written on every exit.
     """
     step_fn = _STEP_FUNCTIONS[config.scheme]
     ws = Workspace(mesh)
@@ -435,48 +421,52 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
         writer = output.EnergyCsvWriter(csv_path)
 
     records = [output.CsvRecord.of(state)]
-    if writer:
-        writer.write(records[-1])
-    if on_step:
-        on_step(state)
-
     n_steps = max(int(round(config.t_end / config.tau)), 1)
     violations = 0
     failure = None
     step_seconds = []
-    for n in range(1, n_steps + 1):
-        tic = time.perf_counter()
-        state = step_fn(state, config, mesh, aniso, ws)
-        step_seconds.append(time.perf_counter() - tic)
-        records.append(output.CsvRecord.of(state))
+    status = "aborted"
+    try:
         if writer:
             writer.write(records[-1])
-        if state.report.stability_residual > 10.0 * config.tol:
-            violations += 1
-        if out_dir is not None and config.snapshot_every > 0 and (
-                n % config.snapshot_every == 0 or n == n_steps):
-            path = output.snapshot_path(out_dir, n)
-            output.write_vtk_snapshot(path, mesh, {"U": state.u, "W": state.w})
-            snapshot_paths.append(path)
         if on_step:
             on_step(state)
-        if not state.stats.converged:
-            if out_dir is not None:
-                dump = output.snapshot_path(out_dir, n, prefix="failure")
-                output.write_vtk_snapshot(dump, mesh,
+        for n in range(1, n_steps + 1):
+            tic = time.perf_counter()
+            state = step_fn(state, config, mesh, aniso, ws)
+            step_seconds.append(time.perf_counter() - tic)
+            records.append(output.CsvRecord.of(state))
+            if writer:
+                writer.write(records[-1])
+            if state.report.stability_residual > 10.0 * config.tol:
+                violations += 1
+            if out_dir is not None and config.snapshot_every > 0 and (
+                    n % config.snapshot_every == 0 or n == n_steps):
+                path = output.snapshot_path(out_dir, n)
+                output.write_vtk_snapshot(path, mesh,
                                           {"U": state.u, "W": state.w})
-                snapshot_paths.append(dump)
-            failure = SolverFailure(
-                f"step {n}: solver stopped at residual "
-                f"{state.stats.residual:.3e} (tol {config.tol:.1e})")
-            break
-    if writer:
-        writer.close()
-    if out_dir is not None:
+                snapshot_paths.append(path)
+            if on_step:
+                on_step(state)
+            if not state.stats.converged:
+                if out_dir is not None:
+                    dump = output.snapshot_path(out_dir, n, prefix="failure")
+                    output.write_vtk_snapshot(dump, mesh,
+                                              {"U": state.u, "W": state.w})
+                    snapshot_paths.append(dump)
+                failure = SolverFailure(
+                    f"step {n}: solver stopped at residual "
+                    f"{state.stats.residual:.3e} (tol {config.tol:.1e})")
+                break
         status = ("completed" if failure is None
                   else "aborted" if strict else "failed")
-        output.RunManifest.collect(config_text, csv_path, snapshot_paths,
-                                   step_seconds, status).write(manifest_path)
+    finally:
+        if writer:
+            writer.close()
+        if out_dir is not None:
+            output.RunManifest.collect(config_text, csv_path, snapshot_paths,
+                                       step_seconds, status).write(
+                                           manifest_path)
     if failure is not None and strict:
         raise failure
     return RunResult(state, records, violations, failure is not None,

@@ -53,11 +53,15 @@ def test_run_emits_artifacts(tmp_path, capsys):
                          "snapshot_000005.vtk"]
 
 
-# a first run that completes, and one that dies on a strict SolverFailure
+# a first run that completes, one that dies on a strict SolverFailure and
+# one whose first step raises (the nodal mass of U fills the domain)
 FIRST_RUNS = {
     "completed": (TINY_RUN, 0, "completed"),
     "aborted": (TINY_RUN.replace("t_end = 5e-4", "t_end = 5e-4\ntol = 1e-30"),
                 2, "aborted"),
+    "unsolvable": (TINY_RUN.replace("allen_cahn", "cahn_hilliard_neumann")
+                   .replace("kind = circle\ncenter = 0,0\nradius = 0.3",
+                            "kind = uniform\nvalue = 1.0"), 2, "aborted"),
 }
 
 
@@ -67,7 +71,7 @@ def test_run_refuses_directory_of_another_run(tmp_path, capsys, first_run):
     first = tmp_path / "first.cfg"
     first.write_text(text)
     second = tmp_path / "second.cfg"
-    second.write_text(text.replace("radius = 0.3", "radius = 0.25"))
+    second.write_text(TINY_RUN.replace("radius = 0.3", "radius = 0.25"))
     out = tmp_path / "out"
     assert main(["run", str(first), "--out", str(out)]) == code
     csv_bytes = (out / "energy.csv").read_bytes()

@@ -11,7 +11,7 @@ from anisofield import (C_PSI, Circle, Cuboid, SchemeConfig, SolverFailure,
                         cahn_hilliard_dirichlet_step, cahn_hilliard_step,
                         build_uniform_mesh, implicit_tau_bound, initial_profile,
                         initial_state, isotropic, make_regularized_l1,
-                        run_simulation)
+                        rotation_2d, run_simulation)
 
 EPS_INV = 16.0 * math.pi
 EPS = 1.0 / EPS_INV
@@ -130,6 +130,26 @@ def test_allen_cahn_step_is_implicit_step_at_flow_tau(mesh2d_medium, aniso):
     assert np.abs(traces[0] - traces[1]).max() <= 1e-12
 
 
+def test_allen_cahn_steps_build_no_coloring(mesh2d_medium, monkeypatch):
+    # the active-set loop from U^old's bound pattern solves every step
+    # alone, so the Gauss-Seidel fallback and its coloring never run
+    def no_coloring(matrix):
+        raise AssertionError("the fallback coloring was built")
+
+    monkeypatch.setattr("anisofield.obstacle.pattern_coloring", no_coloring)
+    monkeypatch.setattr("anisofield.schemes.pattern_coloring", no_coloring)
+    aniso = make_regularized_l1(2, 0.01).rotate(
+        rotation_2d(math.radians(0.005)))
+    cfg = _ac_config()
+    ws = Workspace(mesh2d_medium)
+    state = initial_state(mesh2d_medium, aniso, cfg, initial_profile(
+        mesh2d_medium, EPS, Circle((0.0, 0.0), 0.3)), ws)
+    for _ in range(10):
+        state = allen_cahn_step(state, cfg, mesh2d_medium, aniso, ws)
+        assert state.stats.converged
+        assert state.stats.residual <= cfg.tol
+
+
 def test_allen_cahn_energy_decreases(mesh2d_medium):
     ani = make_regularized_l1(2, 0.3)
     cfg = _ac_config(tau=1e-3)
@@ -232,14 +252,14 @@ def test_run_simulation_stationary_uniform(mesh2d_small):
 
 
 def test_run_simulation_aborts_on_solver_failure(mesh2d_medium):
-    cfg = _ac_config(max_sweeps=1)
+    cfg = _ac_config(max_sweeps=1, tol=1e-30)
     with pytest.raises(SolverFailure):
         run_simulation(cfg, mesh2d_medium, make_regularized_l1(2, 0.01),
                        Circle((0.0, 0.0), 0.3))
 
 
 def test_run_simulation_nonstrict_truncates(mesh2d_medium):
-    cfg = _ac_config(max_sweeps=1)
+    cfg = _ac_config(max_sweeps=1, tol=1e-30)
     result = run_simulation(cfg, mesh2d_medium, make_regularized_l1(2, 0.01),
                             Circle((0.0, 0.0), 0.3), strict=False)
     assert result.failed
@@ -249,7 +269,7 @@ def test_run_simulation_nonstrict_truncates(mesh2d_medium):
 @pytest.mark.parametrize("strict", [True, False])
 def test_run_simulation_writes_manifest_on_solver_failure(mesh2d_medium,
                                                           tmp_path, strict):
-    cfg = _ac_config(max_sweeps=1)
+    cfg = _ac_config(max_sweeps=1, tol=1e-30)
     args = (cfg, mesh2d_medium, make_regularized_l1(2, 0.01),
             Circle((0.0, 0.0), 0.3))
     if strict:

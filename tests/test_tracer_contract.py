@@ -2,22 +2,49 @@
 
 ``perfbench/tracer.py`` times the package by replacing functions at the
 names the calling modules look up.  A renamed or removed wrap point shows
-up in ``Tracer.missing``; this test catches it without a benchmark run.
+up in ``Tracer.missing``, and a call that bypasses a wrapped name goes
+uncounted; these tests catch both without a benchmark run.
 """
 
 import importlib.util
+import math
 from pathlib import Path
+
+from anisofield import (Circle, SchemeConfig, build_uniform_mesh,
+                        make_regularized_l1, run_simulation)
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
-def test_tracer_finds_every_wrap_point():
+def _tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module.Tracer()
+
+
+def test_tracer_finds_every_wrap_point():
+    tracer = _tracer()
     try:
         tracer.install()
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_tracer_counts_every_obstacle_round():
+    cfg = SchemeConfig("allen_cahn", eps_inv=16.0 * math.pi, tau=1e-4,
+                       t_end=5e-4)
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    tracer = _tracer()
+    try:
+        tracer.install()
+        result = run_simulation(cfg, mesh, make_regularized_l1(2, 0.01),
+                                Circle((0.0, 0.0), 0.3))
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert names.count("obstacle.solve_obstacle") == 5
+    assert "obstacle.coloring" not in names
+    assert tracer.counts["obstacle.polish_rounds"] == sum(
+        r.solver_iters for r in result.records)

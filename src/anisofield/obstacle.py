@@ -8,16 +8,16 @@ differ only in the subsolve of each round:
   loop starts from the bound pattern of the warm start and solves the
   inactive equations by a sparse LU each round, which drives the KKT
   residual to solver precision regardless of the conditioning of A.  If
-  it stops short (it can cycle), colored projected Gauss-Seidel sweeps
-  settle the bound pattern and the loop is run again from there.
+  it stops short (it can cycle), Bertsekas' projected Newton method,
+  which decreases the energy every round, finishes from its best iterate.
 
 * :func:`solve_coupled_ch` handles the coupled saddle-point step of the
   conserved schemes: a lumped mass equation for (U, W) together with the
   box-constrained variational inequality for U.  Each round solves the
   saddle system on the inactive set by a sparse LU.
 
-Both are deterministic: fixed inputs and sweep order give bit-identical
-results.  Convergence is measured by the componentwise KKT violation
+Both are deterministic: fixed inputs give bit-identical results.
+Convergence is measured by the componentwise KKT violation
 (stationarity at inactive nodes, multiplier sign at active nodes).
 """
 
@@ -44,7 +44,7 @@ class ViSolution:
     ``solution`` lies in [-1, 1]^n by construction, ``multiplier`` holds
     the complementarity witness (nonnegative at correctly active nodes),
     ``residual`` is the maximum KKT violation and ``iterations`` counts
-    the active-set rounds plus any fallback Gauss-Seidel sweeps.
+    the active-set rounds plus any fallback projected-Newton rounds.
     """
 
     solution: np.ndarray
@@ -78,15 +78,6 @@ def kkt_violation(residual, x):
     viol[upper] = np.maximum(residual[upper], 0.0)
     viol[lower] = np.maximum(-residual[lower], 0.0)
     return viol
-
-
-def _multiplier(residual, x):
-    mult = np.zeros_like(residual)
-    upper = x >= 1.0
-    lower = x <= -1.0
-    mult[upper] = -residual[upper]
-    mult[lower] = residual[lower]
-    return mult
 
 
 def _bound_pattern(x):
@@ -174,7 +165,43 @@ def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
     return x, residual, rounds, ok
 
 
-def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000):
+def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
+    """Bertsekas' projected Newton method from the feasible ``x``.
+
+    Each round takes the Newton step of the nodes not held on a bound by
+    an outward gradient (one LU of their block) and halves it until the
+    projected point passes the Armijo test.  A singular block, an ascent
+    direction (indefinite A) or a failed search ends it unconverged.
+    Returns ``(x, residual, rounds, converged)``.
+    """
+    g = a_mat @ x - rhs
+    residual = float(kkt_violation(g, x).max())
+    for rounds in range(1, max_rounds + 1):
+        free = np.flatnonzero(~(((x >= 1.0) & (g < 0.0))
+                                | ((x <= -1.0) & (g > 0.0))))
+        d = np.zeros_like(x)
+        try:
+            d[free] = -spla.splu(a_mat[free][:, free].tocsc()).solve(g[free])
+        except RuntimeError:
+            break
+        slope = float(g[free] @ d[free])
+        if not slope < 0.0:
+            break
+        for alpha in 0.5 ** np.arange(40):
+            s = np.clip(x + alpha * d, -1.0, 1.0) - x
+            if g @ s + 0.5 * (s @ (a_mat @ s)) <= 1e-4 * alpha * slope:
+                break
+        else:
+            break
+        x = x + s
+        g = a_mat @ x - rhs
+        residual = float(kkt_violation(g, x).max())
+        if residual <= tol:
+            return x, residual, rounds, True
+    return x, residual, rounds, False
+
+
+def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
     """Solve the obstacle problem (A x - rhs) . (chi - x) >= 0 on [-1, 1]^n.
 
     Parameters
@@ -187,51 +214,25 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, max_iter=10_000):
         Warm start, projected onto the box.
     tol : float
         Absolute bound on the maximum KKT violation.
-    max_iter : int
-        Sweep budget for the fallback projected Gauss-Seidel iteration.
 
     The active-set loop runs first, from the bound pattern of ``x0``.
-    Only if it stops short is ``a_mat`` colored and swept from ``x0``;
-    once two consecutive sweeps leave the same bound pattern, the loop
-    is run again from the sweep iterate.  Returns a :class:`ViSolution`;
-    non-convergence within the budget is flagged on the result, with the
-    best iterate returned.
+    Only if it stops short does projected Newton continue from its best
+    iterate.  Returns a :class:`ViSolution`; non-convergence of both is
+    flagged on the result, with the last iterate returned.
     """
     a_mat = a_mat.tocsr()
     n = a_mat.shape[0]
     rhs = np.asarray(rhs, dtype=float)
-    diag = a_mat.diagonal()
-    if np.any(diag <= 0.0):
+    if np.any(a_mat.diagonal() <= 0.0):
         raise ValueError("system matrix has a nonpositive diagonal entry")
     x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
-    y, residual, iterations, ok = _active_set_polish(a_mat, rhs, x, tol)
-    if ok:
-        r = a_mat @ y - rhs
-        return ViSolution(y, _multiplier(r, y), iterations, residual, True)
-
-    subs = [(g, a_mat[g], diag[g]) for g in pattern_coloring(a_mat)]
-    last_pattern = None
-    for _ in range(max_iter):
-        for g, a_g, d_g in subs:
-            x[g] = np.clip((rhs[g] - a_g @ x + d_g * x[g]) / d_g, -1.0, 1.0)
-        iterations += 1
-        r = a_mat @ x - rhs
-        residual = float(kkt_violation(r, x).max())
-        if residual <= tol:
-            return ViSolution(x, _multiplier(r, x), iterations, residual, True)
-        pattern = _bound_pattern(x).tobytes()
-        if pattern != last_pattern:
-            last_pattern = pattern
-            continue
-        x, residual, rounds, ok = _active_set_polish(a_mat, rhs, x, tol)
+    x, residual, iterations, ok = _active_set_polish(a_mat, rhs, x, tol)
+    if not ok:
+        x, residual, rounds, ok = _projected_newton(a_mat, rhs, x, tol)
         iterations += rounds
-        if ok:
-            r = a_mat @ x - rhs
-            return ViSolution(x, _multiplier(r, x), iterations, residual, True)
-        last_pattern = None
     r = a_mat @ x - rhs
-    return ViSolution(x, _multiplier(r, x), iterations,
-                      float(kkt_violation(r, x).max()), False)
+    mult = np.where(x >= 1.0, -r, np.where(x <= -1.0, r, 0.0))
+    return ViSolution(x, mult, iterations, residual, ok)
 
 
 def _coupling_block(mass, rows, cols, n):

@@ -33,7 +33,7 @@ from .diagnostics import (dirichlet_energy_functional, discrete_energy,
 from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
                   isotropic_block, isotropic_stiffness, lumped_mass,
                   stiffness_blocks)
-# pattern_coloring is not called here; the benchmark tracer wraps this name
+# nothing in the package calls pattern_coloring; the benchmark tracer wraps it
 from .obstacle import (SolverStats, pattern_coloring, solve_coupled_ch,
                        solve_obstacle)
 
@@ -95,7 +95,6 @@ class SchemeConfig:
     snapshot_every: int = 0
     implicit: bool = False
     tol: float = 1e-9
-    max_sweeps: int = 10_000
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -290,8 +289,7 @@ def allen_cahn_step(state, config, mesh, aniso, workspace=None):
         rhs = (eps / tau) * ws.mass * u_old
     else:
         rhs = ws.mass * ((eps / tau) + 1.0 / eps) * u_old
-    sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol,
-                         max_iter=config.max_sweeps)
+    sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol)
     u = sol.solution
     w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * (u - u_old)
     delta = u - u_old

@@ -38,6 +38,23 @@ def test_matches_projected_gradient_oracle():
         oracle = projected_gradient_box_qp(a_mat, rhs)
         assert np.abs(sol.solution - oracle).max() <= 1e-8
         assert sol.converged
+    # nearly singular systems on which the active-set loop cycles and the
+    # fallback has to finish the solve
+    for seed in (0, 33, 85, 163, 198, 235, 244, 278):
+        a_mat, rhs = _cycling_system(seed)
+        sol = solve_obstacle(sp.csr_matrix(a_mat), rhs, tol=1e-10)
+        assert sol.converged
+        assert sol.residual <= 1e-10
+        oracle = projected_gradient_box_qp(a_mat, rhs)
+        assert np.abs(sol.solution - oracle).max() <= 1e-8
+
+
+def _cycling_system(seed):
+    """Dense SPD system A = R^T R + 0.01 I, n in [2, 30], of the rng seed."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 31))
+    r = rng.standard_normal((n, n))
+    return r.T @ r + 0.01 * np.eye(n), 3.0 * rng.standard_normal(n)
 
 
 def test_deterministic_bit_identical(mesh2d_small):
@@ -49,6 +66,13 @@ def test_deterministic_bit_identical(mesh2d_small):
     s2 = solve_obstacle(a_mat, rhs, x0=u)
     np.testing.assert_array_equal(s1.solution, s2.solution)
     assert s1.iterations == s2.iterations
+    # the rng-2 system, on which the loop cycles after 10 rounds, so the
+    # projected-Newton fallback runs too
+    a_mat, rhs = _cycling_system(2)
+    s1 = solve_obstacle(sp.csr_matrix(a_mat), rhs, tol=1e-10)
+    s2 = solve_obstacle(sp.csr_matrix(a_mat), rhs, tol=1e-10)
+    assert s1.iterations == s2.iterations > 10
+    np.testing.assert_array_equal(s1.solution, s2.solution)
 
 
 def test_rejects_nonpositive_diagonal():
@@ -58,13 +82,10 @@ def test_rejects_nonpositive_diagonal():
 
 def test_nonconvergence_is_flagged():
     # the system of test_active_set_stops_on_a_revisited_set, on which the
-    # active-set loop cycles, so the one fallback sweep decides
-    rng = np.random.default_rng(2)
-    n = int(rng.integers(2, 31))
-    r = rng.standard_normal((n, n))
-    a_mat = sp.csr_matrix(r.T @ r + 0.01 * np.eye(n))
-    rhs = 3.0 * rng.standard_normal(n)
-    sol = solve_obstacle(a_mat, rhs, tol=1e-10, max_iter=1)
+    # active-set loop cycles, at a tolerance below rounding: the fallback
+    # must give up and say so
+    a_mat, rhs = _cycling_system(2)
+    sol = solve_obstacle(sp.csr_matrix(a_mat), rhs, tol=1e-30)
     assert not sol.converged
     assert sol.residual > 0.0
     assert np.abs(sol.solution).max() <= 1.0  # partial result stays feasible
@@ -73,12 +94,9 @@ def test_nonconvergence_is_flagged():
 def test_active_set_stops_on_a_revisited_set():
     # on this system the direct active-set loop cycles from the all-free
     # start; the shared loop must leave at the first revisit, not run on
-    # to its round budget, and the sweeps must still reach the solution
-    rng = np.random.default_rng(2)
-    n = int(rng.integers(2, 31))
-    r = rng.standard_normal((n, n))
-    a_mat = sp.csr_matrix(r.T @ r + 0.01 * np.eye(n))
-    rhs = 3.0 * rng.standard_normal(n)
+    # to its round budget, and the fallback must still reach the solution
+    a_mat, rhs = _cycling_system(2)
+    a_mat, n = sp.csr_matrix(a_mat), rhs.size
     x, residual, rounds, ok = _active_set_polish(a_mat, rhs, np.zeros(n), 1e-10)
     assert not ok
     assert rounds == 10 < 50

@@ -130,14 +130,13 @@ def test_allen_cahn_step_is_implicit_step_at_flow_tau(mesh2d_medium, aniso):
     assert np.abs(traces[0] - traces[1]).max() <= 1e-12
 
 
-def test_allen_cahn_steps_build_no_coloring(mesh2d_medium, monkeypatch):
+def test_allen_cahn_steps_need_no_fallback(mesh2d_medium, monkeypatch):
     # the active-set loop from U^old's bound pattern solves every step
-    # alone, so the Gauss-Seidel fallback and its coloring never run
-    def no_coloring(matrix):
-        raise AssertionError("the fallback coloring was built")
+    # alone, so the projected-Newton fallback never runs
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("the projected-Newton fallback ran")
 
-    monkeypatch.setattr("anisofield.obstacle.pattern_coloring", no_coloring)
-    monkeypatch.setattr("anisofield.schemes.pattern_coloring", no_coloring)
+    monkeypatch.setattr("anisofield.obstacle._projected_newton", no_fallback)
     aniso = make_regularized_l1(2, 0.01).rotate(
         rotation_2d(math.radians(0.005)))
     cfg = _ac_config()
@@ -252,24 +251,33 @@ def test_run_simulation_stationary_uniform(mesh2d_small):
 
 
 def test_run_simulation_aborts_on_solver_failure(mesh2d_medium):
-    cfg = _ac_config(max_sweeps=1, tol=1e-30)
+    cfg = _ac_config(tol=1e-30)
     with pytest.raises(SolverFailure):
         run_simulation(cfg, mesh2d_medium, make_regularized_l1(2, 0.01),
                        Circle((0.0, 0.0), 0.3))
 
 
-def test_run_simulation_nonstrict_truncates(mesh2d_medium):
-    cfg = _ac_config(max_sweeps=1, tol=1e-30)
-    result = run_simulation(cfg, mesh2d_medium, make_regularized_l1(2, 0.01),
+@pytest.mark.parametrize("case", ["unreachable_tol", "indefinite_implicit"])
+def test_run_simulation_nonstrict_truncates(mesh2d_medium, case):
+    if case == "unreachable_tol":
+        cfg, delta = _ac_config(tol=1e-30), 0.01
+    else:
+        # far beyond the implicit variant's solvability bound the step
+        # matrix is indefinite: the failure must be flagged within the
+        # round budgets of the active-set loop and its fallback (50 + 50)
+        tau = 700.0 * implicit_tau_bound(EPS)
+        cfg, delta = _ac_config(tau=tau, t_end=5.0 * tau, implicit=True), 0.3
+    result = run_simulation(cfg, mesh2d_medium, make_regularized_l1(2, delta),
                             Circle((0.0, 0.0), 0.3), strict=False)
     assert result.failed
     assert result.final_state.n < int(round(cfg.t_end / cfg.tau))
+    assert all(r.solver_iters <= 100 for r in result.records)
 
 
 @pytest.mark.parametrize("strict", [True, False])
 def test_run_simulation_writes_manifest_on_solver_failure(mesh2d_medium,
                                                           tmp_path, strict):
-    cfg = _ac_config(max_sweeps=1, tol=1e-30)
+    cfg = _ac_config(tol=1e-30)
     args = (cfg, mesh2d_medium, make_regularized_l1(2, 0.01),
             Circle((0.0, 0.0), 0.3))
     if strict:

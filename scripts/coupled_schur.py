@@ -1,0 +1,283 @@
+"""Numbers behind the Schur-complement subsolve of the conserved step.
+
+With constant mobility ``solve_coupled_ch`` eliminates W and solves the
+inactive-set Schur complement by preconditioned CG, with K_b factored once
+per run; with degenerate mobility it factors the saddle system of every
+active-set round.  Each subcommand prints the numbers that DECISIONS.md
+records, comparing the Schur path with the saddle path on the same inputs:
+
+    PYTHONPATH=src python scripts/coupled_schur.py fig4 --steps 8
+    PYTHONPATH=src python scripts/coupled_schur.py neumann --steps 30
+    PYTHONPATH=src python scripts/coupled_schur.py degenerate --steps 10
+    PYTHONPATH=src python scripts/coupled_schur.py update --steps 3
+    PYTHONPATH=src python scripts/coupled_schur.py ordering --count 8
+
+``fig4`` runs configs/fig4.cfg (Dirichlet, N = 128); ``neumann`` the
+setting of acceptance criterion 9 (natural boundary conditions, constant
+mobility, N = 64); ``degenerate`` and ``ordering`` configs/
+surface_diffusion.cfg (degenerate mobility, N = 64).  BLAS runs on one
+thread, as in the benchmark.
+"""
+
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import math
+import time
+from pathlib import Path
+
+import numpy as np
+import scipy.sparse.linalg as spla
+
+import anisofield.obstacle as obstacle
+from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
+                        assemble_anisotropic_stiffness, build_uniform_mesh,
+                        cahn_hilliard_dirichlet_step,
+                        cahn_hilliard_step, initial_profile, initial_state,
+                        make_regularized_l1, parse_config)
+from anisofield.schemes import MOBILITY_FLOOR, assemble_mobility_stiffness
+
+ROOT = Path(__file__).resolve().parents[1]
+EPS_INV = 16.0 * math.pi
+
+
+class PcgCounter:
+    """Counts the CG iterations of every Schur solve, and its failures."""
+
+    def __init__(self, drop_residual_update=False):
+        self.iterations, self.failures = [], 0
+        self.drop_residual_update = drop_residual_update
+
+    def __enter__(self):
+        original = self.original = obstacle._projected_cg
+
+        def counted(apply, b, x, precond, tol, max_iter=500):
+            calls = [0]
+
+            def counting_apply(v):
+                calls[0] += 1
+                return apply(v)
+
+            pre = precond
+            if self.drop_residual_update:
+                pre = lambda r: (precond(r)[0], r)  # noqa: E731
+            try:
+                return original(counting_apply, b, x, pre, tol, max_iter)
+            except RuntimeError:
+                self.failures += 1
+                raise
+            finally:
+                # the first apply is the initial residual
+                self.iterations.append(calls[0] - 1)
+
+        obstacle._projected_cg = counted
+        return self
+
+    def __exit__(self, *exc):
+        obstacle._projected_cg = self.original
+
+
+def _march(case, steps, schur, counter=None):
+    """Per-step (U, W, rounds, residual, seconds, report) on one path."""
+    mesh, aniso, cfg, u0, step = case
+    ws = Workspace(mesh)
+    if not schur:
+        ws.mobility_factor = lambda *args: None
+    state = initial_state(mesh, aniso, cfg, u0, ws)
+    out = []
+    with counter or PcgCounter():
+        for _ in range(steps):
+            tic = time.perf_counter()
+            state = step(state, cfg, mesh, aniso, ws)
+            out.append((state.u, state.w, state.stats.iterations,
+                        state.stats.residual, time.perf_counter() - tic,
+                        state.report))
+    return out
+
+
+def _fig4_case():
+    setup = parse_config((ROOT / "configs" / "fig4.cfg").read_text())
+    mesh = setup.build_mesh()
+    u0 = initial_profile(mesh, setup.scheme.eps, setup.geometry)
+    return (mesh, setup.anisotropy, setup.scheme, u0,
+            cahn_hilliard_dirichlet_step)
+
+
+def _neumann_case():
+    mesh = build_uniform_mesh(2, 0.5, 64)
+    cfg = SchemeConfig("cahn_hilliard_neumann", eps_inv=EPS_INV, tau=1e-5,
+                       t_end=5e-3, theta=1.0, alpha=1.0, b0=2.0)
+    geometry = MultiCircle((Circle((-0.215, 0.0), 0.2),
+                            Circle((0.2, 0.0), 0.15)))
+    u0 = initial_profile(mesh, cfg.eps, geometry)
+    return mesh, make_regularized_l1(2, 0.01), cfg, u0, cahn_hilliard_step
+
+
+def _compare(case, steps):
+    saddle = _march(case, steps, schur=False)
+    counter = PcgCounter()
+    schur = _march(case, steps, schur=True, counter=counter)
+    print("step  rounds (saddle, schur)  seconds (saddle, schur)  "
+          "KKT residual (saddle, schur)")
+    for k, (a, b) in enumerate(zip(saddle, schur), start=1):
+        print(f"{k:4d}  {a[2]:3d} {b[2]:3d}  {a[4]:8.3f} {b[4]:8.3f}  "
+              f"{a[3]:.1e} {b[3]:.1e}")
+    t_saddle = np.median([a[4] for a in saddle])
+    t_schur = np.median([b[4] for b in schur])
+    rounds = sum(b[2] for b in schur)
+    print(f"median step: saddle {t_saddle:.3f} s, schur {t_schur:.3f} s "
+          f"({t_saddle / t_schur:.1f}x)")
+    print(f"same rounds on every step: "
+          f"{[a[2] for a in saddle] == [b[2] for b in schur]}; "
+          f"{rounds} rounds, {len(counter.iterations)} CG solves, "
+          f"{np.mean(counter.iterations):.1f} CG iterations per solve "
+          f"(max {max(counter.iterations)}), {counter.failures} failed")
+    print(f"KKT residual: saddle {min(a[3] for a in saddle):.1e} to "
+          f"{max(a[3] for a in saddle):.1e}, schur "
+          f"{min(b[3] for b in schur):.1e} to {max(b[3] for b in schur):.1e}")
+    du = max(np.abs(a[0] - b[0]).max() for a, b in zip(saddle, schur))
+    dw = max(np.abs(a[1] - b[1]).max() for a, b in zip(saddle, schur))
+    e_a, e_b = saddle[-1][5].e_gamma_h, schur[-1][5].e_gamma_h
+    print(f"max |dU| {du:.1e}, max |dW| {dw:.1e}, final E_gamma_h "
+          f"{e_a!r} vs {e_b!r} ({abs(e_a - e_b) / abs(e_a):.1e} relative)")
+    return saddle, schur
+
+
+def cmd_fig4(args):
+    case = _fig4_case()
+    _compare(case, args.steps)
+    # the saddle path as before the symmetric ordering
+    original = obstacle._splu_symmetric
+    obstacle._splu_symmetric = lambda mat: spla.splu(mat.tocsc())
+    try:
+        default = _march(case, args.steps, schur=False)
+    finally:
+        obstacle._splu_symmetric = original
+    print(f"saddle path with the default LU ordering: median step "
+          f"{np.median([a[4] for a in default]):.3f} s, KKT residual "
+          f"{min(a[3] for a in default):.1e} to "
+          f"{max(a[3] for a in default):.1e}")
+    mesh, _, cfg, _, _ = case
+    lu = Workspace(mesh).mobility_factor(cfg.b0, True)
+    print(f"K_b factor: dim {lu.shape[0]}, fill {lu.L.nnz + lu.U.nnz}")
+
+
+def cmd_neumann(args):
+    _, schur = _compare(_neumann_case(), args.steps)
+    masses = [b[5].mass for b in schur]
+    print(f"schur mass drift: max per step "
+          f"{np.abs(np.diff(masses)).max():.1e}, total "
+          f"{abs(masses[-1] - masses[0]):.1e}")
+
+
+def cmd_update(args):
+    """Projected CG without the residual update of Gould, Hribar & Nocedal."""
+    mesh, aniso, cfg, u0, step = _neumann_case()
+    for drop in (False, True):
+        counter = PcgCounter(drop_residual_update=drop)
+        out = _march((mesh, aniso, cfg, u0, step), args.steps, schur=True,
+                     counter=counter)
+        print(f"residual update {'off' if drop else 'on '}: "
+              f"{len(counter.iterations)} CG solves, iterations "
+              f"{counter.iterations}, {counter.failures} failed; "
+              f"KKT residual per step "
+              f"{', '.join(f'{o[3]:.1e}' for o in out)}")
+
+
+def cmd_degenerate(args):
+    """The Schur path on degenerate-mobility steps, from the saddle states."""
+    setup = parse_config(
+        (ROOT / "configs" / "surface_diffusion.cfg").read_text())
+    mesh, aniso, cfg = setup.build_mesh(), setup.anisotropy, setup.scheme
+    ws = Workspace(mesh)
+    state = initial_state(mesh, aniso, cfg,
+                          initial_profile(mesh, cfg.eps, setup.geometry), ws)
+    for _ in range(args.steps):
+        k_b = assemble_mobility_stiffness(
+            mesh, state.u,
+            lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR), ws.iso_block)
+        k_aniso = assemble_anisotropic_stiffness(mesh, aniso, state.u)
+        kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps,
+                      alpha=cfg.alpha, c_psi=cfg.c_psi, tol=cfg.tol)
+        counter = PcgCounter()
+        with counter:
+            _, _, stats = obstacle.solve_coupled_ch(
+                ws.mass, k_b, k_aniso, state.u,
+                kb_lu=obstacle.factor_mobility(k_b, ws.mass), **kwargs)
+        state = cahn_hilliard_step(state, cfg, mesh, aniso, ws)
+        print(f"step {state.n}: schur converged {stats.converged}, KKT "
+              f"residual {stats.residual:.1e}, {stats.iterations} rounds, "
+              f"CG iterations {counter.iterations}, {counter.failures} "
+              f"failed; saddle {state.stats.iterations} rounds, residual "
+              f"{state.stats.residual:.1e}")
+
+
+def cmd_ordering(args):
+    """Default LU against the symmetric ordering on captured saddles."""
+    setup = parse_config(
+        (ROOT / "configs" / "surface_diffusion.cfg").read_text())
+    mesh, aniso, cfg = setup.build_mesh(), setup.anisotropy, setup.scheme
+    ws = Workspace(mesh)
+    state = initial_state(mesh, aniso, cfg,
+                          initial_profile(mesh, cfg.eps, setup.geometry), ws)
+    saddles = []
+    original = spla.splu
+
+    def capture(mat, *a, **kw):
+        if mat.shape[0] > mesh.n_vertices and len(saddles) < args.count:
+            saddles.append(mat.tocsc())
+        return original(mat, *a, **kw)
+
+    spla.splu = capture
+    try:
+        while len(saddles) < args.count:
+            state = cahn_hilliard_step(state, cfg, mesh, aniso, ws)
+    finally:
+        spla.splu = original
+    rng = np.random.default_rng(0)
+    rows = []
+    for mat in saddles:
+        b = rng.standard_normal(mat.shape[0])
+        row = []
+        for factor in (original, obstacle._splu_symmetric):
+            times = []
+            for _ in range(args.repeats):
+                tic = time.perf_counter()
+                lu = factor(mat)
+                times.append(time.perf_counter() - tic)
+            x = lu.solve(b)
+            row.append((np.median(times), lu.L.nnz + lu.U.nnz,
+                        np.linalg.norm(mat @ x - b) / np.linalg.norm(b)))
+        rows.append(row)
+    for label, k in (("default (COLAMD)", 0), ("symmetric (MMD_AT_PLUS_A)", 1)):
+        print(f"{label:26s}: mean LU {1e3 * np.mean([r[k][0] for r in rows]):.1f}"
+              f" ms, mean fill {np.mean([r[k][1] for r in rows]) / 1e6:.2f}M, "
+              f"worst relative residual {max(r[k][2] for r in rows):.1e}")
+    print(f"{len(rows)} saddles of dim {min(m.shape[0] for m in saddles)}-"
+          f"{max(m.shape[0] for m in saddles)}, {args.repeats} factorizations "
+          f"each")
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, func, steps in (("fig4", cmd_fig4, 8),
+                              ("neumann", cmd_neumann, 30),
+                              ("update", cmd_update, 3),
+                              ("degenerate", cmd_degenerate, 10)):
+        p = sub.add_parser(name)
+        p.add_argument("--steps", type=int, default=steps)
+        p.set_defaults(func=func)
+    p = sub.add_parser("ordering")
+    p.add_argument("--count", type=int, default=8)
+    p.add_argument("--repeats", type=int, default=5)
+    p.set_defaults(func=cmd_ordering)
+    args = parser.parse_args()
+    args.func(args)
+
+
+if __name__ == "__main__":
+    main()

@@ -13,8 +13,11 @@ differ only in the subsolve of each round:
 
 * :func:`solve_coupled_ch` handles the coupled saddle-point step of the
   conserved schemes: a lumped mass equation for (U, W) together with the
-  box-constrained variational inequality for U.  Each round solves the
-  saddle system on the inactive set by a sparse LU.
+  box-constrained variational inequality for U.  With constant mobility
+  each round eliminates W and solves the SPD Schur complement on the
+  inactive set by preconditioned CG, with the mobility stiffness factored
+  once per run (:func:`factor_mobility`); with degenerate mobility it
+  solves the saddle system on the inactive set by a sparse LU.
 
 Both are deterministic: fixed inputs give bit-identical results.
 Convergence is measured by the componentwise KKT violation
@@ -30,6 +33,7 @@ import scipy.sparse.linalg as spla
 __all__ = [
     "ViSolution",
     "SolverStats",
+    "factor_mobility",
     "kkt_violation",
     "pattern_coloring",
     "solve_obstacle",
@@ -171,7 +175,9 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
     Each round takes the Newton step of the nodes not held on a bound by
     an outward gradient (one LU of their block) and halves it until the
     projected point passes the Armijo test.  A singular block, an ascent
-    direction (indefinite A) or a failed search ends it unconverged.
+    direction (indefinite A), a predicted decrease -g_F . d_F of at most
+    the rounding level eps |g| |x| (a tolerance below rounding) or a
+    failed search ends it unconverged.
     Returns ``(x, residual, rounds, converged)``.
     """
     g = a_mat @ x - rhs
@@ -185,7 +191,10 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
         except RuntimeError:
             break
         slope = float(g[free] @ d[free])
-        if not slope < 0.0:
+        # an ascent direction, or a predicted decrease below the rounding
+        # of the energy, ends the search
+        rounding = np.finfo(float).eps * np.linalg.norm(g) * np.linalg.norm(x)
+        if not slope < -rounding:
             break
         for alpha in 0.5 ** np.arange(40):
             s = np.clip(x + alpha * d, -1.0, 1.0) - x
@@ -235,6 +244,30 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
     return ViSolution(x, mult, iterations, residual, ok)
 
 
+def _splu_symmetric(mat):
+    """Sparse LU with a symmetric fill-reducing ordering that prefers
+    diagonal pivots, for the symmetric (quasi-definite) systems of the
+    coupled step."""
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+
+
+def factor_mobility(k_b, mass, boundary_mask=None):
+    """LU of a constant mobility stiffness for :func:`solve_coupled_ch`.
+
+    With W prescribed on the boundary this factors K_b on the interior
+    nodes.  With natural boundary conditions the constants span the
+    kernel of K_b, so it is bordered by the mass vector: the factored
+    matrix is [[K_b, M 1], [(M 1)^T, 0]].
+    """
+    k_b = k_b.tocsr()
+    if boundary_mask is not None:
+        wdofs = np.flatnonzero(~boundary_mask)
+        return _splu_symmetric(k_b[wdofs][:, wdofs])
+    return _splu_symmetric(sp.bmat([[k_b, mass[:, None]],
+                                    [mass[None, :], None]]))
+
+
 def _coupling_block(mass, rows, cols, n):
     """Sparse |rows| x |cols| block of diag(mass) restricted to index sets."""
     col_pos = np.full(n, -1, dtype=np.int64)
@@ -245,9 +278,40 @@ def _coupling_block(mass, rows, cols, n):
         shape=(rows.size, cols.size)).tocsr()
 
 
+def _projected_cg(apply, b, x, precond, tol, max_iter=500):
+    """Preconditioned CG for ``apply(x) = b`` from ``x``.
+
+    ``precond(r)`` returns the preconditioned residual and the residual
+    to carry on.  For a constrained problem it solves the bordered
+    preconditioner, whose solution satisfies the constraint, and carries
+    on the residual minus the constraint normal times the multiplier
+    (Gould, Hribar & Nocedal, SIAM J. Sci. Comput. 23, 2001); the iterates
+    then stay on the constraint of ``x``.  Stops when the max-norm of the
+    residual is at most ``tol``; raises ``RuntimeError`` on a nonpositive
+    curvature or after ``max_iter`` iterations.
+    """
+    r = b - apply(x)
+    z, r = precond(r)
+    d = z
+    rz = r @ z
+    for _ in range(max_iter):
+        if np.abs(r).max() <= tol:
+            return x
+        sd = apply(d)
+        curvature = d @ sd
+        if not curvature > 0.0:
+            raise RuntimeError("Schur complement is not positive definite")
+        step = rz / curvature
+        x = x + step * d
+        z, r = precond(r - step * sd)
+        rz, rz_old = r @ z, rz
+        d = z + (rz / rz_old) * d
+    raise RuntimeError(f"PCG did not converge in {max_iter} iterations")
+
+
 def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                      c_psi=np.pi / 2, w_bdry=None, boundary_mask=None,
-                     tol=1e-9, max_iter=100, implicit=False):
+                     tol=1e-9, max_iter=100, implicit=False, kb_lu=None):
     """Solve one coupled conserved step for (U, W) by a primal active-set loop.
 
     The discrete system is the lumped mass equation
@@ -257,18 +321,32 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
 
         eps (K_aniso U) . (chi - U) >= sum_j M_j (c W_j + u_old_j / eps)(chi_j - U_j)
 
-    for all chi in [-1, 1]^n, where c = c_psi / (2 alpha).  For each
-    active-set guess the reduced equations form a symmetric saddle system
-    solved by a sparse LU factorization; the sets are then updated by the
-    rule of :func:`_active_set` until the KKT residual (VI violation and
-    mass-equation defect) drops below ``tol``.  A solve that stops short
-    returns its lowest-residual iterate.
+    for all chi in [-1, 1]^n, where c = c_psi / (2 alpha).  Each round of
+    the active-set loop (:func:`_active_set`) solves the equations of one
+    active-set guess; the sets are then updated until the KKT residual (VI
+    violation and mass-equation defect) drops below ``tol``.  A solve that
+    stops short returns its lowest-residual iterate.
+
+    Each round's equations are solved one of two ways:
+
+    * ``kb_lu`` given (constant mobility; :func:`factor_mobility` of
+      ``k_b``): W is eliminated, and U on the inactive set I solves the
+      SPD Schur complement eps K_aniso,II + (c^2 tau/theta) M_I [K_b^-1]_II
+      M_I by preconditioned CG to a max-norm residual of ``tol``/20, one
+      solve with ``kb_lu`` per iteration.  With natural boundary
+      conditions the CG is projected onto the mass constraint.  W is then
+      recovered from the mass equation with ``kb_lu``, its constant (natural
+      boundary conditions) from the inactive rows.
+    * otherwise (degenerate mobility, where a floored K_b is too ill
+      conditioned for CG): one sparse LU of the symmetric saddle system in
+      (U_I, W).
 
     With natural boundary conditions the nodal mass of U is conserved by
     construction and the solvability condition |(u_old, 1)^h| < |Omega| is
     required.  ``implicit`` switches the potential term to the current
-    iterate (a diagnostic variant whose subproblems may be indefinite; its
-    failures are reported through the returned stats, not raised).
+    iterate (a diagnostic variant whose subproblems may be indefinite, so
+    it takes the saddle path; its failures are reported through the
+    returned stats, not raised).
 
     Returns ``(U, W, stats)`` with U in [-1, 1]^n and a
     :class:`SolverStats`.
@@ -289,35 +367,92 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                 "conserved step unsolvable: nodal mass of u_old fills the domain")
         wdofs = np.arange(n)
         w_fixed = np.zeros(n)
+    if implicit and kb_lu is not None:
+        raise ValueError("the Schur-complement path needs the explicit potential")
 
     k_b = k_b.tocsr()
     k_aniso = k_aniso.tocsr()
     scale = c * tau / theta
-    kb_ww = -scale * k_b[wdofs][:, wdofs]
     rhs_mass = -c * mass[wdofs] * u_old[wdofs]
     if dirichlet:
         rhs_mass += scale * (k_b[wdofs] @ w_fixed)
+    kb_ww = -scale * k_b[wdofs][:, wdofs] if kb_lu is None else None
+
+    def mass_solve(lu, f):
+        """W on the W dofs, zero elsewhere, with -scale K_b W = f, by the
+        factor ``lu`` of :func:`factor_mobility`; with natural boundary
+        conditions the W of zero mass-weighted mean, any nonzero sum of f
+        going to the multiplier of that constraint."""
+        w = np.zeros(n)
+        sol = lu.solve(-f / scale if dirichlet else np.append(-f / scale, 0.0))
+        w[wdofs] = sol[:wdofs.size]
+        return w
+
+    # Each round solver fills U at the inactive nodes of ``u`` (pinned
+    # elsewhere) and returns W.
+    def saddle_round(u, inactive, s11, rhs1, rhs2):
+        s12 = -c * _coupling_block(mass, inactive, wdofs, n)
+        saddle = sp.bmat([[s11, s12], [s12.T, kb_ww]])
+        z = _splu_symmetric(saddle).solve(np.concatenate([rhs1, rhs2]))
+        u[inactive] = z[:inactive.size]
+        w = w_fixed.copy()
+        w[wdofs] = z[inactive.size:]
+        return w
+
+    def schur_round(u, inactive, s11, rhs1, rhs2):
+        m_i = mass[inactive]
+        coupled = np.zeros(n)
+
+        def apply(x):
+            coupled[inactive] = x
+            return s11 @ x - c * m_i * mass_solve(
+                kb_lu, c * mass[wdofs] * coupled[wdofs])[inactive]
+
+        b = rhs1 + c * m_i * mass_solve(kb_lu, rhs2)[inactive]
+        if dirichlet:
+            # s11 plus a lower bound for the diagonal of the coupling term,
+            # nonsingular even when every node is inactive
+            interior = ~boundary_mask[inactive]
+            shift = np.zeros(inactive.size)
+            shift[interior] = ((c * c / scale) * m_i[interior] ** 2
+                               / k_b.diagonal()[inactive[interior]])
+            lu = _splu_symmetric(s11 + sp.diags(shift))
+            x = _projected_cg(apply, b, lu.solve(b),
+                              lambda r: (lu.solve(r), r), tol / 20.0)
+        else:
+            lu = _splu_symmetric(sp.bmat([[s11, m_i[:, None]],
+                                          [m_i[None, :], None]]))
+
+            def precond(r):
+                sol = lu.solve(np.append(r, 0.0))
+                return sol[:-1], r - m_i * sol[-1]
+
+            # the nodal mass of U is conserved: M_I . U_I = M . (u_old - u)
+            x0 = lu.solve(np.append(b, mass @ (u_old - u)))[:-1]
+            x = _projected_cg(apply, b, x0, precond, tol / 20.0)
+        u[inactive] = x
+        w = w_fixed + mass_solve(kb_lu, rhs_mass + c * mass[wdofs] * u[wdofs])
+        if not dirichlet:
+            # W's constant: the least-squares fit to the inactive VI rows
+            r = s11 @ x - rhs1 - c * m_i * w[inactive]
+            w += (m_i @ r) / (c * (m_i @ m_i))
+        return w
 
     def subsolve(act, inactive):
         u_pin = act.astype(float)
+        rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
         if inactive.size == 0:
-            return u_pin, _solve_w_only(
-                kb_ww, rhs_mass + c * mass[wdofs] * u_pin[wdofs], mass,
-                wdofs, w_fixed, scale, dirichlet)
+            lu = (factor_mobility(k_b, mass, boundary_mask) if kb_lu is None
+                  else kb_lu)
+            return u_pin, w_fixed + mass_solve(lu, rhs2)
         s11 = eps * k_aniso[inactive][:, inactive]
         if implicit:
             s11 = s11 - sp.diags(mass[inactive] / eps)
-        s12 = -c * _coupling_block(mass, inactive, wdofs, n)
-        saddle = sp.bmat([[s11, s12], [s12.T, kb_ww]], format="csc")
         rhs1 = mass[inactive] * ((0.0 if implicit else u_old[inactive] / eps)
                                  + c * w_fixed[inactive])
         rhs1 -= eps * (k_aniso[inactive] @ u_pin)
-        rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
-        z = spla.splu(saddle).solve(np.concatenate([rhs1, rhs2]))
-        u_pin[inactive] = z[:inactive.size]
-        w = w_fixed.copy()
-        w[wdofs] = z[inactive.size:]
-        return u_pin, w
+        round_solve = saddle_round if kb_lu is None else schur_round
+        return u_pin, round_solve(u_pin, inactive, s11, rhs1, rhs2)
 
     def kkt(u_clip, w):
         pot = u_clip if implicit else u_old
@@ -332,22 +467,3 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         w = w_fixed
     return u, w, SolverStats(rounds, residual, converged)
 
-
-def _solve_w_only(kb_ww, rhs, mass, wdofs, w_fixed, scale, dirichlet):
-    """W from the mass equations when every U node is pinned.
-
-    With natural boundary conditions the mobility stiffness has the
-    constants in its kernel, so the mean of W is pinned by a Lagrange
-    multiplier; the additive constant is irrelevant here because the
-    active-set loop continues until the VI fixes it.
-    """
-    w = w_fixed.copy()
-    if dirichlet:
-        w[wdofs] = spla.splu(kb_ww.tocsc()).solve(rhs)
-        return w
-    weights = -scale * mass[wdofs]
-    aug = sp.bmat([[kb_ww, weights[:, None]], [weights[None, :], None]],
-                  format="csc")
-    sol = spla.splu(aug).solve(np.concatenate([rhs, [0.0]]))
-    w[wdofs] = sol[:-1]
-    return w

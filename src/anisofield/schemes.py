@@ -34,8 +34,8 @@ from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
                   isotropic_block, isotropic_stiffness, lumped_mass,
                   stiffness_blocks)
 # nothing in the package calls pattern_coloring; the benchmark tracer wraps it
-from .obstacle import (SolverStats, pattern_coloring, solve_coupled_ch,
-                       solve_obstacle)
+from .obstacle import (SolverStats, factor_mobility, pattern_coloring,
+                       solve_coupled_ch, solve_obstacle)
 
 __all__ = [
     "C_PSI",
@@ -224,13 +224,15 @@ def initial_profile(mesh, eps, geometry):
 
 class Workspace:
     """Per-mesh caches shared across steps: the mass vector, built here,
-    and the isotropic stiffness and the element blocks of the stiffness
-    matrices, built on first use."""
+    and the isotropic stiffness, the element blocks of the stiffness
+    matrices and the factor of the constant mobility stiffness, built on
+    first use."""
 
     def __init__(self, mesh):
         self.mesh = mesh
         self.mass = lumped_mass(mesh)
         self._aniso_blocks = None
+        self._mobility_factor = None
 
     @functools.cached_property
     def iso_stiffness(self):
@@ -248,6 +250,16 @@ class Workspace:
             self._aniso_blocks = (aniso, stiffness_blocks(self.mesh,
                                                           aniso.matrices))
         return self._aniso_blocks[1]
+
+    def mobility_factor(self, b0, dirichlet):
+        """LU of the constant mobility stiffness b0 K on the W dofs (see
+        ``factor_mobility``), kept for the last (b0, dirichlet) asked for."""
+        key = (b0, dirichlet)
+        if self._mobility_factor is None or self._mobility_factor[0] != key:
+            mask = self.mesh.boundary_mask if dirichlet else None
+            self._mobility_factor = (key, factor_mobility(
+                b0 * self.iso_stiffness, self.mass, mask))
+        return self._mobility_factor[1]
 
 
 def initial_state(mesh, aniso, config, u0, workspace=None):
@@ -307,8 +319,11 @@ def _conserved_step(state, config, mesh, aniso, ws, dirichlet):
     eps, tau = config.eps, config.tau
     theta = 1.0 if dirichlet else config.theta
     regularized = False
+    kb_lu = None
     if dirichlet or config.mobility == "constant":
         k_b = (config.b0 * ws.iso_stiffness).tocsr()
+        if not config.implicit:
+            kb_lu = ws.mobility_factor(config.b0, dirichlet)
     else:
         vals = 1.0 - u_old * u_old
         regularized = bool(np.any(vals < MOBILITY_FLOOR))
@@ -322,7 +337,7 @@ def _conserved_step(state, config, mesh, aniso, ws, dirichlet):
         theta=theta, tau=tau, eps=eps, alpha=config.alpha, c_psi=config.c_psi,
         w_bdry=config.w_bdry if dirichlet else None,
         boundary_mask=mesh.boundary_mask if dirichlet else None,
-        tol=config.tol, implicit=config.implicit)
+        tol=config.tol, implicit=config.implicit, kb_lu=kb_lu)
     if dirichlet:
         dissipation = tau * config.b0 * float(w @ (ws.iso_stiffness @ w))
     else:

@@ -9,8 +9,8 @@ import scipy.sparse as sp
 from anisofield import (Circle, assemble_anisotropic_stiffness, build_uniform_mesh,
                         initial_profile, isotropic, isotropic_stiffness,
                         lumped_mass, solve_coupled_ch, solve_obstacle)
-from anisofield.obstacle import (_active_set_polish, kkt_violation,
-                                 pattern_coloring)
+from anisofield.obstacle import (_active_set_polish, factor_mobility,
+                                 kkt_violation, pattern_coloring)
 from conftest import enumerate_coupled_solution, projected_gradient_box_qp
 
 
@@ -89,6 +89,14 @@ def test_nonconvergence_is_flagged():
     assert not sol.converged
     assert sol.residual > 0.0
     assert np.abs(sol.solution).max() <= 1.0  # partial result stays feasible
+    # it gives up once the predicted decrease is below rounding: 10 loop
+    # rounds and 4 Newton rounds, not the 50-round budget
+    assert sol.iterations == 14
+    # at a reachable tolerance the same solve converges in the third round
+    sol = solve_obstacle(sp.csr_matrix(a_mat), rhs, tol=1e-10)
+    assert sol.converged
+    assert sol.iterations == 13
+    assert sol.residual <= 1e-10
 
 
 def test_active_set_stops_on_a_revisited_set():
@@ -239,3 +247,97 @@ def test_coupled_nonconvergence_is_flagged():
     u, w, stats = solve_coupled_ch(mass, k_b, k_aniso, u_old, **kwargs)
     assert stats.converged
     assert stats.iterations == 3
+
+
+# -- coupled solver, Schur-complement path (constant mobility) --------
+
+
+def _schur_case(mesh, u_old, dirichlet, w_bdry=-1.0):
+    """Inputs of a constant-mobility step (b0 = 2) and the matching factor."""
+    eps = 1.0 / (16.0 * math.pi)
+    mass, k_b, k_aniso = _coupled_inputs(mesh, u_old, b0=2.0)
+    kwargs = dict(theta=1.0, tau=1e-5, eps=eps, alpha=1.0, tol=1e-9)
+    mask = mesh.boundary_mask if dirichlet else None
+    if dirichlet:
+        kwargs.update(w_bdry=w_bdry, boundary_mask=mask)
+    kwargs["kb_lu"] = factor_mobility(k_b, mass, mask)
+    return (mass, k_b, k_aniso, u_old), kwargs
+
+
+def test_coupled_schur_matches_dense_enumeration_oracle():
+    mesh = build_uniform_mesh(2, 0.5, 2)
+    rng = np.random.default_rng(8)
+    u_old = np.clip(rng.uniform(-1.4, 1.4, mesh.n_vertices), -1.0, 1.0)
+    theta, tau, eps, alpha = 1.0, 1e-3, 0.1, 1.0
+    mass, k_b, k_aniso = _coupled_inputs(mesh, u_old)
+    u, w, stats = solve_coupled_ch(mass, k_b, k_aniso, u_old, theta=theta,
+                                   tau=tau, eps=eps, alpha=alpha, tol=1e-10,
+                                   kb_lu=factor_mobility(k_b, mass))
+    assert stats.converged
+    u_ref, w_ref = enumerate_coupled_solution(
+        mass, k_b, k_aniso, u_old, theta, tau, eps, alpha, math.pi / 2)
+    assert np.abs(u - u_ref).max() <= 1e-8
+    assert np.abs(w - w_ref).max() <= 1e-8
+
+
+@pytest.mark.parametrize("dirichlet", [False, True], ids=["natural", "dirichlet"])
+@pytest.mark.parametrize("center", [(0.0, 0.0), (0.1, 0.0)])
+def test_coupled_schur_matches_saddle_path(dirichlet, center):
+    # both paths stop at a KKT residual of 1e-9; on these N=16 circles
+    # they agree to 7.4e-12 in U and 1.8e-9 in W (|W| up to 37), so the
+    # bounds below leave a factor of 100 in U and 10 in W
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    eps = 1.0 / (16.0 * math.pi)
+    u_old = initial_profile(mesh, eps, Circle(center, 0.3))
+    args, kwargs = _schur_case(mesh, u_old, dirichlet)
+    u, w, stats = solve_coupled_ch(*args, **kwargs)
+    kwargs.pop("kb_lu")
+    u_ref, w_ref, ref = solve_coupled_ch(*args, **kwargs)
+    assert stats.converged and stats.residual <= 1e-9
+    assert stats.iterations == ref.iterations
+    assert np.abs(u - u_ref).max() <= 1e-9
+    assert np.abs(w - w_ref).max() <= 2e-8
+    if not dirichlet:
+        mass = args[0]
+        assert abs(mass @ u - mass @ u_old) <= 1e-14
+
+
+@pytest.mark.parametrize("dirichlet", [False, True], ids=["natural", "dirichlet"])
+def test_coupled_schur_every_node_inactive(dirichlet, mesh2d_small):
+    # from u_old = 0 every node is free in the first round and at the
+    # solution, so the preconditioner holds the whole singular K_aniso
+    u_old = np.zeros(mesh2d_small.n_vertices)
+    args, kwargs = _schur_case(mesh2d_small, u_old, dirichlet)
+    u, w, stats = solve_coupled_ch(*args, **kwargs)
+    assert stats.converged and stats.residual <= 1e-9
+    assert stats.iterations == 1
+    assert np.abs(u).max() < 1.0
+    if dirichlet:
+        assert np.abs(u).max() > 0.1  # the boundary potential drives U
+    else:
+        assert np.abs(u).max() == 0.0 and np.abs(w).max() == 0.0
+
+
+def test_coupled_schur_every_node_active(mesh2d_small):
+    # U = 1, W = -64 is the exact step at the critical boundary potential:
+    # every node stays pinned and W comes from the cached factor alone
+    u_old = np.ones(mesh2d_small.n_vertices)
+    args, kwargs = _schur_case(mesh2d_small, u_old, True, w_bdry=-64.0)
+    u, w, stats = solve_coupled_ch(*args, **kwargs)
+    assert stats.converged
+    assert stats.iterations == 1
+    assert np.abs(u - 1.0).max() == 0.0
+    assert np.abs(w + 64.0).max() <= 1e-8
+
+
+@pytest.mark.parametrize("dirichlet", [False, True], ids=["natural", "dirichlet"])
+def test_coupled_schur_deterministic(dirichlet):
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    eps = 1.0 / (16.0 * math.pi)
+    u_old = initial_profile(mesh, eps, Circle((0.1, 0.0), 0.3))
+    args, kwargs = _schur_case(mesh, u_old, dirichlet)
+    u1, w1, s1 = solve_coupled_ch(*args, **kwargs)
+    u2, w2, s2 = solve_coupled_ch(*args, **kwargs)
+    np.testing.assert_array_equal(u1, u2)
+    np.testing.assert_array_equal(w1, w2)
+    assert s1 == s2

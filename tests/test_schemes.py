@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 
+import anisofield.obstacle
 from anisofield import (C_PSI, Circle, Cuboid, SchemeConfig, SolverFailure,
-                        Uniform, Workspace, allen_cahn_step,
+                        Sphere, Uniform, Workspace, allen_cahn_step,
                         cahn_hilliard_dirichlet_step, cahn_hilliard_step,
                         build_uniform_mesh, implicit_tau_bound, initial_profile,
                         initial_state, isotropic, make_regularized_l1,
@@ -231,6 +232,54 @@ def test_dirichlet_below_threshold_forms_layer(mesh2d_medium):
         assert state.report.f_gamma_h <= prev_f + 10.0 * cfg.tol
         prev_f = state.report.f_gamma_h
     assert state.u.min() < 1.0 - 1e-6  # boundary layer has started
+
+
+@pytest.mark.parametrize("w_bdry", [-64.0, -65.0], ids=["steady", "layer"])
+def test_mobility_factor_is_built_once_per_run(monkeypatch, w_bdry):
+    # the constant K_b is factored on the W dofs (the interior nodes) in
+    # step 1 and reused by every later round and step, and W is
+    # eliminated: no LU is larger than the mesh
+    dims = []
+    splu = anisofield.obstacle.spla.splu
+
+    def counting(mat, *args, **kwargs):
+        dims.append(mat.shape[0])
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(anisofield.obstacle.spla, "splu", counting)
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
+                       t_end=5e-5, alpha=1.0, b0=2.0, w_bdry=w_bdry)
+    result = run_simulation(cfg, mesh, isotropic(2), Uniform(1.0))
+    assert len(result.step_seconds) == 5 and not result.failed
+    assert dims.count(int(np.count_nonzero(~mesh.boundary_mask))) == 1
+    assert max(dims) <= mesh.n_vertices
+
+
+@pytest.mark.parametrize("scheme", ["cahn_hilliard_neumann",
+                                    "cahn_hilliard_dirichlet"])
+def test_conserved_steps_in_3d(scheme):
+    mesh = build_uniform_mesh(3, 0.5, 8)
+    if scheme == "cahn_hilliard_neumann":
+        geometry, extra = Sphere((0.0, 0.0, 0.0), 0.25), {}
+    else:
+        geometry, extra = Uniform(1.0), {"w_bdry": -65.0}
+    cfg = SchemeConfig(scheme, eps_inv=EPS_INV, tau=1e-5, t_end=5e-5,
+                       b0=2.0, **extra)
+    states = []
+    result = run_simulation(cfg, mesh, isotropic(3), geometry,
+                            on_step=states.append)
+    assert len(states) == 6 and not result.failed
+    assert result.monotonicity_violations == 0
+    for state in states[1:]:
+        assert state.stats.converged
+        assert state.stats.residual <= cfg.tol
+        assert np.abs(state.u).max() <= 1.0
+    if scheme == "cahn_hilliard_neumann":
+        masses = [state.report.mass for state in states]
+        assert np.abs(np.diff(masses)).max() <= 1e-8
+    else:
+        assert states[-1].u.min() < 1.0  # the layer has started
 
 
 def test_implicit_tau_bound_value():

@@ -35,7 +35,6 @@ import scipy.sparse.linalg as spla
 import anisofield.obstacle as obstacle
 from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
                         assemble_anisotropic_stiffness, build_uniform_mesh,
-                        cahn_hilliard_dirichlet_step,
                         cahn_hilliard_step, initial_profile, initial_state,
                         make_regularized_l1, parse_config)
 from anisofield.schemes import MOBILITY_FLOOR, assemble_mobility_stiffness
@@ -82,16 +81,16 @@ class PcgCounter:
 
 def _march(case, steps, schur, counter=None):
     """Per-step (U, W, rounds, residual, seconds, report) on one path."""
-    mesh, aniso, cfg, u0, step = case
-    ws = Workspace(mesh)
+    mesh, aniso, cfg, u0 = case
+    ws = Workspace(mesh, aniso, cfg)
     if not schur:
-        ws.mobility_factor = lambda *args: None
-    state = initial_state(mesh, aniso, cfg, u0, ws)
+        ws.mobility_factor = None
+    state = initial_state(ws, u0)
     out = []
     with counter or PcgCounter():
         for _ in range(steps):
             tic = time.perf_counter()
-            state = step(state, cfg, mesh, aniso, ws)
+            state = cahn_hilliard_step(state, ws)
             out.append((state.u, state.w, state.stats.iterations,
                         state.stats.residual, time.perf_counter() - tic,
                         state.report))
@@ -102,8 +101,7 @@ def _fig4_case():
     setup = parse_config((ROOT / "configs" / "fig4.cfg").read_text())
     mesh = setup.build_mesh()
     u0 = initial_profile(mesh, setup.scheme.eps, setup.geometry)
-    return (mesh, setup.anisotropy, setup.scheme, u0,
-            cahn_hilliard_dirichlet_step)
+    return mesh, setup.anisotropy, setup.scheme, u0
 
 
 def _neumann_case():
@@ -113,7 +111,7 @@ def _neumann_case():
     geometry = MultiCircle((Circle((-0.215, 0.0), 0.2),
                             Circle((0.2, 0.0), 0.15)))
     u0 = initial_profile(mesh, cfg.eps, geometry)
-    return mesh, make_regularized_l1(2, 0.01), cfg, u0, cahn_hilliard_step
+    return mesh, make_regularized_l1(2, 0.01), cfg, u0
 
 
 def _compare(case, steps):
@@ -160,8 +158,7 @@ def cmd_fig4(args):
           f"{np.median([a[4] for a in default]):.3f} s, KKT residual "
           f"{min(a[3] for a in default):.1e} to "
           f"{max(a[3] for a in default):.1e}")
-    mesh, _, cfg, _, _ = case
-    lu = Workspace(mesh).mobility_factor(cfg.b0, True)
+    lu = Workspace(*case[:3]).mobility_factor
     print(f"K_b factor: dim {lu.shape[0]}, fill {lu.L.nnz + lu.U.nnz}")
 
 
@@ -175,11 +172,10 @@ def cmd_neumann(args):
 
 def cmd_update(args):
     """Projected CG without the residual update of Gould, Hribar & Nocedal."""
-    mesh, aniso, cfg, u0, step = _neumann_case()
+    case = _neumann_case()
     for drop in (False, True):
         counter = PcgCounter(drop_residual_update=drop)
-        out = _march((mesh, aniso, cfg, u0, step), args.steps, schur=True,
-                     counter=counter)
+        out = _march(case, args.steps, schur=True, counter=counter)
         print(f"residual update {'off' if drop else 'on '}: "
               f"{len(counter.iterations)} CG solves, iterations "
               f"{counter.iterations}, {counter.failures} failed; "
@@ -192,9 +188,8 @@ def cmd_degenerate(args):
     setup = parse_config(
         (ROOT / "configs" / "surface_diffusion.cfg").read_text())
     mesh, aniso, cfg = setup.build_mesh(), setup.anisotropy, setup.scheme
-    ws = Workspace(mesh)
-    state = initial_state(mesh, aniso, cfg,
-                          initial_profile(mesh, cfg.eps, setup.geometry), ws)
+    ws = Workspace(mesh, aniso, cfg)
+    state = initial_state(ws, initial_profile(mesh, cfg.eps, setup.geometry))
     for _ in range(args.steps):
         k_b = assemble_mobility_stiffness(
             mesh, state.u,
@@ -207,7 +202,7 @@ def cmd_degenerate(args):
             _, _, stats = obstacle.solve_coupled_ch(
                 ws.mass, k_b, k_aniso, state.u,
                 kb_lu=obstacle.factor_mobility(k_b, ws.mass), **kwargs)
-        state = cahn_hilliard_step(state, cfg, mesh, aniso, ws)
+        state = cahn_hilliard_step(state, ws)
         print(f"step {state.n}: schur converged {stats.converged}, KKT "
               f"residual {stats.residual:.1e}, {stats.iterations} rounds, "
               f"CG iterations {counter.iterations}, {counter.failures} "
@@ -220,9 +215,8 @@ def cmd_ordering(args):
     setup = parse_config(
         (ROOT / "configs" / "surface_diffusion.cfg").read_text())
     mesh, aniso, cfg = setup.build_mesh(), setup.anisotropy, setup.scheme
-    ws = Workspace(mesh)
-    state = initial_state(mesh, aniso, cfg,
-                          initial_profile(mesh, cfg.eps, setup.geometry), ws)
+    ws = Workspace(mesh, aniso, cfg)
+    state = initial_state(ws, initial_profile(mesh, cfg.eps, setup.geometry))
     saddles = []
     original = spla.splu
 
@@ -234,7 +228,7 @@ def cmd_ordering(args):
     spla.splu = capture
     try:
         while len(saddles) < args.count:
-            state = cahn_hilliard_step(state, cfg, mesh, aniso, ws)
+            state = cahn_hilliard_step(state, ws)
     finally:
         spla.splu = original
     rng = np.random.default_rng(0)

@@ -38,11 +38,10 @@ def flow_tau(tau):
 def _march(mesh, aniso, tau, n_steps, on_step, tol=1e-9, implicit=False):
     cfg = SchemeConfig("allen_cahn", eps_inv=EPS_INV, tau=tau,
                        t_end=n_steps * tau, tol=tol, implicit=implicit)
-    state = initial_state(mesh, aniso, cfg,
-                          initial_profile(mesh, EPS, Circle(CENTER, R0)))
-    ws = Workspace(mesh)
+    ws = Workspace(mesh, aniso, cfg)
+    state = initial_state(ws, initial_profile(mesh, EPS, Circle(CENTER, R0)))
     for _ in range(n_steps):
-        state = allen_cahn_step(state, cfg, mesh, aniso, ws)
+        state = allen_cahn_step(state, ws)
         if not state.stats.converged:
             raise RuntimeError(f"step {state.n} did not converge")
         if on_step(state) is False:

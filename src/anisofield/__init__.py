@@ -21,8 +21,8 @@ from .obstacle import ViSolution, solve_coupled_ch, solve_obstacle
 from .schemes import (C_PSI, Circle, Cuboid, MultiCircle, RunResult,
                       SchemeConfig, SchemeState, SolverFailure, Sphere,
                       Uniform, Workspace, allen_cahn_step, cahn_hilliard_step,
-                      cahn_hilliard_dirichlet_step, implicit_tau_bound,
-                      initial_profile, initial_state, run_simulation)
+                      implicit_tau_bound, initial_profile, initial_state,
+                      run_simulation)
 
 __all__ = [
     "AnisotropyDensity", "isotropic", "make_regularized_l1", "rotation_2d",
@@ -35,6 +35,5 @@ __all__ = [
     "solve_obstacle", "C_PSI", "Circle", "Cuboid", "MultiCircle", "RunResult",
     "SchemeConfig", "SchemeState", "SolverFailure", "Sphere", "Uniform",
     "Workspace", "allen_cahn_step", "cahn_hilliard_step",
-    "cahn_hilliard_dirichlet_step", "implicit_tau_bound", "initial_profile",
-    "initial_state", "run_simulation",
+    "implicit_tau_bound", "initial_profile", "initial_state", "run_simulation",
 ]

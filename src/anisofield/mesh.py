@@ -130,14 +130,6 @@ class SimplicialMesh:
             self._slot_map = _build_slot_map(self.elements, self.n_vertices)
         return self._slot_map
 
-    def element_gradient(self, element_index, nodal_values):
-        """Constant gradient of the P1 interpolant on one element."""
-        if not 0 <= element_index < self.n_elements:
-            raise IndexError(f"element index {element_index} out of range")
-        values = np.asarray(nodal_values, dtype=float)
-        idx = self.elements[element_index]
-        return values[idx] @ self.basis_gradients[element_index]
-
     def element_gradients(self, nodal_values):
         """Gradients of the P1 interpolant on all elements, shape (ne, d)."""
         values = np.asarray(nodal_values, dtype=float)

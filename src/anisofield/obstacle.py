@@ -268,16 +268,6 @@ def factor_mobility(k_b, mass, boundary_mask=None):
                                     [mass[None, :], None]]))
 
 
-def _coupling_block(mass, rows, cols, n):
-    """Sparse |rows| x |cols| block of diag(mass) restricted to index sets."""
-    col_pos = np.full(n, -1, dtype=np.int64)
-    col_pos[cols] = np.arange(cols.size)
-    hit = col_pos[rows] >= 0
-    return sp.coo_matrix(
-        (mass[rows[hit]], (np.flatnonzero(hit), col_pos[rows[hit]])),
-        shape=(rows.size, cols.size)).tocsr()
-
-
 def _projected_cg(apply, b, x, precond, tol, max_iter=500):
     """Preconditioned CG for ``apply(x) = b`` from ``x``.
 
@@ -391,7 +381,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     # Each round solver fills U at the inactive nodes of ``u`` (pinned
     # elsewhere) and returns W.
     def saddle_round(u, inactive, s11, rhs1, rhs2):
-        s12 = -c * _coupling_block(mass, inactive, wdofs, n)
+        s12 = -c * sp.diags(mass, format="csr")[inactive][:, wdofs]
         saddle = sp.bmat([[s11, s12], [s12.T, kb_ww]])
         z = _splu_symmetric(saddle).solve(np.concatenate([rhs1, rhs2]))
         u[inactive] = z[:inactive.size]

@@ -52,7 +52,6 @@ __all__ = [
     "Workspace",
     "allen_cahn_step",
     "cahn_hilliard_step",
-    "cahn_hilliard_dirichlet_step",
     "implicit_tau_bound",
     "run_simulation",
     "RunResult",
@@ -99,13 +98,21 @@ class SchemeConfig:
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"unknown scheme {self.scheme!r}")
-        for name in ("eps_inv", "tau", "t_end", "theta", "alpha"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("eps_inv", "tau", "t_end", "theta", "alpha", "tol"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.t_end / self.tau):
+            raise ValueError("t_end / tau must be finite")
+        if self.snapshot_every < 0:
+            raise ValueError("snapshot_every must be at least 0")
         if self.mobility not in ("constant", "degenerate"):
             raise ValueError(f"unknown mobility {self.mobility!r}")
+        if not math.isfinite(self.b0):
+            raise ValueError("b0 must be finite")
         if self.mobility == "constant" and self.b0 <= 0:
             raise ValueError("constant mobility must be positive")
+        if self.w_bdry is not None and not math.isfinite(self.w_bdry):
+            raise ValueError("w_bdry must be finite")
         if self.scheme == "cahn_hilliard_dirichlet":
             if self.w_bdry is None:
                 raise ValueError("dirichlet scheme requires w_bdry")
@@ -223,16 +230,20 @@ def initial_profile(mesh, eps, geometry):
 
 
 class Workspace:
-    """Per-mesh caches shared across steps: the mass vector, built here,
-    and the isotropic stiffness, the element blocks of the stiffness
-    matrices and the factor of the constant mobility stiffness, built on
-    first use."""
+    """One run's fixed inputs and the caches built from them.
 
-    def __init__(self, mesh):
+    The mesh, the anisotropy density ``aniso`` and the ``config`` do not
+    change during a run, so neither does anything built from them alone:
+    the mass vector, built here, and, built on first use, the isotropic
+    stiffness and element block, the element blocks of ``aniso``'s weight
+    matrices, the constant mobility stiffness b0 K and its factor.
+    """
+
+    def __init__(self, mesh, aniso, config):
         self.mesh = mesh
+        self.aniso = aniso
+        self.config = config
         self.mass = lumped_mass(mesh)
-        self._aniso_blocks = None
-        self._mobility_factor = None
 
     @functools.cached_property
     def iso_stiffness(self):
@@ -243,38 +254,46 @@ class Workspace:
         """Isotropic element block, the weight of the mobility stiffness."""
         return isotropic_block(self.mesh)
 
-    def aniso_blocks(self, aniso):
-        """Element blocks of ``aniso``'s weight matrices, kept for the last
-        density asked for."""
-        if self._aniso_blocks is None or self._aniso_blocks[0] is not aniso:
-            self._aniso_blocks = (aniso, stiffness_blocks(self.mesh,
-                                                          aniso.matrices))
-        return self._aniso_blocks[1]
+    @functools.cached_property
+    def aniso_blocks(self):
+        """Element blocks of ``aniso``'s weight matrices."""
+        return stiffness_blocks(self.mesh, self.aniso.matrices)
 
-    def mobility_factor(self, b0, dirichlet):
-        """LU of the constant mobility stiffness b0 K on the W dofs (see
-        ``factor_mobility``), kept for the last (b0, dirichlet) asked for."""
-        key = (b0, dirichlet)
-        if self._mobility_factor is None or self._mobility_factor[0] != key:
-            mask = self.mesh.boundary_mask if dirichlet else None
-            self._mobility_factor = (key, factor_mobility(
-                b0 * self.iso_stiffness, self.mass, mask))
-        return self._mobility_factor[1]
+    @functools.cached_property
+    def mobility_stiffness(self):
+        """The constant mobility stiffness b0 K."""
+        return (self.config.b0 * self.iso_stiffness).tocsr()
+
+    @functools.cached_property
+    def mobility_factor(self):
+        """LU of b0 K on the W dofs (see ``factor_mobility``)."""
+        dirichlet = self.config.w_bdry is not None
+        return factor_mobility(self.mobility_stiffness, self.mass,
+                               self.mesh.boundary_mask if dirichlet else None)
 
 
-def initial_state(mesh, aniso, config, u0, workspace=None):
-    """State at t = 0 for the given admissible initial data."""
-    u0 = np.asarray(u0, dtype=float)
-    report = discrete_energy(mesh, aniso, config.eps, u0,
-                             mass=workspace.mass if workspace else None)
-    if config.scheme == "cahn_hilliard_dirichlet":
+def _state(ws, n, u, w, dissipation, stats, prev=None):
+    """State ``n`` with its energy report, which carries the Dirichlet
+    functional when W is prescribed on the boundary and, after a step
+    from ``prev``, the stability residual."""
+    config = ws.config
+    report = discrete_energy(ws.mesh, ws.aniso, config.eps, u, mass=ws.mass)
+    if config.w_bdry is not None:
         report = report.with_dirichlet(dirichlet_energy_functional(
             report, config.alpha, config.c_psi, config.w_bdry))
-    return SchemeState(0, 0.0, u0, np.zeros(mesh.n_vertices), report, 0.0,
-                       SolverStats(0, 0.0, True))
+    if prev is not None:
+        report.stability_residual = stability_residual(prev.report, report,
+                                                       dissipation)
+    return SchemeState(n, n * config.tau, u, w, report, dissipation, stats)
 
 
-def allen_cahn_step(state, config, mesh, aniso, workspace=None):
+def initial_state(ws, u0):
+    """State at t = 0 for the given admissible initial data."""
+    return _state(ws, 0, np.asarray(u0, dtype=float),
+                  np.zeros(ws.mesh.n_vertices), 0.0, SolverStats(0, 0.0, True))
+
+
+def allen_cahn_step(state, ws):
     """Advance the nonconserved scheme by one step.
 
     Eliminating the potential nodewise through the lumped relation
@@ -290,11 +309,11 @@ def allen_cahn_step(state, config, mesh, aniso, workspace=None):
     therefore approximates the flow at time n tau', while ``state.t``
     counts n tau.
     """
-    ws = workspace or Workspace(mesh)
+    config = ws.config
     u_old = state.u
     eps, tau = config.eps, config.tau
-    k_aniso = assemble_anisotropic_stiffness(mesh, aniso, u_old,
-                                             ws.aniso_blocks(aniso))
+    k_aniso = assemble_anisotropic_stiffness(ws.mesh, ws.aniso, u_old,
+                                             ws.aniso_blocks)
     a_mat = (eps * k_aniso + sp.diags((eps / tau) * ws.mass)).tocsr()
     if config.implicit:
         a_mat = (a_mat - sp.diags(ws.mass / eps)).tocsr()
@@ -306,77 +325,59 @@ def allen_cahn_step(state, config, mesh, aniso, workspace=None):
     w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * (u - u_old)
     delta = u - u_old
     dissipation = (eps / tau) * float(ws.mass @ (delta * delta))
-    report = discrete_energy(mesh, aniso, eps, u, mass=ws.mass)
-    report.stability_residual = stability_residual(state.report, report,
-                                                   dissipation)
     stats = SolverStats(sol.iterations, sol.residual, sol.converged)
-    return SchemeState(state.n + 1, (state.n + 1) * tau, u, w, report,
-                       dissipation, stats)
+    return _state(ws, state.n + 1, u, w, dissipation, stats, prev=state)
 
 
-def _conserved_step(state, config, mesh, aniso, ws, dirichlet):
+def cahn_hilliard_step(state, ws):
+    """Advance the conserved scheme by one step, with W prescribed on the
+    boundary when ``ws.config`` gives ``w_bdry`` and natural boundary
+    conditions otherwise.
+
+    Under natural boundary conditions solvability requires
+    |(U^old, 1)^h| < |Omega|; the nodal mass is then conserved to solver
+    tolerance.  With degenerate mobility the potential W is not unique
+    where the mobility vanishes; the assembled mobility is floored at
+    MOBILITY_FLOOR and the regularization is recorded in the step
+    statistics.  Constant mobility solves with the run's factor of b0 K
+    (see ``solve_coupled_ch``), except in the ``implicit`` variant.
+    """
+    config, mesh = ws.config, ws.mesh
     u_old = state.u
     eps, tau = config.eps, config.tau
-    theta = 1.0 if dirichlet else config.theta
+    dirichlet = config.w_bdry is not None
     regularized = False
     kb_lu = None
-    if dirichlet or config.mobility == "constant":
-        k_b = (config.b0 * ws.iso_stiffness).tocsr()
+    if config.mobility == "constant":
+        k_b = ws.mobility_stiffness
         if not config.implicit:
-            kb_lu = ws.mobility_factor(config.b0, dirichlet)
+            kb_lu = ws.mobility_factor
     else:
-        vals = 1.0 - u_old * u_old
-        regularized = bool(np.any(vals < MOBILITY_FLOOR))
+        regularized = bool(np.any(1.0 - u_old * u_old < MOBILITY_FLOOR))
         k_b = assemble_mobility_stiffness(
             mesh, u_old, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR),
             ws.iso_block)
-    k_aniso = assemble_anisotropic_stiffness(mesh, aniso, u_old,
-                                             ws.aniso_blocks(aniso))
+    k_aniso = assemble_anisotropic_stiffness(mesh, ws.aniso, u_old,
+                                             ws.aniso_blocks)
     u, w, stats = solve_coupled_ch(
         ws.mass, k_b, k_aniso, u_old,
-        theta=theta, tau=tau, eps=eps, alpha=config.alpha, c_psi=config.c_psi,
-        w_bdry=config.w_bdry if dirichlet else None,
+        theta=config.theta, tau=tau, eps=eps, alpha=config.alpha,
+        c_psi=config.c_psi, w_bdry=config.w_bdry,
         boundary_mask=mesh.boundary_mask if dirichlet else None,
         tol=config.tol, implicit=config.implicit, kb_lu=kb_lu)
     if dirichlet:
         dissipation = tau * config.b0 * float(w @ (ws.iso_stiffness @ w))
     else:
-        dissipation = (tau * config.c_psi / (2.0 * theta * config.alpha)
+        dissipation = (tau * config.c_psi / (2.0 * config.theta * config.alpha)
                        * float(w @ (k_b @ w)))
-    report = discrete_energy(mesh, aniso, eps, u, mass=ws.mass)
-    if dirichlet:
-        report = report.with_dirichlet(dirichlet_energy_functional(
-            report, config.alpha, config.c_psi, config.w_bdry))
-    report.stability_residual = stability_residual(state.report, report,
-                                                   dissipation)
     stats.mobility_regularized = regularized
-    return SchemeState(state.n + 1, (state.n + 1) * tau, u, w, report,
-                       dissipation, stats)
-
-
-def cahn_hilliard_step(state, config, mesh, aniso, workspace=None):
-    """Advance the conserved scheme with natural boundary conditions.
-
-    Solvability requires |(U^old, 1)^h| < |Omega|; the nodal mass is then
-    conserved to solver tolerance.  With degenerate mobility the potential
-    W is not unique where the mobility vanishes; the assembled mobility is
-    floored at MOBILITY_FLOOR and the regularization is recorded in the
-    step statistics.
-    """
-    ws = workspace or Workspace(mesh)
-    return _conserved_step(state, config, mesh, aniso, ws, dirichlet=False)
-
-
-def cahn_hilliard_dirichlet_step(state, config, mesh, aniso, workspace=None):
-    """Advance the conserved scheme with W prescribed on the boundary."""
-    ws = workspace or Workspace(mesh)
-    return _conserved_step(state, config, mesh, aniso, ws, dirichlet=True)
+    return _state(ws, state.n + 1, u, w, dissipation, stats, prev=state)
 
 
 _STEP_FUNCTIONS = {
     "allen_cahn": allen_cahn_step,
     "cahn_hilliard_neumann": cahn_hilliard_step,
-    "cahn_hilliard_dirichlet": cahn_hilliard_dirichlet_step,
+    "cahn_hilliard_dirichlet": cahn_hilliard_step,
 }
 
 
@@ -419,10 +420,10 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     written on every exit.
     """
     step_fn = _STEP_FUNCTIONS[config.scheme]
-    ws = Workspace(mesh)
+    ws = Workspace(mesh, aniso, config)
     u0 = (np.asarray(geometry, dtype=float) if isinstance(geometry, np.ndarray)
           else initial_profile(mesh, config.eps, geometry))
-    state = initial_state(mesh, aniso, config, u0, ws)
+    state = initial_state(ws, u0)
 
     writer = None
     snapshot_paths = []
@@ -446,7 +447,7 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
             on_step(state)
         for n in range(1, n_steps + 1):
             tic = time.perf_counter()
-            state = step_fn(state, config, mesh, aniso, ws)
+            state = step_fn(state, ws)
             step_seconds.append(time.perf_counter() - tic)
             records.append(output.CsvRecord.of(state))
             if writer:

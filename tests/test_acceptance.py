@@ -120,15 +120,14 @@ def test_criterion_04_mass_conservation():
     cfg = SchemeConfig("cahn_hilliard_neumann", eps_inv=EPS_INV, tau=1e-6,
                        t_end=5e-5, theta=EPS, alpha=2.0 / C_PSI,
                        mobility="degenerate")
-    state = initial_state(mesh, aniso, cfg,
-                          initial_profile(mesh, EPS, TWO_CIRCLES))
+    ws = Workspace(mesh, aniso, cfg)
+    state = initial_state(ws, initial_profile(mesh, EPS, TWO_CIRCLES))
     mass0 = state.report.mass
-    ws = Workspace(mesh)
     tic = time.perf_counter()
     prev_mass = mass0
     step_drift = 0.0
     for _ in range(50):
-        state = af.cahn_hilliard_step(state, cfg, mesh, aniso, ws)
+        state = af.cahn_hilliard_step(state, ws)
         assert state.stats.converged
         step_drift = max(step_drift, abs(state.report.mass - prev_mass))
         prev_mass = state.report.mass
@@ -203,23 +202,24 @@ def test_criterion_05_unconditional_stability():
 def test_criterion_06_boundary_layer_threshold():
     mesh = build_uniform_mesh(2, 0.5, 128)
     iso = isotropic(2)
-    ws = Workspace(mesh)
     tic = time.perf_counter()
 
     cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
                        t_end=1e-4, alpha=1.0, b0=2.0, w_bdry=-64.0)
-    state = initial_state(mesh, iso, cfg, np.ones(mesh.n_vertices))
+    ws = Workspace(mesh, iso, cfg)
+    state = initial_state(ws, np.ones(mesh.n_vertices))
     for _ in range(10):
-        state = af.cahn_hilliard_dirichlet_step(state, cfg, mesh, iso, ws)
+        state = af.cahn_hilliard_step(state, ws)
     u_err = float(np.abs(state.u - 1.0).max())
     w_err = float(np.abs(state.w + 64.0).max())
 
     cfg_low = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
                            t_end=1e-4, alpha=1.0, b0=2.0, w_bdry=-65.0)
-    state = initial_state(mesh, iso, cfg_low, np.ones(mesh.n_vertices))
+    ws = Workspace(mesh, iso, cfg_low)
+    state = initial_state(ws, np.ones(mesh.n_vertices))
     min_u = 1.0
     for _ in range(10):
-        state = af.cahn_hilliard_dirichlet_step(state, cfg_low, mesh, iso, ws)
+        state = af.cahn_hilliard_step(state, ws)
         min_u = min(min_u, float(state.u.min()))
     elapsed = time.perf_counter() - tic
     ok = u_err <= 1e-7 and w_err <= 1e-6 and min_u < 0.9 and elapsed < 300.0
@@ -238,13 +238,13 @@ def test_criterion_07_isotropic_circle_shrinkage():
     # step n approximates the flow at n tau', not n tau (DECISIONS.md)
     flow_tau = cfg.tau / (1.0 + cfg.tau / EPS**2)
     samples = {int(round(t / flow_tau)): t for t in (0.01, 0.02, 0.03)}
-    state = initial_state(mesh, iso, cfg,
-                          initial_profile(mesh, EPS, Circle((0.0, 0.0), 0.3)))
-    ws = Workspace(mesh)
+    ws = Workspace(mesh, iso, cfg)
+    state = initial_state(ws, initial_profile(mesh, EPS,
+                                              Circle((0.0, 0.0), 0.3)))
     tic = time.perf_counter()
     errors = {}
     for _ in range(max(samples)):
-        state = af.allen_cahn_step(state, cfg, mesh, iso, ws)
+        state = af.allen_cahn_step(state, ws)
         assert state.stats.converged
         if state.n in samples:
             contour = zero_level_set(mesh, state.u)
@@ -275,13 +275,13 @@ def test_criterion_08_wulff_faceting_and_extinction():
     center = (0.0, 0.0)
     u0 = initial_profile(mesh, EPS, Circle(center, 0.3))
     d0 = wulff_shape_distance(zero_level_set(mesh, u0).points, aniso, center)
-    state = initial_state(mesh, aniso, cfg, u0)
-    ws = Workspace(mesh)
+    ws = Workspace(mesh, aniso, cfg)
+    state = initial_state(ws, u0)
     tic = time.perf_counter()
     d_mid = None
     extinction_t = None
     for _ in range(int(round(0.05 / flow_tau))):
-        state = af.allen_cahn_step(state, cfg, mesh, aniso, ws)
+        state = af.allen_cahn_step(state, ws)
         if state.n == n_mid:
             d_mid = wulff_shape_distance(
                 zero_level_set(mesh, state.u).points, aniso, center)
@@ -311,14 +311,13 @@ def test_criterion_09_mullins_sekerka_coarsening():
     # unavailable hexagonal density of the source experiment
     cfg = SchemeConfig("cahn_hilliard_neumann", eps_inv=EPS_INV, tau=1e-5,
                        t_end=5e-3, theta=1.0, alpha=1.0, b0=2.0)
-    state = initial_state(mesh, aniso, cfg,
-                          initial_profile(mesh, EPS, TWO_CIRCLES))
-    ws = Workspace(mesh)
+    ws = Workspace(mesh, aniso, cfg)
+    state = initial_state(ws, initial_profile(mesh, EPS, TWO_CIRCLES))
     tic = time.perf_counter()
     energies = [state.report.e_gamma_h]
     comps = {}
     for _ in range(500):
-        state = af.cahn_hilliard_step(state, cfg, mesh, aniso, ws)
+        state = af.cahn_hilliard_step(state, ws)
         assert state.stats.converged
         energies.append(state.report.e_gamma_h)
         if state.n in (10, 500):
@@ -339,13 +338,13 @@ def test_criterion_10_three_dimensional_smoke():
     mesh = build_uniform_mesh(3, 0.5, 24)
     iso = isotropic(3)
     cfg = SchemeConfig("allen_cahn", eps_inv=EPS_INV, tau=1e-4, t_end=2e-3)
-    state = initial_state(mesh, iso, cfg,
-                          initial_profile(mesh, EPS, Sphere((0.0, 0.0, 0.0), 0.3)))
-    ws = Workspace(mesh)
+    ws = Workspace(mesh, iso, cfg)
+    state = initial_state(ws, initial_profile(mesh, EPS,
+                                              Sphere((0.0, 0.0, 0.0), 0.3)))
     tic = time.perf_counter()
     energies = [state.report.e_gamma_h]
     for _ in range(20):
-        state = af.allen_cahn_step(state, cfg, mesh, iso, ws)
+        state = af.allen_cahn_step(state, ws)
         assert state.stats.converged
         assert np.abs(state.u).max() <= 1.0
         assert np.isfinite(state.report.mass)

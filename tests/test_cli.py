@@ -94,6 +94,15 @@ def test_run_reports_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_rejects_infinite_t_end_before_writing(tmp_path, capsys):
+    cfg = tmp_path / "inf.cfg"
+    cfg.write_text(TINY_RUN.replace("t_end = 5e-4", "t_end = inf"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "energy.csv").exists()
+
+
 def test_verify_anisotropy_passes(capsys):
     assert main(["verify-anisotropy", "l1reg:0.01:rot=45", "--samples", "20000",
                  "--seed", "3"]) == 0

@@ -69,10 +69,11 @@ def test_boundary_mask(dim):
 
 def test_element_gradient_of_coordinate():
     mesh = build_uniform_mesh(2, 0.5, 3)
-    values = mesh.vertices[:, 0]
-    for e in range(mesh.n_elements):
-        np.testing.assert_allclose(mesh.element_gradient(e, values), [1.0, 0.0],
-                                   atol=1e-13)
+    grads = mesh.element_gradients(mesh.vertices[:, 0])
+    assert grads.shape == (mesh.n_elements, 2)
+    np.testing.assert_allclose(grads,
+                               np.tile([1.0, 0.0], (mesh.n_elements, 1)),
+                               atol=1e-13)
 
 
 def test_element_gradient_of_constant_is_zero():
@@ -88,15 +89,10 @@ def test_element_gradient_reproduces_random_affine(dim):
     a = rng.standard_normal(dim)
     b = rng.standard_normal()
     values = mesh.vertices @ a + b
-    e = int(rng.integers(mesh.n_elements))
-    np.testing.assert_allclose(mesh.element_gradient(e, values), a,
+    grads = mesh.element_gradients(values)
+    assert grads.shape == (mesh.n_elements, dim)
+    np.testing.assert_allclose(grads, np.tile(a, (mesh.n_elements, 1)),
                                rtol=1e-12, atol=1e-12)
-
-
-def test_element_gradient_index_out_of_range():
-    mesh = build_uniform_mesh(2, 0.5, 2)
-    with pytest.raises(IndexError):
-        mesh.element_gradient(mesh.n_elements, np.zeros(mesh.n_vertices))
 
 
 def test_build_rejects_bad_arguments():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import anisofield.obstacle
+import anisofield.schemes
 from anisofield import (C_PSI, Circle, Cuboid, SchemeConfig, SolverFailure,
                         Sphere, Uniform, Workspace, allen_cahn_step,
-                        cahn_hilliard_dirichlet_step, cahn_hilliard_step,
+                        cahn_hilliard_step,
                         build_uniform_mesh, implicit_tau_bound, initial_profile,
                         initial_state, isotropic, make_regularized_l1,
                         rotation_2d, run_simulation)
@@ -74,9 +75,9 @@ def test_initial_profile_rejects_geometry_outside_domain():
 def test_allen_cahn_pure_phase_is_stationary(mesh2d_small):
     cfg = _ac_config()
     iso = isotropic(2)
-    state = initial_state(mesh2d_small, iso, cfg,
-                          np.ones(mesh2d_small.n_vertices))
-    nxt = allen_cahn_step(state, cfg, mesh2d_small, iso)
+    ws = Workspace(mesh2d_small, iso, cfg)
+    state = initial_state(ws, np.ones(mesh2d_small.n_vertices))
+    nxt = allen_cahn_step(state, ws)
     np.testing.assert_array_equal(nxt.u, state.u)
     assert nxt.report.e_gamma_h == 0.0
     assert np.abs(nxt.w).max() == 0.0
@@ -85,9 +86,9 @@ def test_allen_cahn_pure_phase_is_stationary(mesh2d_small):
 def test_allen_cahn_zero_fixed_point(mesh2d_small):
     cfg = _ac_config()
     iso = isotropic(2)
-    state = initial_state(mesh2d_small, iso, cfg,
-                          np.zeros(mesh2d_small.n_vertices))
-    nxt = allen_cahn_step(state, cfg, mesh2d_small, iso)
+    ws = Workspace(mesh2d_small, iso, cfg)
+    state = initial_state(ws, np.zeros(mesh2d_small.n_vertices))
+    nxt = allen_cahn_step(state, ws)
     assert np.abs(nxt.u).max() == 0.0
 
 
@@ -98,11 +99,11 @@ def test_allen_cahn_alpha_invariance(mesh2d_medium):
     traces = []
     for alpha in (1.0, 7.0):
         cfg = _ac_config(alpha=alpha)
-        ws = Workspace(mesh2d_medium)
-        state = initial_state(mesh2d_medium, iso, cfg, u0)
+        ws = Workspace(mesh2d_medium, iso, cfg)
+        state = initial_state(ws, u0)
         trace = []
         for _ in range(3):
-            state = allen_cahn_step(state, cfg, mesh2d_medium, iso, ws)
+            state = allen_cahn_step(state, ws)
             trace.append(state.u.copy())
         traces.append(trace)
     for a, b in zip(*traces):
@@ -120,11 +121,11 @@ def test_allen_cahn_step_is_implicit_step_at_flow_tau(mesh2d_medium, aniso):
     traces = []
     for cfg in (_ac_config(tau=tau, tol=1e-12),
                 _ac_config(tau=flow_tau, tol=1e-12, implicit=True)):
-        ws = Workspace(mesh2d_medium)
-        state = initial_state(mesh2d_medium, aniso, cfg, u0)
+        ws = Workspace(mesh2d_medium, aniso, cfg)
+        state = initial_state(ws, u0)
         trace = []
         for _ in range(10):
-            state = allen_cahn_step(state, cfg, mesh2d_medium, aniso, ws)
+            state = allen_cahn_step(state, ws)
             assert state.stats.converged
             trace.append(state.u)
         traces.append(np.array(trace))
@@ -141,11 +142,11 @@ def test_allen_cahn_steps_need_no_fallback(mesh2d_medium, monkeypatch):
     aniso = make_regularized_l1(2, 0.01).rotate(
         rotation_2d(math.radians(0.005)))
     cfg = _ac_config()
-    ws = Workspace(mesh2d_medium)
-    state = initial_state(mesh2d_medium, aniso, cfg, initial_profile(
-        mesh2d_medium, EPS, Circle((0.0, 0.0), 0.3)), ws)
+    ws = Workspace(mesh2d_medium, aniso, cfg)
+    state = initial_state(ws, initial_profile(
+        mesh2d_medium, EPS, Circle((0.0, 0.0), 0.3)))
     for _ in range(10):
-        state = allen_cahn_step(state, cfg, mesh2d_medium, aniso, ws)
+        state = allen_cahn_step(state, ws)
         assert state.stats.converged
         assert state.stats.residual <= cfg.tol
 
@@ -153,12 +154,12 @@ def test_allen_cahn_steps_need_no_fallback(mesh2d_medium, monkeypatch):
 def test_allen_cahn_energy_decreases(mesh2d_medium):
     ani = make_regularized_l1(2, 0.3)
     cfg = _ac_config(tau=1e-3)
-    state = initial_state(mesh2d_medium, ani, cfg,
-                          initial_profile(mesh2d_medium, EPS, Circle((0.0, 0.0), 0.3)))
-    ws = Workspace(mesh2d_medium)
+    ws = Workspace(mesh2d_medium, ani, cfg)
+    state = initial_state(ws, initial_profile(mesh2d_medium, EPS,
+                                              Circle((0.0, 0.0), 0.3)))
     for _ in range(5):
         prev = state.report.e_gamma_h
-        state = allen_cahn_step(state, cfg, mesh2d_medium, ani, ws)
+        state = allen_cahn_step(state, ws)
         assert state.stats.converged
         assert state.report.stability_residual <= 10.0 * cfg.tol
         assert state.report.e_gamma_h <= prev + 10.0 * cfg.tol
@@ -168,9 +169,9 @@ def test_cahn_hilliard_zero_data(mesh2d_small):
     cfg = SchemeConfig("cahn_hilliard_neumann", eps_inv=EPS_INV, tau=1e-5,
                        t_end=1e-4, theta=1.0, b0=2.0)
     iso = isotropic(2)
-    state = initial_state(mesh2d_small, iso, cfg,
-                          np.zeros(mesh2d_small.n_vertices))
-    nxt = cahn_hilliard_step(state, cfg, mesh2d_small, iso)
+    ws = Workspace(mesh2d_small, iso, cfg)
+    state = initial_state(ws, np.zeros(mesh2d_small.n_vertices))
+    nxt = cahn_hilliard_step(state, ws)
     assert np.abs(nxt.u).max() == 0.0
     assert np.abs(nxt.w).max() == 0.0
 
@@ -180,12 +181,12 @@ def test_cahn_hilliard_mass_and_energy_monitors(mesh2d_medium):
                        t_end=1e-5, theta=EPS, alpha=2.0 / C_PSI,
                        mobility="degenerate")
     ani = make_regularized_l1(2, 0.3)
-    state = initial_state(mesh2d_medium, ani, cfg,
-                          initial_profile(mesh2d_medium, EPS, Circle((0.0, 0.0), 0.3)))
+    ws = Workspace(mesh2d_medium, ani, cfg)
+    state = initial_state(ws, initial_profile(mesh2d_medium, EPS,
+                                              Circle((0.0, 0.0), 0.3)))
     mass0 = state.report.mass
-    ws = Workspace(mesh2d_medium)
     for _ in range(5):
-        state = cahn_hilliard_step(state, cfg, mesh2d_medium, ani, ws)
+        state = cahn_hilliard_step(state, ws)
         assert state.stats.converged
         assert state.stats.mobility_regularized  # pure phases present
         assert abs(state.report.mass - mass0) <= cfg.tol
@@ -198,11 +199,10 @@ def test_dirichlet_threshold_steady_state(mesh2d_medium):
     cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
                        t_end=1e-4, alpha=1.0, b0=2.0, w_bdry=-64.0)
     iso = isotropic(2)
-    state = initial_state(mesh2d_medium, iso, cfg,
-                          np.ones(mesh2d_medium.n_vertices))
-    ws = Workspace(mesh2d_medium)
+    ws = Workspace(mesh2d_medium, iso, cfg)
+    state = initial_state(ws, np.ones(mesh2d_medium.n_vertices))
     for _ in range(3):
-        state = cahn_hilliard_dirichlet_step(state, cfg, mesh2d_medium, iso, ws)
+        state = cahn_hilliard_step(state, ws)
         assert np.abs(state.u - 1.0).max() <= 1e-9
         assert np.abs(state.w + 64.0).max() <= 1e-8
         assert state.report.f_gamma_h == pytest.approx(64.0, rel=1e-9)
@@ -212,9 +212,9 @@ def test_dirichlet_zero_boundary_zero_state(mesh2d_small):
     cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
                        t_end=1e-4, alpha=1.0, b0=2.0, w_bdry=0.0)
     iso = isotropic(2)
-    state = initial_state(mesh2d_small, iso, cfg,
-                          np.zeros(mesh2d_small.n_vertices))
-    nxt = cahn_hilliard_dirichlet_step(state, cfg, mesh2d_small, iso)
+    ws = Workspace(mesh2d_small, iso, cfg)
+    state = initial_state(ws, np.zeros(mesh2d_small.n_vertices))
+    nxt = cahn_hilliard_step(state, ws)
     assert np.abs(nxt.u).max() == 0.0
     assert np.abs(nxt.w).max() == 0.0
 
@@ -223,12 +223,11 @@ def test_dirichlet_below_threshold_forms_layer(mesh2d_medium):
     cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
                        t_end=1e-4, alpha=1.0, b0=2.0, w_bdry=-65.0)
     iso = isotropic(2)
-    state = initial_state(mesh2d_medium, iso, cfg,
-                          np.ones(mesh2d_medium.n_vertices))
-    ws = Workspace(mesh2d_medium)
+    ws = Workspace(mesh2d_medium, iso, cfg)
+    state = initial_state(ws, np.ones(mesh2d_medium.n_vertices))
     prev_f = state.report.f_gamma_h
     for _ in range(5):
-        state = cahn_hilliard_dirichlet_step(state, cfg, mesh2d_medium, iso, ws)
+        state = cahn_hilliard_step(state, ws)
         assert state.report.f_gamma_h <= prev_f + 10.0 * cfg.tol
         prev_f = state.report.f_gamma_h
     assert state.u.min() < 1.0 - 1e-6  # boundary layer has started
@@ -238,7 +237,8 @@ def test_dirichlet_below_threshold_forms_layer(mesh2d_medium):
 def test_mobility_factor_is_built_once_per_run(monkeypatch, w_bdry):
     # the constant K_b is factored on the W dofs (the interior nodes) in
     # step 1 and reused by every later round and step, and W is
-    # eliminated: no LU is larger than the mesh
+    # eliminated: no LU is larger than the mesh.  The Workspace's other
+    # caches (mass, b0 K, element blocks) are also built once per run.
     dims = []
     splu = anisofield.obstacle.spla.splu
 
@@ -247,6 +247,13 @@ def test_mobility_factor_is_built_once_per_run(monkeypatch, w_bdry):
         return splu(mat, *args, **kwargs)
 
     monkeypatch.setattr(anisofield.obstacle.spla, "splu", counting)
+    calls = {}
+    for name in ("stiffness_blocks", "isotropic_stiffness", "lumped_mass"):
+        def counted(*args, _name=name, _fn=getattr(anisofield.schemes, name)):
+            calls[_name] = calls.get(_name, 0) + 1
+            return _fn(*args)
+
+        monkeypatch.setattr(anisofield.schemes, name, counted)
     mesh = build_uniform_mesh(2, 0.5, 16)
     cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
                        t_end=5e-5, alpha=1.0, b0=2.0, w_bdry=w_bdry)
@@ -254,6 +261,8 @@ def test_mobility_factor_is_built_once_per_run(monkeypatch, w_bdry):
     assert len(result.step_seconds) == 5 and not result.failed
     assert dims.count(int(np.count_nonzero(~mesh.boundary_mask))) == 1
     assert max(dims) <= mesh.n_vertices
+    assert calls == {"stiffness_blocks": 1, "isotropic_stiffness": 1,
+                     "lumped_mass": 1}
 
 
 @pytest.mark.parametrize("scheme", ["cahn_hilliard_neumann",
@@ -350,6 +359,19 @@ def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig("cahn_hilliard_dirichlet", eps_inv=1.0, tau=1e-4,
                      t_end=1e-3, w_bdry=-1.0, mobility="degenerate")
+    for name in ("eps_inv", "tau", "t_end", "theta", "alpha", "b0", "tol"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError):
+                _ac_config(**{name: value})
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            SchemeConfig("cahn_hilliard_dirichlet", eps_inv=1.0, tau=1e-4,
+                         t_end=1e-3, w_bdry=value)
+    for bad in ({"tol": -1.0}, {"tol": 0.0}, {"snapshot_every": -3},
+                {"tau": 1e-300, "t_end": 1e300}):
+        with pytest.raises(ValueError):
+            _ac_config(**bad)
+    assert _ac_config(snapshot_every=0).snapshot_every == 0
     cfg = _ac_config()
     assert cfg.c_psi == math.pi / 2
     assert cfg.eps == pytest.approx(EPS)

@@ -116,9 +116,12 @@ def _parse_sections(text):
 
 def _as_float(section, key, value):
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"[{section}] {key}: not a number: {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"[{section}] {key}: not finite: {value!r}")
+    return number
 
 
 def _as_int(section, key, value):

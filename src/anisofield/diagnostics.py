@@ -57,14 +57,14 @@ def discrete_energy(mesh, aniso, eps, u, mass=None):
 
     Gradient term eps/2 * sum_sigma |sigma| gamma(grad u|_sigma)^2 plus
     lumped potential eps^(-1) * sum_j M_j (1 - u_j^2)/2.  Values outside
-    [-1, 1] by more than 1e-12 are rejected; smaller excursions are
+    [-1, 1] by more than 1e-12, and NaN, are rejected; smaller excursions are
     projected so the potential stays nonnegative.  ``mass`` is the lumped
     mass vector of the mesh, computed here when not given.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError("field length does not match vertex count")
-    if np.abs(u).max() > 1.0 + _KH_SLACK:
+    if not np.abs(u).max() <= 1.0 + _KH_SLACK:  # also refuses NaN
         raise ValueError("field leaves the admissible set K^h")
     grads = mesh.element_gradients(u)
     grad_energy = 0.5 * eps * float(mesh.element_volume @ aniso.gamma(grads) ** 2)

@@ -156,8 +156,8 @@ def build_uniform_mesh(dim, half_width, subdivisions):
         raise ValueError("dim must be 2 or 3")
     if subdivisions < 1:
         raise ValueError("need at least one subdivision per axis")
-    if half_width <= 0:
-        raise ValueError("half_width must be positive")
+    if not 0 < half_width < np.inf:
+        raise ValueError("half_width must be positive and finite")
     n = int(subdivisions)
     vertices = _grid_vertices(half_width, n, dim)
 

@@ -2,8 +2,10 @@
 
 The CSV layout is part of the external contract: a fixed header, one row
 per step and 17 significant digits, so energy monotonicity and mass
-conservation can be checked from the file alone.  Snapshots use the
-legacy ASCII VTK unstructured-grid format readable by any VTK viewer.
+conservation can be checked from the file alone.  Each run writes its
+CSV afresh from step 0.  Snapshots use the legacy binary VTK
+unstructured-grid format readable by any VTK viewer; their values read
+back bit for bit.
 """
 
 import hashlib
@@ -73,34 +75,26 @@ class CsvRecord:
 
 
 class EnergyCsvWriter:
-    """Append-consistent CSV writer.
+    """Writes a run's energy CSV: the header, then one flushed row per
+    ``write``.
 
-    Reopening an existing file resumes after its last step index; rows
-    with an already-written step are silently skipped, so interrupting
-    and restarting a run never duplicates a step.
+    A run recomputes from step 0, so the file always starts afresh.  A
+    non-empty file whose first line is not the header is not an energy
+    CSV of this package and is refused, never overwritten.
     """
 
     def __init__(self, path):
-        self._last = -1
         if os.path.exists(path) and os.path.getsize(path) > 0:
             with open(path, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-            if not lines or lines[0] != CSV_HEADER:
-                raise ValueError(f"{path} is not an energy CSV of this package")
-            for line in lines[1:]:
-                if line:
-                    self._last = max(self._last, int(line.split(",", 1)[0]))
-            self._fh = open(path, "a", encoding="utf-8")
-        else:
-            self._fh = open(path, "w", encoding="utf-8")
-            self._fh.write(CSV_HEADER + "\n")
+                if fh.readline().rstrip("\n") != CSV_HEADER:
+                    raise ValueError(
+                        f"{path} is not an energy CSV of this package")
+        self._fh = open(path, "w", encoding="utf-8")
+        self._fh.write(CSV_HEADER + "\n")
 
     def write(self, record):
-        if record.step <= self._last:
-            return
         self._fh.write(record.to_line() + "\n")
         self._fh.flush()
-        self._last = record.step
 
     def close(self):
         self._fh.close()
@@ -115,19 +109,13 @@ class EnergyCsvWriter:
 _CELL_TYPES = {2: 5, 3: 10}  # VTK triangle / tetrahedron
 
 
-def _write_rows(fh, row_format, rows):
-    """Write ``row_format % row`` for each row of a 2d array, formatting
-    4096 rows at a time so no whole-file string is held in memory."""
-    for start in range(0, len(rows), 4096):
-        fh.write("".join([row_format % tuple(row)
-                          for row in rows[start:start + 4096].tolist()]))
-
-
 def write_vtk_snapshot(path, mesh, fields):
-    """Legacy ASCII VTK snapshot of nodal scalar fields on the mesh.
+    """Legacy binary VTK snapshot of nodal scalar fields on the mesh.
 
     ``fields`` maps names (e.g. "U", "W") to per-vertex arrays; 2d points
-    are padded with z = 0.
+    are padded with z = 0.  Each ASCII header line is followed by its
+    array as one big-endian block, doubles for the points and fields and
+    32-bit integers for the cells, so the values read back bit for bit.
     """
     for name, values in fields.items():
         if np.asarray(values).shape != (mesh.n_vertices,):
@@ -135,21 +123,26 @@ def write_vtk_snapshot(path, mesh, fields):
     points = mesh.vertices
     if mesh.dim == 2:
         points = np.column_stack([points, np.zeros(mesh.n_vertices)])
-    nloc = mesh.dim + 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("anisotropic phase field snapshot\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        _write_rows(fh, "%.17g %.17g %.17g\n", points)
-        fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nloc + 1)}\n")
-        _write_rows(fh, f"{nloc}" + " %d" * nloc + "\n", mesh.elements)
-        fh.write(f"CELL_TYPES {mesh.n_elements}\n")
-        fh.write("\n".join([str(_CELL_TYPES[mesh.dim])] * mesh.n_elements) + "\n")
-        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
+    cells = np.column_stack([np.full(mesh.n_elements, mesh.dim + 1),
+                             mesh.elements])
+    cell_types = np.full(mesh.n_elements, _CELL_TYPES[mesh.dim])
+    with open(path, "wb") as fh:
+
+        def block(header, values, dtype):
+            fh.write(f"{header}\n".encode("ascii"))
+            fh.write(np.asarray(values).astype(dtype).tobytes())
+            fh.write(b"\n")
+
+        fh.write(b"# vtk DataFile Version 3.0\n"
+                 b"anisotropic phase field snapshot\n"
+                 b"BINARY\nDATASET UNSTRUCTURED_GRID\n")
+        block(f"POINTS {mesh.n_vertices} double", points, ">f8")
+        block(f"CELLS {mesh.n_elements} {cells.size}", cells, ">i4")
+        block(f"CELL_TYPES {mesh.n_elements}", cell_types, ">i4")
+        fh.write(f"POINT_DATA {mesh.n_vertices}\n".encode("ascii"))
         for name, values in fields.items():
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            _write_rows(fh, "%.17g\n", np.asarray(values).reshape(-1, 1))
+            block(f"SCALARS {name} double 1\nLOOKUP_TABLE default", values,
+                  ">f8")
 
 
 def run_id_for(config_text):
@@ -161,7 +154,7 @@ def prepare_run_dir(out_dir, run_id):
     """Create ``out_dir`` for the run ``run_id`` and return its file paths.
 
     A directory whose manifest names another run is refused, so two runs
-    never share one energy CSV; the same run id resumes.
+    never share one energy CSV; the same run id runs again in it.
     """
     os.makedirs(out_dir, exist_ok=True)
     manifest = os.path.join(out_dir, "manifest.json")

@@ -235,8 +235,8 @@ class Workspace:
     The mesh, the anisotropy density ``aniso`` and the ``config`` do not
     change during a run, so neither does anything built from them alone:
     the mass vector, built here, and, built on first use, the isotropic
-    stiffness and element block, the element blocks of ``aniso``'s weight
-    matrices, the constant mobility stiffness b0 K and its factor.
+    element block, the element blocks of ``aniso``'s weight matrices, the
+    constant mobility stiffness b0 K and its factor.
     """
 
     def __init__(self, mesh, aniso, config):
@@ -244,10 +244,6 @@ class Workspace:
         self.aniso = aniso
         self.config = config
         self.mass = lumped_mass(mesh)
-
-    @functools.cached_property
-    def iso_stiffness(self):
-        return isotropic_stiffness(self.mesh)
 
     @functools.cached_property
     def iso_block(self):
@@ -262,7 +258,7 @@ class Workspace:
     @functools.cached_property
     def mobility_stiffness(self):
         """The constant mobility stiffness b0 K."""
-        return (self.config.b0 * self.iso_stiffness).tocsr()
+        return (self.config.b0 * isotropic_stiffness(self.mesh)).tocsr()
 
     @functools.cached_property
     def mobility_factor(self):
@@ -366,7 +362,7 @@ def cahn_hilliard_step(state, ws):
         boundary_mask=mesh.boundary_mask if dirichlet else None,
         tol=config.tol, implicit=config.implicit, kb_lu=kb_lu)
     if dirichlet:
-        dissipation = tau * config.b0 * float(w @ (ws.iso_stiffness @ w))
+        dissipation = tau * float(w @ (k_b @ w))
     else:
         dissipation = (tau * config.c_psi / (2.0 * config.theta * config.alpha)
                        * float(w @ (k_b @ w)))
@@ -410,20 +406,22 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     """March the configured scheme from t = 0 to t_end with uniform steps.
 
     Writes the per-step energy CSV, optional field snapshots and a run
-    manifest below ``out_dir`` when given; ``on_step`` is called with
-    every state (including the initial one).  Per-step energy increases
-    beyond 10x the solver tolerance are counted, a solve that misses its
-    tolerance ends the run with a state dump: ``strict=True`` raises
+    manifest below ``out_dir`` when given, which then needs the
+    ``config_text`` that the run id and the manifest record; ``on_step``
+    is called with every state (including the initial one).  Per-step
+    energy increases beyond 10x the solver tolerance are counted, a solve
+    that misses its tolerance ends the run with a state dump (written in
+    place of that step's snapshot): ``strict=True`` raises
     :class:`SolverFailure` (manifest status ``aborted``), otherwise the run
     is truncated with ``failed`` set (status ``failed``).  A step that
     raises also ends the run with status ``aborted``.  The manifest is
     written on every exit.
     """
+    if out_dir is not None and not config_text:
+        raise ValueError("a run that writes to out_dir needs its config_text")
     step_fn = _STEP_FUNCTIONS[config.scheme]
     ws = Workspace(mesh, aniso, config)
-    u0 = (np.asarray(geometry, dtype=float) if isinstance(geometry, np.ndarray)
-          else initial_profile(mesh, config.eps, geometry))
-    state = initial_state(ws, u0)
+    state = initial_state(ws, initial_profile(mesh, config.eps, geometry))
 
     writer = None
     snapshot_paths = []
@@ -454,20 +452,18 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
                 writer.write(records[-1])
             if state.report.stability_residual > 10.0 * config.tol:
                 violations += 1
-            if out_dir is not None and config.snapshot_every > 0 and (
-                    n % config.snapshot_every == 0 or n == n_steps):
-                path = output.snapshot_path(out_dir, n)
+            failed = not state.stats.converged
+            periodic = config.snapshot_every > 0 and (
+                n % config.snapshot_every == 0 or n == n_steps)
+            if out_dir is not None and (failed or periodic):
+                path = output.snapshot_path(
+                    out_dir, n, prefix="failure" if failed else "snapshot")
                 output.write_vtk_snapshot(path, mesh,
                                           {"U": state.u, "W": state.w})
                 snapshot_paths.append(path)
             if on_step:
                 on_step(state)
-            if not state.stats.converged:
-                if out_dir is not None:
-                    dump = output.snapshot_path(out_dir, n, prefix="failure")
-                    output.write_vtk_snapshot(dump, mesh,
-                                              {"U": state.u, "W": state.w})
-                    snapshot_paths.append(dump)
+            if failed:
                 failure = SolverFailure(
                     f"step {n}: solver stopped at residual "
                     f"{state.stats.residual:.3e} (tol {config.tol:.1e})")

@@ -82,7 +82,8 @@ def test_run_refuses_directory_of_another_run(tmp_path, capsys, first_run):
     assert "holds run" in capsys.readouterr().err
     assert (out / "energy.csv").read_bytes() == csv_bytes
     assert (out / "manifest.json").read_bytes() == manifest
-    # the same configuration resumes: every step is already written
+    # the same configuration runs again from step 0 and, being
+    # deterministic, rewrites the same rows
     assert main(["run", str(first), "--out", str(out)]) == code
     assert (out / "energy.csv").read_bytes() == csv_bytes
 
@@ -97,6 +98,28 @@ def test_run_reports_bad_config(tmp_path, capsys):
 def test_run_rejects_infinite_t_end_before_writing(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text(TINY_RUN.replace("t_end = 5e-4", "t_end = inf"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (out / "energy.csv").exists()
+
+
+NON_FINITE = {
+    "half_width_nan": ("subdivisions = 16",
+                       "subdivisions = 16\nhalf_width = nan"),
+    "half_width_inf": ("subdivisions = 16",
+                       "subdivisions = 16\nhalf_width = inf"),
+    "radius_nan": ("radius = 0.3", "radius = nan"),
+    "center_nan": ("center = 0,0", "center = nan,0"),
+    "uniform_nan": ("kind = circle\ncenter = 0,0\nradius = 0.3",
+                    "kind = uniform\nvalue = nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_run_rejects_non_finite_values_before_writing(tmp_path, capsys, case):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(TINY_RUN.replace(*NON_FINITE[case]))
     out = tmp_path / "out"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err

@@ -1,12 +1,15 @@
-"""Config grammar, CSV contract and VTK snapshots."""
+"""Config grammar, CSV contract, VTK snapshots and the files of a run."""
 
 import math
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from anisofield import (Circle, ConfigError, MultiCircle, Uniform,
-                        build_uniform_mesh, emit_config, parse_config)
+                        build_uniform_mesh, emit_config, parse_config,
+                        run_simulation)
 from anisofield.output import (CSV_HEADER, CsvRecord, EnergyCsvWriter,
                                write_vtk_snapshot)
 
@@ -232,18 +235,17 @@ def test_csv_values_round_trip_17_digits(tmp_path):
     assert row[3] == ""  # F empty for non-dirichlet records
 
 
-def test_csv_append_never_duplicates_steps(tmp_path):
+def test_csv_reopened_writer_starts_afresh(tmp_path):
     path = tmp_path / "energy.csv"
     with EnergyCsvWriter(path) as writer:
         writer.write(_record(0))
         writer.write(_record(1))
-    with EnergyCsvWriter(path) as writer:  # resume after interruption
-        writer.write(_record(0))
-        writer.write(_record(1))
-        writer.write(_record(2))
-    rows = path.read_text().splitlines()[1:]
-    steps = [int(r.split(",", 1)[0]) for r in rows]
-    assert steps == [0, 1, 2]
+    with EnergyCsvWriter(path) as writer:  # a rerun recomputes from step 0
+        for step in range(3):
+            writer.write(_record(step, e=2.5))
+    lines = path.read_text().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert lines[1:] == [_record(step, e=2.5).to_line() for step in range(3)]
 
 
 def test_csv_dirichlet_records_fill_f(tmp_path):
@@ -263,19 +265,66 @@ def test_csv_rejects_foreign_file(tmp_path):
 # -- VTK snapshots -------------------------------------------------------
 
 
+def _read_vtk(path):
+    """Parse a binary legacy VTK snapshot: its ASCII lines, then each array
+    from the big-endian block that follows its header line."""
+    data = Path(path).read_bytes()
+    pos = 0
+    lines = []
+
+    def line():
+        nonlocal pos
+        end = data.index(b"\n", pos)
+        lines.append(data[pos:end].decode("ascii"))
+        pos = end + 1
+        return lines[-1].split()
+
+    def block(count, dtype):
+        nonlocal pos
+        values = np.frombuffer(data, dtype, count, pos)
+        pos += values.nbytes
+        assert data[pos:pos + 1] == b"\n"
+        pos += 1
+        return values
+
+    for _ in range(4):
+        line()
+    _, n_points, _ = line()
+    points = block(3 * int(n_points), ">f8").reshape(-1, 3)
+    _, n_cells, size = line()
+    cells = block(int(size), ">i4").reshape(int(n_cells), -1)
+    _, n_types = line()
+    cell_types = block(int(n_types), ">i4")
+    _, n_data = line()
+    fields = {}
+    while pos < len(data):
+        _, name, _, _ = line()
+        assert line() == ["LOOKUP_TABLE", "default"]
+        fields[name] = block(int(n_data), ">f8")
+    return SimpleNamespace(lines=lines, points=points, cells=cells,
+                           cell_types=cell_types, fields=fields)
+
+
+def _bits(values):
+    """The IEEE bit patterns of float64 values, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64)
+
+
 def test_vtk_smallest_mesh_structure(tmp_path):
     mesh = build_uniform_mesh(2, 0.5, 1)
     path = tmp_path / "snap.vtk"
     write_vtk_snapshot(path, mesh, {"U": np.zeros(4)})
-    lines = path.read_text().splitlines()
-    assert lines[0] == "# vtk DataFile Version 3.0"
-    assert "POINTS 4 double" in lines
-    assert "CELLS 2 8" in lines
-    idx = lines.index("CELL_TYPES 2")
-    assert lines[idx + 1] == "5" and lines[idx + 2] == "5"
-    s = lines.index("SCALARS U double 1")
-    assert lines[s + 1] == "LOOKUP_TABLE default"
-    assert all(lines[s + 2 + k] == "0" for k in range(4))
+    assert path.read_bytes().startswith(
+        b"# vtk DataFile Version 3.0\n"
+        b"anisotropic phase field snapshot\n"
+        b"BINARY\nDATASET UNSTRUCTURED_GRID\nPOINTS 4 double\n")
+    snap = _read_vtk(path)
+    assert snap.lines[4:] == ["POINTS 4 double", "CELLS 2 8", "CELL_TYPES 2",
+                              "POINT_DATA 4", "SCALARS U double 1",
+                              "LOOKUP_TABLE default"]
+    assert snap.cell_types.tolist() == [5, 5]
+    assert snap.cells[:, 0].tolist() == [3, 3]
+    assert snap.fields["U"].tolist() == [0.0] * 4
 
 
 @pytest.mark.parametrize("dim,n", [(2, 3), (3, 2)])
@@ -284,49 +333,96 @@ def test_vtk_point_count_round_trip(tmp_path, dim, n):
     path = tmp_path / "snap.vtk"
     write_vtk_snapshot(path, mesh, {"U": np.zeros(mesh.n_vertices),
                                     "W": np.ones(mesh.n_vertices)})
-    text = path.read_text()
-    assert f"POINTS {(n + 1) ** dim} double" in text
-    assert "SCALARS W double 1" in text
-
-
-def _reference_vtk(path, mesh, fields):
-    """Per-value formatting loop the snapshot writer must reproduce."""
-    points = mesh.vertices
-    if mesh.dim == 2:
-        points = np.column_stack([points, np.zeros(mesh.n_vertices)])
-    nloc = mesh.dim + 1
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# vtk DataFile Version 3.0\n")
-        fh.write("anisotropic phase field snapshot\n")
-        fh.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        fh.write(f"POINTS {mesh.n_vertices} double\n")
-        for p in points:
-            fh.write(" ".join(f"{x:.17g}" for x in p) + "\n")
-        fh.write(f"CELLS {mesh.n_elements} {mesh.n_elements * (nloc + 1)}\n")
-        for elem in mesh.elements:
-            fh.write(f"{nloc} " + " ".join(str(v) for v in elem) + "\n")
-        fh.write(f"CELL_TYPES {mesh.n_elements}\n")
-        cell_type = {2: 5, 3: 10}[mesh.dim]
-        fh.write("\n".join([str(cell_type)] * mesh.n_elements) + "\n")
-        fh.write(f"POINT_DATA {mesh.n_vertices}\n")
-        for name, values in fields.items():
-            fh.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-            fh.write("\n".join(f"{v:.17g}" for v in np.asarray(values)) + "\n")
+    snap = _read_vtk(path)
+    assert f"POINTS {(n + 1) ** dim} double" in snap.lines
+    assert "SCALARS W double 1" in snap.lines
+    assert snap.points.shape == ((n + 1) ** dim, 3)
+    assert snap.fields["W"].tolist() == [1.0] * mesh.n_vertices
 
 
 @pytest.mark.parametrize("dim,n", [(2, 7), (3, 3)])
-def test_vtk_bytes_match_reference_writer(tmp_path, dim, n):
+def test_vtk_read_back_is_bit_exact(tmp_path, dim, n):
     mesh = build_uniform_mesh(dim, 0.5, n)
     rng = np.random.default_rng(dim)
     u = rng.uniform(-1.0, 1.0, mesh.n_vertices)
     u[:3] = [-1.0, 1.0, -0.0]
-    fields = {"U": u, "W": rng.standard_normal(mesh.n_vertices) * 1e-7}
-    write_vtk_snapshot(tmp_path / "new.vtk", mesh, fields)
-    _reference_vtk(tmp_path / "ref.vtk", mesh, fields)
-    assert (tmp_path / "new.vtk").read_bytes() == (tmp_path / "ref.vtk").read_bytes()
+    w = rng.standard_normal(mesh.n_vertices) * 1e-7
+    write_vtk_snapshot(tmp_path / "snap.vtk", mesh, {"U": u, "W": w})
+    snap = _read_vtk(tmp_path / "snap.vtk")
+    assert list(snap.fields) == ["U", "W"]
+    np.testing.assert_array_equal(_bits(snap.fields["U"]), _bits(u))
+    np.testing.assert_array_equal(_bits(snap.fields["W"]), _bits(w))
+    assert np.signbit(snap.fields["U"][2])
+    np.testing.assert_array_equal(_bits(snap.points[:, :dim]),
+                                  _bits(mesh.vertices))
+    np.testing.assert_array_equal(_bits(snap.points[:, dim:]), 0)
+    np.testing.assert_array_equal(snap.cells[:, 0], dim + 1)
+    np.testing.assert_array_equal(snap.cells[:, 1:], mesh.elements)
+    np.testing.assert_array_equal(snap.cell_types, {2: 5, 3: 10}[dim])
 
 
 def test_vtk_rejects_mismatched_field(tmp_path):
     mesh = build_uniform_mesh(2, 0.5, 1)
     with pytest.raises(ValueError):
         write_vtk_snapshot(tmp_path / "bad.vtk", mesh, {"U": np.zeros(3)})
+
+
+# -- run artifacts ---------------------------------------------------------
+
+RUN = """
+[domain]
+subdivisions = 16
+
+[anisotropy]
+spec = l1reg:0.3
+
+[output]
+snapshot_every = 2
+""" + MINIMAL.replace("t_end = 0.05", "t_end = 5e-4")
+
+
+def _run(text, out_dir, on_step=None):
+    setup = parse_config(text)
+    return run_simulation(setup.scheme, setup.build_mesh(), setup.anisotropy,
+                          setup.geometry, out_dir=out_dir, on_step=on_step,
+                          strict=False, config_text=text)
+
+
+def test_run_snapshots_read_back_the_run_states(tmp_path):
+    states = {}
+    result = _run(RUN, tmp_path,
+                  on_step=lambda state: states.update({state.n: state}))
+    names = [Path(p).name for p in result.snapshot_paths]
+    assert names == ["snapshot_000002.vtk", "snapshot_000004.vtk",
+                     "snapshot_000005.vtk"]
+    for path in result.snapshot_paths:
+        snap = _read_vtk(path)
+        state = states[int(Path(path).stem.split("_")[1])]
+        np.testing.assert_array_equal(_bits(snap.fields["U"]), _bits(state.u))
+        np.testing.assert_array_equal(_bits(snap.fields["W"]), _bits(state.w))
+    assert states[5] is result.final_state
+
+
+def test_run_failure_dump_reads_back_the_failing_state(tmp_path):
+    result = _run(RUN.replace("t_end = 5e-4", "t_end = 5e-4\ntol = 1e-30"),
+                  tmp_path)
+    assert result.failed and result.final_state.n == 1
+    assert [Path(p).name for p in result.snapshot_paths] == [
+        "failure_000001.vtk"]
+    snap = _read_vtk(tmp_path / "failure_000001.vtk")
+    np.testing.assert_array_equal(_bits(snap.fields["U"]),
+                                  _bits(result.final_state.u))
+    np.testing.assert_array_equal(_bits(snap.fields["W"]),
+                                  _bits(result.final_state.w))
+
+
+def test_rerun_rewrites_an_edited_energy_csv(tmp_path):
+    _run(RUN, tmp_path)
+    csv_path = tmp_path / "energy.csv"
+    first = csv_path.read_bytes()
+    lines = first.decode().splitlines()
+    lines[4] = lines[4].replace(",", ",9", 1)  # row of step 3
+    csv_path.write_text("\n".join(lines) + "\n")
+    assert csv_path.read_bytes() != first
+    _run(RUN, tmp_path)
+    assert csv_path.read_bytes() == first

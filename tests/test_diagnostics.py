@@ -48,10 +48,11 @@ def test_energy_of_coordinate_interpolant():
 
 
 def test_energy_rejects_inadmissible_field(mesh2d_small):
-    u = np.zeros(mesh2d_small.n_vertices)
-    u[0] = 1.0 + 1e-9
-    with pytest.raises(ValueError):
-        discrete_energy(mesh2d_small, isotropic(2), 0.1, u)
+    for bad in (1.0 + 1e-9, math.nan):
+        u = np.zeros(mesh2d_small.n_vertices)
+        u[0] = bad
+        with pytest.raises(ValueError):
+            discrete_energy(mesh2d_small, isotropic(2), 0.1, u)
 
 
 def test_energy_nonnegative_random_fields(mesh2d_small):

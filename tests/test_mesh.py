@@ -100,5 +100,6 @@ def test_build_rejects_bad_arguments():
         build_uniform_mesh(2, 0.5, 0)
     with pytest.raises(ValueError):
         build_uniform_mesh(4, 0.5, 2)
-    with pytest.raises(ValueError):
-        build_uniform_mesh(2, -1.0, 2)
+    for half_width in (-1.0, 0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            build_uniform_mesh(2, half_width, 2)

@@ -340,12 +340,22 @@ def test_run_simulation_writes_manifest_on_solver_failure(mesh2d_medium,
             Circle((0.0, 0.0), 0.3))
     if strict:
         with pytest.raises(SolverFailure):
-            run_simulation(*args, out_dir=tmp_path)
+            run_simulation(*args, out_dir=tmp_path, config_text="tol = 1e-30")
     else:
-        assert run_simulation(*args, out_dir=tmp_path, strict=False).failed
+        assert run_simulation(*args, out_dir=tmp_path, strict=False,
+                              config_text="tol = 1e-30").failed
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == ("aborted" if strict else "failed")
     assert len(manifest["step_seconds"]) == 1
+
+
+def test_run_simulation_with_out_dir_needs_config_text(mesh2d_small, tmp_path):
+    # the run id and the directory guard come from the config text
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match="config_text"):
+        run_simulation(_ac_config(), mesh2d_small, isotropic(2),
+                       Circle((0.0, 0.0), 0.3), out_dir=out)
+    assert not out.exists()
 
 
 def test_scheme_config_validation():

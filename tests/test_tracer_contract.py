@@ -48,3 +48,23 @@ def test_tracer_counts_every_obstacle_round():
     assert "obstacle.coloring" not in names
     assert tracer.counts["obstacle.polish_rounds"] == sum(
         r.solver_iters for r in result.records)
+
+
+def test_tracer_sees_every_run_file_write(tmp_path):
+    cfg = SchemeConfig("allen_cahn", eps_inv=16.0 * math.pi, tau=1e-4,
+                       t_end=5e-4, snapshot_every=2)
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    tracer = _tracer()
+    try:
+        tracer.install()
+        result = run_simulation(cfg, mesh, make_regularized_l1(2, 0.01),
+                                Circle((0.0, 0.0), 0.3), out_dir=tmp_path,
+                                config_text="snapshot_every = 2")
+    finally:
+        tracer.uninstall()
+    names = [span[0] for span in tracer.spans]
+    assert len(result.snapshot_paths) == 3
+    assert names.count("output.vtk") == len(result.snapshot_paths)
+    # __init__, one write per row and close
+    assert names.count("output.csv") == len(result.records) + 2
+    assert names.count("output.manifest") == 1

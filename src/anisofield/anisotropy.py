@@ -40,7 +40,7 @@ class AnisotropyDensity:
     ----------
     matrices : array_like
         One d x d SPD matrix or a sequence of them, d in {2, 3}.  Each
-        matrix must be symmetric (checked, then stored exactly
+        matrix must be finite, symmetric (checked, then stored exactly
         symmetrized) and admit a Cholesky factorization.
 
     Instances are immutable and all methods are pure, so a single density
@@ -58,6 +58,8 @@ class AnisotropyDensity:
         dim = mats.shape[1]
         if dim not in (2, 3):
             raise ValueError(f"spatial dimension must be 2 or 3, got {dim}")
+        if not np.isfinite(mats).all():
+            raise ValueError("weight matrices must be finite")
         scale = np.abs(mats).max()
         if np.abs(mats - mats.transpose(0, 2, 1)).max() > 1e-12 * max(scale, 1.0):
             raise ValueError("weight matrices must be symmetric")
@@ -185,8 +187,8 @@ def make_regularized_l1(dim, delta):
     delta is a smoothed square (2d) or cube (3d).  delta must be positive;
     delta = 0 would make the weights singular.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0.0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     eye = np.eye(dim)
     mats = [delta**2 * eye + (1.0 - delta**2) * np.outer(eye[j], eye[j]) for j in range(dim)]
     return AnisotropyDensity(mats)

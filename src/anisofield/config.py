@@ -170,22 +170,19 @@ def parse_anisotropy_spec(spec, dim):
     try:
         if dim == 2:
             if len(args) != 1:
-                raise ConfigError(
-                    f"anisotropy spec {spec!r}: 2d rotation takes one angle")
+                raise ValueError("2d rotation takes one angle")
             rot = rotation_2d(math.radians(float(args[0])))
         else:
             if len(args) != 2:
-                raise ConfigError(
-                    f"anisotropy spec {spec!r}: 3d rotation takes axis,angle")
+                raise ValueError("3d rotation takes axis,angle")
             axis_names = {"x": 0, "y": 1, "z": 2, "0": 0, "1": 1, "2": 2}
             if args[0].strip() not in axis_names:
-                raise ConfigError(
-                    f"anisotropy spec {spec!r}: axis must be x, y, z or 0-2")
+                raise ValueError("axis must be x, y, z or 0-2")
             rot = rotation_3d(axis_names[args[0].strip()],
                               math.radians(float(args[1])))
+        return aniso.rotate(rot)
     except ValueError as exc:
         raise ConfigError(f"anisotropy spec {spec!r}: {exc}") from None
-    return aniso.rotate(rot)
 
 
 def _parse_matrices(section_value, dim):

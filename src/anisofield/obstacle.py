@@ -107,6 +107,14 @@ def pattern_coloring(matrix):
     return [np.flatnonzero(colors == c) for c in range(colors.max() + 1)]
 
 
+def _splu_symmetric(mat):
+    """Sparse LU with a symmetric fill-reducing ordering that prefers
+    diagonal pivots; every LU of both solvers goes through it, as all
+    their systems are symmetric."""
+    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+
+
 def _active_set(x, subsolve, kkt, tol, max_rounds):
     """Primal active-set loop shared by both constrained solvers.
 
@@ -155,8 +163,8 @@ def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
         x_new = act.astype(float)
         if inactive.size:
             pinned = a_mat @ x_new
-            sub = a_mat[inactive][:, inactive].tocsc()
-            x_new[inactive] = spla.splu(sub).solve(
+            x_new[inactive] = _splu_symmetric(
+                a_mat[inactive][:, inactive]).solve(
                 rhs[inactive] - pinned[inactive])
         return x_new, None
 
@@ -187,7 +195,7 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
                                 | ((x <= -1.0) & (g > 0.0))))
         d = np.zeros_like(x)
         try:
-            d[free] = -spla.splu(a_mat[free][:, free].tocsc()).solve(g[free])
+            d[free] = -_splu_symmetric(a_mat[free][:, free]).solve(g[free])
         except RuntimeError:
             break
         slope = float(g[free] @ d[free])
@@ -242,14 +250,6 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
     r = a_mat @ x - rhs
     mult = np.where(x >= 1.0, -r, np.where(x <= -1.0, r, 0.0))
     return ViSolution(x, mult, iterations, residual, ok)
-
-
-def _splu_symmetric(mat):
-    """Sparse LU with a symmetric fill-reducing ordering that prefers
-    diagonal pivots, for the symmetric (quasi-definite) systems of the
-    coupled step."""
-    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
 def factor_mobility(k_b, mass, boundary_mask=None):

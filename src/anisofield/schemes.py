@@ -310,12 +310,10 @@ def allen_cahn_step(state, ws):
     eps, tau = config.eps, config.tau
     k_aniso = assemble_anisotropic_stiffness(ws.mesh, ws.aniso, u_old,
                                              ws.aniso_blocks)
-    a_mat = (eps * k_aniso + sp.diags((eps / tau) * ws.mass)).tocsr()
-    if config.implicit:
-        a_mat = (a_mat - sp.diags(ws.mass / eps)).tocsr()
-        rhs = (eps / tau) * ws.mass * u_old
-    else:
-        rhs = ws.mass * ((eps / tau) + 1.0 / eps) * u_old
+    # the implicit variant moves M U / eps from the right side to the matrix
+    shift = eps / tau - (1.0 / eps if config.implicit else 0.0)
+    a_mat = (eps * k_aniso + sp.diags(shift * ws.mass)).tocsr()
+    rhs = ws.mass * (shift + 1.0 / eps) * u_old
     sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol)
     u = sol.solution
     w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * (u - u_old)

@@ -157,6 +157,9 @@ def test_make_regularized_l1_rejects_nonpositive_delta():
         make_regularized_l1(2, 0.0)
     with pytest.raises(ValueError):
         make_regularized_l1(3, -0.5)
+    for delta in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            make_regularized_l1(2, delta)
 
 
 def test_rotate_identity_keeps_matrices():
@@ -230,6 +233,9 @@ def test_construction_rejects_bad_input():
         AnisotropyDensity(-np.eye(2))  # not positive definite
     with pytest.raises(ValueError):
         AnisotropyDensity(np.eye(4))  # unsupported dimension
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            AnisotropyDensity(np.array([[bad, 0.0], [0.0, 1.0]]))  # not finite
 
 
 def test_matrices_are_read_only():

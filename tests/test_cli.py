@@ -113,6 +113,10 @@ NON_FINITE = {
     "center_nan": ("center = 0,0", "center = nan,0"),
     "uniform_nan": ("kind = circle\ncenter = 0,0\nradius = 0.3",
                     "kind = uniform\nvalue = nan"),
+    "l1reg_nan": ("spec = l1reg:0.3", "spec = l1reg:nan"),
+    "l1reg_inf": ("spec = l1reg:0.3", "spec = l1reg:inf"),
+    "rotation_nan": ("spec = l1reg:0.3", "spec = l1reg:0.3:rot=nan"),
+    "matrices_nan": ("spec = l1reg:0.3", "matrices = nan,0,0,1"),
 }
 
 

@@ -162,7 +162,8 @@ radius = 0.3
     assert setup.anisotropy.gamma(p) == pytest.approx(
         parse_config(text.replace(":rot=z,30", "")).anisotropy.gamma(p),
         rel=1e-12)
-    with pytest.raises(ConfigError):
+    # the spec is named once in the message
+    with pytest.raises(ConfigError, match=r"^anisotropy spec '[^']*': axis must"):
         parse_config(text.replace("rot=z,30", "rot=w,30"))
 
 

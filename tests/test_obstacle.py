@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from anisofield import (Circle, assemble_anisotropic_stiffness, build_uniform_mesh,
-                        initial_profile, isotropic, isotropic_stiffness,
-                        lumped_mass, solve_coupled_ch, solve_obstacle)
+from anisofield import (Circle, SchemeConfig, assemble_anisotropic_stiffness,
+                        build_uniform_mesh, initial_profile, isotropic,
+                        isotropic_stiffness, lumped_mass, make_regularized_l1,
+                        run_simulation, solve_coupled_ch, solve_obstacle)
+from anisofield import obstacle
 from anisofield.obstacle import (_active_set_polish, factor_mobility,
                                  kkt_violation, pattern_coloring)
 from conftest import enumerate_coupled_solution, projected_gradient_box_qp
@@ -341,3 +343,45 @@ def test_coupled_schur_deterministic(dirichlet):
     np.testing.assert_array_equal(u1, u2)
     np.testing.assert_array_equal(w1, w2)
     assert s1 == s2
+
+
+# -- one factorization policy ------------------------------------------
+
+
+def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
+    # the obstacle loop, its projected-Newton fallback, the mobility factor,
+    # the Schur preconditioners and the saddle LU all factor through the
+    # symmetric minimum-degree ordering in SymmetricMode
+    calls = []
+    splu = obstacle.spla.splu
+
+    def recording_splu(mat, *args, **kwargs):
+        calls.append((args, kwargs))
+        return splu(mat, *args, **kwargs)
+
+    monkeypatch.setattr(obstacle.spla, "splu", recording_splu)
+    counts = []
+    # rng seed 0: the loop cycles, so the fallback runs too
+    a_mat, rhs = _cycling_system(0)
+    a_mat = sp.csr_matrix(a_mat)
+    _, _, rounds, ok = _active_set_polish(a_mat, rhs, np.zeros(rhs.size), 1e-10)
+    sol = solve_obstacle(a_mat, rhs, tol=1e-10)
+    assert not ok and sol.converged and sol.iterations > rounds
+    counts.append(len(calls))
+    cfg = SchemeConfig("allen_cahn", eps_inv=16.0 * math.pi, tau=1e-4,
+                       t_end=3e-4)
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    run_simulation(cfg, mesh, make_regularized_l1(2, 0.01),
+                   Circle((0.0, 0.0), 0.3))
+    counts.append(len(calls))
+    u_old = initial_profile(mesh, cfg.eps, Circle((0.1, 0.0), 0.3))
+    args, kwargs = _schur_case(mesh, u_old, True)
+    assert solve_coupled_ch(*args, **kwargs)[2].converged
+    kwargs.pop("kb_lu")
+    assert solve_coupled_ch(*args, **kwargs)[2].converged
+    counts.append(len(calls))
+    assert 0 < counts[0] < counts[1] < counts[2]
+    for positional, keywords in calls:
+        assert positional == ()
+        assert keywords.get("permc_spec") == "MMD_AT_PLUS_A"
+        assert keywords.get("options", {}).get("SymmetricMode") is True

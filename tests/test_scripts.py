@@ -1,8 +1,9 @@
 """The reproduction scripts under ``scripts/`` run against the package.
 
 Each script is run as a subprocess on its smallest setting.  Left out:
-``coupled_schur.py fig4 --steps 1`` (about 6 s at N = 128) and the
-flow-clock ``circle`` and ``wulff`` runs (minutes).
+``coupled_schur.py fig4 --steps 1`` (about 6 s at N = 128), the
+flow-clock ``circle`` and ``wulff`` runs (minutes) and
+``obstacle_lu.py fallback`` (about 12 s).
 """
 
 import os
@@ -19,8 +20,10 @@ ROOT = Path(__file__).resolve().parents[1]
     ["flow_clock.py", "identity"],
     ["coupled_schur.py", "neumann", "--steps", "2"],
     ["coupled_schur.py", "ordering", "--count", "1", "--repeats", "1"],
+    ["obstacle_lu.py", "ordering", "--steps", "2"],
+    ["obstacle_lu.py", "newton", "--steps", "2"],
 ], ids=["flow_clock-identity", "coupled_schur-neumann",
-        "coupled_schur-ordering"])
+        "coupled_schur-ordering", "obstacle_lu-ordering", "obstacle_lu-newton"])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -48,6 +48,8 @@ def test_tracer_counts_every_obstacle_round():
     assert "obstacle.coloring" not in names
     assert tracer.counts["obstacle.polish_rounds"] == sum(
         r.solver_iters for r in result.records)
+    # every round factors its inactive block through the wrapped splu
+    assert names.count("obstacle.factor") == tracer.counts["obstacle.polish_rounds"]
 
 
 def test_tracer_sees_every_run_file_write(tmp_path):

@@ -1,22 +1,26 @@
 """Numbers behind the Schur-complement subsolve of the conserved step.
 
 With constant mobility ``solve_coupled_ch`` eliminates W and solves the
-inactive-set Schur complement by preconditioned CG, with K_b factored once
-per run; with degenerate mobility it factors the saddle system of every
+inactive-set Schur complement by preconditioned CG, with one solver of
+K_b per run (a fast transform on a Kuhn grid where it is exact, else an
+LU); with degenerate mobility it factors the saddle system of every
 active-set round.  Each subcommand prints the numbers that DECISIONS.md
-records, comparing the Schur path with the saddle path on the same inputs:
+records, comparing the Schur path with the saddle path on the same inputs,
+or, for ``transform``, the K_b LU with the transform solve:
 
     PYTHONPATH=src python scripts/coupled_schur.py fig4 --steps 8
     PYTHONPATH=src python scripts/coupled_schur.py neumann --steps 30
     PYTHONPATH=src python scripts/coupled_schur.py degenerate --steps 10
     PYTHONPATH=src python scripts/coupled_schur.py update --steps 3
     PYTHONPATH=src python scripts/coupled_schur.py ordering --count 8
+    PYTHONPATH=src python scripts/coupled_schur.py transform --n2 128 --n3 24
 
 ``fig4`` runs configs/fig4.cfg (Dirichlet, N = 128); ``neumann`` the
 setting of acceptance criterion 9 (natural boundary conditions, constant
 mobility, N = 64); ``degenerate`` and ``ordering`` configs/
-surface_diffusion.cfg (degenerate mobility, N = 64).  BLAS runs on one
-thread, as in the benchmark.
+surface_diffusion.cfg (degenerate mobility, N = 64); ``transform`` b0 K
+(b0 = 2) on 2d and 3d Kuhn grids under both boundary conditions.  BLAS
+runs on one thread, as in the benchmark.
 """
 
 import os
@@ -36,7 +40,8 @@ import anisofield.obstacle as obstacle
 from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
                         assemble_anisotropic_stiffness, build_uniform_mesh,
                         cahn_hilliard_step, initial_profile, initial_state,
-                        make_regularized_l1, parse_config)
+                        isotropic_stiffness, lumped_mass, make_regularized_l1,
+                        parse_config)
 from anisofield.schemes import MOBILITY_FLOOR, assemble_mobility_stiffness
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -144,6 +149,13 @@ def _compare(case, steps):
     return saddle, schur
 
 
+def _describe(solver):
+    """The K_b solver in use: the transform, or the LU with its fill."""
+    if isinstance(solver, spla.SuperLU):
+        return f"LU, dim {solver.shape[0]}, fill {solver.L.nnz + solver.U.nnz}"
+    return repr(solver)
+
+
 def cmd_fig4(args):
     case = _fig4_case()
     _compare(case, args.steps)
@@ -158,8 +170,7 @@ def cmd_fig4(args):
           f"{np.median([a[4] for a in default]):.3f} s, KKT residual "
           f"{min(a[3] for a in default):.1e} to "
           f"{max(a[3] for a in default):.1e}")
-    lu = Workspace(*case[:3]).mobility_factor
-    print(f"K_b factor: dim {lu.shape[0]}, fill {lu.L.nnz + lu.U.nnz}")
+    print(f"K_b solver: {_describe(Workspace(*case[:3]).mobility_factor)}")
 
 
 def cmd_neumann(args):
@@ -201,7 +212,7 @@ def cmd_degenerate(args):
         with counter:
             _, _, stats = obstacle.solve_coupled_ch(
                 ws.mass, k_b, k_aniso, state.u,
-                kb_lu=obstacle.factor_mobility(k_b, ws.mass), **kwargs)
+                kb_factor=obstacle.factor_mobility(k_b, ws.mass), **kwargs)
         state = cahn_hilliard_step(state, ws)
         print(f"step {state.n}: schur converged {stats.converged}, KKT "
               f"residual {stats.residual:.1e}, {stats.iterations} rounds, "
@@ -255,6 +266,47 @@ def cmd_ordering(args):
           f"each")
 
 
+def _median_seconds(func, repeats):
+    times = []
+    for _ in range(repeats):
+        tic = time.perf_counter()
+        func()
+        times.append(time.perf_counter() - tic)
+    return float(np.median(times))
+
+
+def cmd_transform(args):
+    """The K_b LU against the transform solve, one right side per case."""
+    print("case | K_b solver | LU factor | LU solve | transform solve | "
+          "max rel. diff")
+    for dim, n in ((2, args.n2), (3, args.n3)):
+        for dirichlet in (True, False):
+            mesh = build_uniform_mesh(dim, 0.5, n)
+            k_b = (2.0 * isotropic_stiffness(mesh)).tocsr()
+            mass = lumped_mass(mesh)
+            mask = mesh.boundary_mask if dirichlet else None
+            tic = time.perf_counter()
+            lu = obstacle.factor_mobility(k_b, mass, mask)
+            t_factor = time.perf_counter() - tic
+            f = np.random.default_rng(0).standard_normal(lu.shape[0])
+            if not dirichlet:
+                f[-1] = 0.0  # the layout of solve_coupled_ch
+            ref = lu.solve(f)
+            t_lu = _median_seconds(lambda: lu.solve(f), args.repeats)
+            solver = obstacle.mobility_solver(k_b, mass, dim, mask)
+            case = (f"{dim}d N={n} {'Dirichlet' if dirichlet else 'natural'}"
+                    f"{'' if dirichlet else ', bordered'}")
+            row = (f"{case} | {_describe(solver)} | {1e3 * t_factor:.1f} ms | "
+                   f"{1e3 * t_lu:.2f} ms | ")
+            if isinstance(solver, spla.SuperLU):
+                print(row + "- | -")
+                continue
+            t_tr = _median_seconds(lambda: solver.solve(f), args.repeats)
+            diff = np.abs(solver.solve(f) - ref).max() / np.abs(ref).max()
+            print(row + f"{1e3 * t_tr:.2f} ms | {diff:.1e}")
+    print(f"median of {args.repeats} solves; one factorization each")
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -269,6 +321,11 @@ def main():
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(func=cmd_ordering)
+    p = sub.add_parser("transform")
+    p.add_argument("--n2", type=int, default=128)
+    p.add_argument("--n3", type=int, default=24)
+    p.add_argument("--repeats", type=int, default=20)
+    p.set_defaults(func=cmd_transform)
     args = parser.parse_args()
     args.func(args)
 

@@ -188,7 +188,8 @@ def parse_anisotropy_spec(spec, dim):
 def _parse_matrices(section_value, dim):
     mats = []
     for chunk in section_value.split(";"):
-        entries = [float(p) for p in chunk.split(",") if p.strip()]
+        entries = [_as_float("anisotropy", "matrices", p)
+                   for p in chunk.split(",") if p.strip()]
         if len(entries) != dim * dim:
             raise ConfigError(
                 f"[anisotropy] matrices: each matrix needs {dim * dim} "

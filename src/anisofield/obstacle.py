@@ -15,26 +15,32 @@ differ only in the subsolve of each round:
   conserved schemes: a lumped mass equation for (U, W) together with the
   box-constrained variational inequality for U.  With constant mobility
   each round eliminates W and solves the SPD Schur complement on the
-  inactive set by preconditioned CG, with the mobility stiffness factored
-  once per run (:func:`factor_mobility`); with degenerate mobility it
-  solves the saddle system on the inactive set by a sparse LU.
+  inactive set by preconditioned CG, with one solver of the mobility
+  stiffness per run (:func:`mobility_solver`: fast sine or cosine
+  transforms on a lexicographic Kuhn grid, else the LU of
+  :func:`factor_mobility`); with degenerate mobility it solves the saddle
+  system on the inactive set by a sparse LU.
 
 Both are deterministic: fixed inputs give bit-identical results.
 Convergence is measured by the componentwise KKT violation
 (stationarity at inactive nodes, multiplier sign at active nodes).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 __all__ = [
     "ViSolution",
     "SolverStats",
+    "GridTransform",
     "factor_mobility",
     "kkt_violation",
+    "mobility_solver",
     "pattern_coloring",
     "solve_obstacle",
     "solve_coupled_ch",
@@ -253,12 +259,14 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
 
 
 def factor_mobility(k_b, mass, boundary_mask=None):
-    """LU of a constant mobility stiffness for :func:`solve_coupled_ch`.
+    """LU of a mobility stiffness for :func:`solve_coupled_ch`.
 
     With W prescribed on the boundary this factors K_b on the interior
     nodes.  With natural boundary conditions the constants span the
     kernel of K_b, so it is bordered by the mass vector: the factored
-    matrix is [[K_b, M 1], [(M 1)^T, 0]].
+    matrix is [[K_b, M 1], [(M 1)^T, 0]].  A constant mobility stiffness
+    takes this LU only where :func:`mobility_solver` finds no exact
+    transform.
     """
     k_b = k_b.tocsr()
     if boundary_mask is not None:
@@ -266,6 +274,101 @@ def factor_mobility(k_b, mass, boundary_mask=None):
         return _splu_symmetric(k_b[wdofs][:, wdofs])
     return _splu_symmetric(sp.bmat([[k_b, mass[:, None]],
                                     [mass[None, :], None]]))
+
+
+class GridTransform:
+    """Exact solve with a Kronecker sum of 1d second differences by fast
+    transforms, in the layout of :func:`factor_mobility`'s LU.
+
+    Without ``mass`` the matrix is scale (T + ... + T) on the grid
+    ``shape``, T = tridiag(-1, 2, -1) along each axis: the interior block
+    of the P1 stiffness of a lexicographic Kuhn grid with N cells per axis
+    (scale 1 in 2d, h in 3d).  The orthonormal DST-I diagonalizes it, with
+    eigenvalues scale sum_axes (2 - 2 cos(k pi / N)), k = 1, ..., N-1
+    (Buzbee, Golub & Nielson, SIAM J. Numer. Anal. 7, 1970).
+
+    With ``mass`` the matrix is scale sum_axes D x ... x T_N x ... x D,
+    T_N the second difference with corner entries 1 and
+    D = diag(1/2, 1, ..., 1, 1/2): the natural-boundary P1 stiffness of a
+    2d Kuhn grid.  The DCT-I solves T_N v = mu D v, k = 0, ..., N
+    (Strang, SIAM Review 41, 1999), so the symmetric scaling by D^(-1/2)
+    makes it diagonal.  The system is bordered by the real lumped
+    ``mass``, as in :func:`factor_mobility`: the multiplier of the right
+    side [f, g] is sum(f) / sum(mass), the constant mode is dropped and W's
+    constant then set so that mass . W = g.
+    """
+
+    def __init__(self, shape, scale, mass=None):
+        self.shape = shape
+        self.mass = mass
+        cells = shape[0] + 1 if mass is None else shape[0] - 1
+        k = np.arange(1, cells) if mass is None else np.arange(cells + 1)
+        mu = 2.0 - 2.0 * np.cos(k * np.pi / cells)
+        eig = scale * sum(mu.reshape((-1,) + (1,) * axis)
+                          for axis in range(len(shape)))
+        if mass is not None:
+            eig.flat[0] = np.inf  # the constants, W's kernel: mode dropped
+        self._inv_eig = 1.0 / eig
+        if mass is not None:
+            d_inv_sqrt = np.ones(shape[0])
+            d_inv_sqrt[[0, -1]] = math.sqrt(2.0)
+            self._weight = math.prod(d_inv_sqrt.reshape((-1,) + (1,) * axis)
+                                     for axis in range(len(shape)))
+            self._total = mass.sum()
+
+    def __repr__(self):
+        kind = "DST-I" if self.mass is None else "DCT-I, bordered"
+        return f"GridTransform({kind}, grid {'x'.join(map(str, self.shape))})"
+
+    def solve(self, f):
+        if self.mass is None:
+            y = scipy.fft.dstn(f.reshape(self.shape), type=1, norm="ortho")
+            y *= self._inv_eig
+            return scipy.fft.dstn(y, type=1, norm="ortho").ravel()
+        rhs, g = f[:-1], f[-1]
+        lam = rhs.sum() / self._total
+        y = scipy.fft.dctn((rhs - lam * self.mass).reshape(self.shape)
+                           * self._weight, type=1, norm="ortho")
+        y *= self._inv_eig
+        w = (scipy.fft.dctn(y, type=1, norm="ortho") * self._weight).ravel()
+        w += (g - self.mass @ w) / self._total
+        return np.append(w, lam)
+
+
+def mobility_solver(k_b, mass, dim, boundary_mask=None):
+    """The run's solver of a constant mobility stiffness, in the layout of
+    :func:`factor_mobility`'s LU (``.solve`` of the W dofs, with the
+    multiplier last under natural boundary conditions).
+
+    A :class:`GridTransform` on the grid that the size of ``k_b`` implies,
+    with the scale read off its largest diagonal entry (2 dim scale), is
+    accepted only if it reproduces ``k_b``: on a fixed-seed probe x (with
+    a zero multiplier under natural boundary conditions), solving with
+    the system of x must return x to 1e-10 relative.  That holds on a
+    lexicographic Kuhn grid with W prescribed on the boundary (2d and 3d)
+    or with natural boundary conditions in 2d.  Elsewhere (3d natural
+    boundary conditions, whose boundary rows are not of Kronecker form,
+    or any other vertex order) this is :func:`factor_mobility`.
+    """
+    k_b = k_b.tocsr()
+    nodes = round(k_b.shape[0] ** (1.0 / dim))
+    if boundary_mask is None:
+        k, shape, border = k_b, (nodes,) * dim, mass
+    else:
+        wdofs = np.flatnonzero(~boundary_mask)
+        k, shape, border = k_b[wdofs][:, wdofs], (nodes - 2,) * dim, None
+    # the scale is read at an interior node, so the grid needs one
+    if nodes >= 3 and math.prod(shape) == k.shape[0]:
+        solver = GridTransform(shape, k.diagonal().max() / (2 * dim), border)
+        probe = np.random.default_rng(0).standard_normal(k.shape[0])
+        rhs = k @ probe
+        if border is not None:
+            # a zero multiplier: the transform gives any multiplier exactly
+            probe, rhs = np.append(probe, 0.0), np.append(rhs, border @ probe)
+        error = np.abs(solver.solve(rhs) - probe).max()
+        if error <= 1e-10 * np.abs(probe).max():
+            return solver
+    return factor_mobility(k_b, mass, boundary_mask)
 
 
 def _projected_cg(apply, b, x, precond, tol, max_iter=500):
@@ -301,7 +404,7 @@ def _projected_cg(apply, b, x, precond, tol, max_iter=500):
 
 def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                      c_psi=np.pi / 2, w_bdry=None, boundary_mask=None,
-                     tol=1e-9, max_iter=100, implicit=False, kb_lu=None):
+                     tol=1e-9, max_iter=100, implicit=False, kb_factor=None):
     """Solve one coupled conserved step for (U, W) by a primal active-set loop.
 
     The discrete system is the lumped mass equation
@@ -319,13 +422,15 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
 
     Each round's equations are solved one of two ways:
 
-    * ``kb_lu`` given (constant mobility; :func:`factor_mobility` of
-      ``k_b``): W is eliminated, and U on the inactive set I solves the
-      SPD Schur complement eps K_aniso,II + (c^2 tau/theta) M_I [K_b^-1]_II
-      M_I by preconditioned CG to a max-norm residual of ``tol``/20, one
-      solve with ``kb_lu`` per iteration.  With natural boundary
-      conditions the CG is projected onto the mass constraint.  W is then
-      recovered from the mass equation with ``kb_lu``, its constant (natural
+    * ``kb_factor`` given (constant mobility; :func:`mobility_solver` of
+      ``k_b``, or any object with the ``.solve`` of
+      :func:`factor_mobility`'s LU): W is eliminated, and U on the
+      inactive set I solves the SPD Schur complement
+      eps K_aniso,II + (c^2 tau/theta) M_I [K_b^-1]_II M_I by
+      preconditioned CG to a max-norm residual of ``tol``/20, one solve
+      with ``kb_factor`` per iteration.  With natural boundary conditions
+      the CG is projected onto the mass constraint.  W is then recovered
+      from the mass equation with ``kb_factor``, its constant (natural
       boundary conditions) from the inactive rows.
     * otherwise (degenerate mobility, where a floored K_b is too ill
       conditioned for CG): one sparse LU of the symmetric saddle system in
@@ -357,7 +462,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                 "conserved step unsolvable: nodal mass of u_old fills the domain")
         wdofs = np.arange(n)
         w_fixed = np.zeros(n)
-    if implicit and kb_lu is not None:
+    if implicit and kb_factor is not None:
         raise ValueError("the Schur-complement path needs the explicit potential")
 
     k_b = k_b.tocsr()
@@ -366,15 +471,16 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     rhs_mass = -c * mass[wdofs] * u_old[wdofs]
     if dirichlet:
         rhs_mass += scale * (k_b[wdofs] @ w_fixed)
-    kb_ww = -scale * k_b[wdofs][:, wdofs] if kb_lu is None else None
+    kb_ww = -scale * k_b[wdofs][:, wdofs] if kb_factor is None else None
 
-    def mass_solve(lu, f):
-        """W on the W dofs, zero elsewhere, with -scale K_b W = f, by the
-        factor ``lu`` of :func:`factor_mobility`; with natural boundary
-        conditions the W of zero mass-weighted mean, any nonzero sum of f
-        going to the multiplier of that constraint."""
+    def mass_solve(factor, f):
+        """W on the W dofs, zero elsewhere, with -scale K_b W = f, by
+        ``factor`` in the layout of :func:`factor_mobility`; with natural
+        boundary conditions the W of zero mass-weighted mean, any nonzero
+        sum of f going to the multiplier of that constraint."""
         w = np.zeros(n)
-        sol = lu.solve(-f / scale if dirichlet else np.append(-f / scale, 0.0))
+        sol = factor.solve(-f / scale if dirichlet
+                           else np.append(-f / scale, 0.0))
         w[wdofs] = sol[:wdofs.size]
         return w
 
@@ -396,9 +502,9 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         def apply(x):
             coupled[inactive] = x
             return s11 @ x - c * m_i * mass_solve(
-                kb_lu, c * mass[wdofs] * coupled[wdofs])[inactive]
+                kb_factor, c * mass[wdofs] * coupled[wdofs])[inactive]
 
-        b = rhs1 + c * m_i * mass_solve(kb_lu, rhs2)[inactive]
+        b = rhs1 + c * m_i * mass_solve(kb_factor, rhs2)[inactive]
         if dirichlet:
             # s11 plus a lower bound for the diagonal of the coupling term,
             # nonsingular even when every node is inactive
@@ -421,7 +527,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
             x0 = lu.solve(np.append(b, mass @ (u_old - u)))[:-1]
             x = _projected_cg(apply, b, x0, precond, tol / 20.0)
         u[inactive] = x
-        w = w_fixed + mass_solve(kb_lu, rhs_mass + c * mass[wdofs] * u[wdofs])
+        w = w_fixed + mass_solve(kb_factor,
+                                 rhs_mass + c * mass[wdofs] * u[wdofs])
         if not dirichlet:
             # W's constant: the least-squares fit to the inactive VI rows
             r = s11 @ x - rhs1 - c * m_i * w[inactive]
@@ -432,16 +539,16 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         u_pin = act.astype(float)
         rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
         if inactive.size == 0:
-            lu = (factor_mobility(k_b, mass, boundary_mask) if kb_lu is None
-                  else kb_lu)
-            return u_pin, w_fixed + mass_solve(lu, rhs2)
+            factor = (factor_mobility(k_b, mass, boundary_mask)
+                      if kb_factor is None else kb_factor)
+            return u_pin, w_fixed + mass_solve(factor, rhs2)
         s11 = eps * k_aniso[inactive][:, inactive]
         if implicit:
             s11 = s11 - sp.diags(mass[inactive] / eps)
         rhs1 = mass[inactive] * ((0.0 if implicit else u_old[inactive] / eps)
                                  + c * w_fixed[inactive])
         rhs1 -= eps * (k_aniso[inactive] @ u_pin)
-        round_solve = saddle_round if kb_lu is None else schur_round
+        round_solve = saddle_round if kb_factor is None else schur_round
         return u_pin, round_solve(u_pin, inactive, s11, rhs1, rhs2)
 
     def kkt(u_clip, w):

@@ -34,7 +34,7 @@ from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
                   isotropic_block, isotropic_stiffness, lumped_mass,
                   stiffness_blocks)
 # nothing in the package calls pattern_coloring; the benchmark tracer wraps it
-from .obstacle import (SolverStats, factor_mobility, pattern_coloring,
+from .obstacle import (SolverStats, mobility_solver, pattern_coloring,
                        solve_coupled_ch, solve_obstacle)
 
 __all__ = [
@@ -236,7 +236,9 @@ class Workspace:
     change during a run, so neither does anything built from them alone:
     the mass vector, built here, and, built on first use, the isotropic
     element block, the element blocks of ``aniso``'s weight matrices, the
-    constant mobility stiffness b0 K and its factor.
+    constant mobility stiffness b0 K and its solver: fast transforms on a
+    Kuhn grid with W prescribed on the boundary or, in 2d, natural
+    boundary conditions, and an LU otherwise (see ``mobility_solver``).
     """
 
     def __init__(self, mesh, aniso, config):
@@ -262,9 +264,10 @@ class Workspace:
 
     @functools.cached_property
     def mobility_factor(self):
-        """LU of b0 K on the W dofs (see ``factor_mobility``)."""
+        """Solver of b0 K on the W dofs (see ``mobility_solver``)."""
         dirichlet = self.config.w_bdry is not None
-        return factor_mobility(self.mobility_stiffness, self.mass,
+        return mobility_solver(self.mobility_stiffness, self.mass,
+                               self.mesh.dim,
                                self.mesh.boundary_mask if dirichlet else None)
 
 
@@ -333,7 +336,7 @@ def cahn_hilliard_step(state, ws):
     tolerance.  With degenerate mobility the potential W is not unique
     where the mobility vanishes; the assembled mobility is floored at
     MOBILITY_FLOOR and the regularization is recorded in the step
-    statistics.  Constant mobility solves with the run's factor of b0 K
+    statistics.  Constant mobility solves with the run's solver of b0 K
     (see ``solve_coupled_ch``), except in the ``implicit`` variant.
     """
     config, mesh = ws.config, ws.mesh
@@ -341,11 +344,11 @@ def cahn_hilliard_step(state, ws):
     eps, tau = config.eps, config.tau
     dirichlet = config.w_bdry is not None
     regularized = False
-    kb_lu = None
+    kb_factor = None
     if config.mobility == "constant":
         k_b = ws.mobility_stiffness
         if not config.implicit:
-            kb_lu = ws.mobility_factor
+            kb_factor = ws.mobility_factor
     else:
         regularized = bool(np.any(1.0 - u_old * u_old < MOBILITY_FLOOR))
         k_b = assemble_mobility_stiffness(
@@ -358,7 +361,7 @@ def cahn_hilliard_step(state, ws):
         theta=config.theta, tau=tau, eps=eps, alpha=config.alpha,
         c_psi=config.c_psi, w_bdry=config.w_bdry,
         boundary_mask=mesh.boundary_mask if dirichlet else None,
-        tol=config.tol, implicit=config.implicit, kb_lu=kb_lu)
+        tol=config.tol, implicit=config.implicit, kb_factor=kb_factor)
     if dirichlet:
         dissipation = tau * float(w @ (k_b @ w))
     else:

@@ -117,6 +117,7 @@ NON_FINITE = {
     "l1reg_inf": ("spec = l1reg:0.3", "spec = l1reg:inf"),
     "rotation_nan": ("spec = l1reg:0.3", "spec = l1reg:0.3:rot=nan"),
     "matrices_nan": ("spec = l1reg:0.3", "matrices = nan,0,0,1"),
+    "matrices_word": ("spec = l1reg:0.3", "matrices = abc,0,0,1"),
 }
 
 

@@ -81,6 +81,12 @@ matrices = 1,0,0,1 ; 0.25,0.1,0.1,2.0
                                   setup.anisotropy.matrices)
 
 
+def test_malformed_matrix_entry_names_its_key():
+    with pytest.raises(ConfigError,
+                       match=r"^\[anisotropy\] matrices: not a number: 'abc'"):
+        parse_config("[anisotropy]\nmatrices = abc,0,0,1\n" + MINIMAL)
+
+
 def test_theta_eps_token():
     setup = parse_config(MINIMAL.replace("t_end = 0.05",
                                          "t_end = 0.05\ntheta = eps"))

@@ -5,14 +5,19 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from anisofield import (Circle, SchemeConfig, assemble_anisotropic_stiffness,
-                        build_uniform_mesh, initial_profile, isotropic,
-                        isotropic_stiffness, lumped_mass, make_regularized_l1,
-                        run_simulation, solve_coupled_ch, solve_obstacle)
+from anisofield import (Circle, SchemeConfig, SimplicialMesh,
+                        assemble_anisotropic_stiffness, build_uniform_mesh,
+                        initial_profile, isotropic, isotropic_stiffness,
+                        lumped_mass, make_regularized_l1, run_simulation,
+                        solve_coupled_ch, solve_obstacle)
 from anisofield import obstacle
-from anisofield.obstacle import (_active_set_polish, factor_mobility,
-                                 kkt_violation, pattern_coloring)
+from anisofield.obstacle import (GridTransform, _active_set_polish,
+                                 factor_mobility, kkt_violation,
+                                 mobility_solver, pattern_coloring)
 from conftest import enumerate_coupled_solution, projected_gradient_box_qp
 
 
@@ -251,10 +256,99 @@ def test_coupled_nonconvergence_is_flagged():
     assert stats.iterations == 3
 
 
+# -- constant mobility solves: transform and LU ------------------------
+
+
+def _lu_factor(k_b, mass, mesh, mask):
+    return factor_mobility(k_b, mass, mask)
+
+
+def _transform_factor(k_b, mass, mesh, mask):
+    solver = mobility_solver(k_b, mass, mesh.dim, mask)
+    assert isinstance(solver, GridTransform)
+    return solver
+
+
+# the two solvers of the Schur path with b0 K: each test that runs the
+# path on both loops over them
+FACTORS = (_lu_factor, _transform_factor)
+
+
+def _mobility_case(dim, n, dirichlet, b0=2.0):
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    k_b = (b0 * isotropic_stiffness(mesh)).tocsr()
+    mask = mesh.boundary_mask if dirichlet else None
+    return mesh, k_b, lumped_mass(mesh), mask
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (3, 6)])
+def test_transform_matches_lu_dirichlet(dim, n):
+    mesh, k_b, mass, mask = _mobility_case(dim, n, True)
+    transform = _transform_factor(k_b, mass, mesh, mask)
+    f = np.random.default_rng(1).standard_normal(np.count_nonzero(~mask))
+    ref = factor_mobility(k_b, mass, mask).solve(f)
+    assert np.abs(transform.solve(f) - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_transform_matches_lu_natural_2d():
+    # a right side with nonzero sum and a nonzero last (mass) entry: the
+    # multiplier, W's constant and the rest must all match the bordered LU
+    mesh, k_b, mass, _ = _mobility_case(2, 16, False)
+    transform = _transform_factor(k_b, mass, mesh, None)
+    f = np.random.default_rng(2).standard_normal(mesh.n_vertices + 1) + 0.5
+    ref = factor_mobility(k_b, mass).solve(f)
+    sol = transform.solve(f)
+    assert np.abs(sol - ref).max() <= 1e-11 * np.abs(ref).max()
+    assert abs(sol[-1] - ref[-1]) <= 1e-11 * abs(ref[-1])
+    assert abs(sol[-1]) > 0.1
+
+
+@settings(deadline=None, database=None, derandomize=True)
+@given(n=st.integers(2, 24), b0=st.floats(1e-3, 1e3),
+       dirichlet=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_transform_inverts_the_mobility_stiffness(n, b0, dirichlet, seed):
+    mesh, k_b, mass, mask = _mobility_case(2, n, dirichlet, b0)
+    transform = _transform_factor(k_b, mass, mesh, mask)
+    rng = np.random.default_rng(seed)
+    if dirichlet:
+        wdofs = np.flatnonzero(~mask)
+        x = rng.standard_normal(wdofs.size)
+        sol = transform.solve(k_b[wdofs][:, wdofs] @ x)
+    else:
+        # a multiplier whose border term is of the size of K_b x, so the
+        # right side determines it to full precision
+        lam = b0 * n * n * rng.standard_normal()
+        x = rng.standard_normal(mesh.n_vertices)
+        sol = transform.solve(np.append(k_b @ x + lam * mass, mass @ x))
+        assert abs(sol[-1] - lam) <= 1e-11 * abs(lam)
+        sol = sol[:-1]
+    assert np.abs(sol - x).max() <= 1e-11 * np.abs(x).max()
+
+
+def test_mobility_solver_keeps_the_lu_elsewhere():
+    # 3d natural boundary conditions: the boundary rows are not of
+    # Kronecker form; a vertex-shuffled Kuhn grid: not lexicographic
+    mesh, k_b, mass, _ = _mobility_case(3, 6, False)
+    assert isinstance(mobility_solver(k_b, mass, 3), spla.SuperLU)
+    mesh = build_uniform_mesh(2, 0.5, 8)
+    perm = np.random.default_rng(3).permutation(mesh.n_vertices)
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(mesh.n_vertices)
+    shuffled = SimplicialMesh(mesh.dim, mesh.half_width, mesh.subdivisions,
+                              mesh.vertices[perm].copy(),
+                              inv[mesh.elements].copy(),
+                              mesh.boundary_mask[perm].copy())
+    k_b = (2.0 * isotropic_stiffness(shuffled)).tocsr()
+    mass = lumped_mass(shuffled)
+    for mask in (None, shuffled.boundary_mask):
+        solver = mobility_solver(k_b, mass, 2, mask)
+        assert isinstance(solver, spla.SuperLU)
+
+
 # -- coupled solver, Schur-complement path (constant mobility) --------
 
 
-def _schur_case(mesh, u_old, dirichlet, w_bdry=-1.0):
+def _schur_case(mesh, u_old, dirichlet, w_bdry=-1.0, make_factor=_lu_factor):
     """Inputs of a constant-mobility step (b0 = 2) and the matching factor."""
     eps = 1.0 / (16.0 * math.pi)
     mass, k_b, k_aniso = _coupled_inputs(mesh, u_old, b0=2.0)
@@ -262,7 +356,7 @@ def _schur_case(mesh, u_old, dirichlet, w_bdry=-1.0):
     mask = mesh.boundary_mask if dirichlet else None
     if dirichlet:
         kwargs.update(w_bdry=w_bdry, boundary_mask=mask)
-    kwargs["kb_lu"] = factor_mobility(k_b, mass, mask)
+    kwargs["kb_factor"] = make_factor(k_b, mass, mesh, mask)
     return (mass, k_b, k_aniso, u_old), kwargs
 
 
@@ -272,14 +366,16 @@ def test_coupled_schur_matches_dense_enumeration_oracle():
     u_old = np.clip(rng.uniform(-1.4, 1.4, mesh.n_vertices), -1.0, 1.0)
     theta, tau, eps, alpha = 1.0, 1e-3, 0.1, 1.0
     mass, k_b, k_aniso = _coupled_inputs(mesh, u_old)
-    u, w, stats = solve_coupled_ch(mass, k_b, k_aniso, u_old, theta=theta,
-                                   tau=tau, eps=eps, alpha=alpha, tol=1e-10,
-                                   kb_lu=factor_mobility(k_b, mass))
-    assert stats.converged
     u_ref, w_ref = enumerate_coupled_solution(
         mass, k_b, k_aniso, u_old, theta, tau, eps, alpha, math.pi / 2)
-    assert np.abs(u - u_ref).max() <= 1e-8
-    assert np.abs(w - w_ref).max() <= 1e-8
+    for make_factor in FACTORS:
+        u, w, stats = solve_coupled_ch(
+            mass, k_b, k_aniso, u_old, theta=theta, tau=tau, eps=eps,
+            alpha=alpha, tol=1e-10,
+            kb_factor=make_factor(k_b, mass, mesh, None))
+        assert stats.converged
+        assert np.abs(u - u_ref).max() <= 1e-8
+        assert np.abs(w - w_ref).max() <= 1e-8
 
 
 @pytest.mark.parametrize("dirichlet", [False, True], ids=["natural", "dirichlet"])
@@ -292,16 +388,19 @@ def test_coupled_schur_matches_saddle_path(dirichlet, center):
     eps = 1.0 / (16.0 * math.pi)
     u_old = initial_profile(mesh, eps, Circle(center, 0.3))
     args, kwargs = _schur_case(mesh, u_old, dirichlet)
-    u, w, stats = solve_coupled_ch(*args, **kwargs)
-    kwargs.pop("kb_lu")
+    kwargs.pop("kb_factor")
     u_ref, w_ref, ref = solve_coupled_ch(*args, **kwargs)
-    assert stats.converged and stats.residual <= 1e-9
-    assert stats.iterations == ref.iterations
-    assert np.abs(u - u_ref).max() <= 1e-9
-    assert np.abs(w - w_ref).max() <= 2e-8
-    if not dirichlet:
-        mass = args[0]
-        assert abs(mass @ u - mass @ u_old) <= 1e-14
+    for make_factor in FACTORS:
+        args, kwargs = _schur_case(mesh, u_old, dirichlet,
+                                   make_factor=make_factor)
+        u, w, stats = solve_coupled_ch(*args, **kwargs)
+        assert stats.converged and stats.residual <= 1e-9
+        assert stats.iterations == ref.iterations
+        assert np.abs(u - u_ref).max() <= 1e-9
+        assert np.abs(w - w_ref).max() <= 2e-8
+        if not dirichlet:
+            mass = args[0]
+            assert abs(mass @ u - mass @ u_old) <= 1e-14
 
 
 @pytest.mark.parametrize("dirichlet", [False, True], ids=["natural", "dirichlet"])
@@ -377,7 +476,7 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     u_old = initial_profile(mesh, cfg.eps, Circle((0.1, 0.0), 0.3))
     args, kwargs = _schur_case(mesh, u_old, True)
     assert solve_coupled_ch(*args, **kwargs)[2].converged
-    kwargs.pop("kb_lu")
+    kwargs.pop("kb_factor")
     assert solve_coupled_ch(*args, **kwargs)[2].converged
     counts.append(len(calls))
     assert 0 < counts[0] < counts[1] < counts[2]

@@ -20,10 +20,13 @@ ROOT = Path(__file__).resolve().parents[1]
     ["flow_clock.py", "identity"],
     ["coupled_schur.py", "neumann", "--steps", "2"],
     ["coupled_schur.py", "ordering", "--count", "1", "--repeats", "1"],
+    ["coupled_schur.py", "transform", "--n2", "16", "--n3", "6",
+     "--repeats", "1"],
     ["obstacle_lu.py", "ordering", "--steps", "2"],
     ["obstacle_lu.py", "newton", "--steps", "2"],
 ], ids=["flow_clock-identity", "coupled_schur-neumann",
-        "coupled_schur-ordering", "obstacle_lu-ordering", "obstacle_lu-newton"])
+        "coupled_schur-ordering", "coupled_schur-transform",
+        "obstacle_lu-ordering", "obstacle_lu-newton"])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

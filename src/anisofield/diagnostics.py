@@ -17,7 +17,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
-from .fem import lumped_mass
+from .fem import interface_band, lumped_mass
 
 __all__ = [
     "EnergyReport",
@@ -52,22 +52,25 @@ class EnergyReport:
         return replace(self, f_gamma_h=f_value)
 
 
-def discrete_energy(mesh, aniso, eps, u, mass=None):
+def discrete_energy(mesh, aniso, eps, u, mass=None, band=None):
     """Discrete interface energy of ``u`` in K^h.
 
-    Gradient term eps/2 * sum_sigma |sigma| gamma(grad u|_sigma)^2 plus
+    Gradient term eps/2 * sum_sigma |sigma| gamma(grad u|_sigma)^2, summed
+    over the elements of ``interface_band`` (the others add exactly 0), plus
     lumped potential eps^(-1) * sum_j M_j (1 - u_j^2)/2.  Values outside
     [-1, 1] by more than 1e-12, and NaN, are rejected; smaller excursions are
     projected so the potential stays nonnegative.  ``mass`` is the lumped
-    mass vector of the mesh, computed here when not given.
+    mass vector of the mesh and ``band`` is ``interface_band(mesh, u)``,
+    each computed here when not given.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError("field length does not match vertex count")
     if not np.abs(u).max() <= 1.0 + _KH_SLACK:  # also refuses NaN
         raise ValueError("field leaves the admissible set K^h")
-    grads = mesh.element_gradients(u)
-    grad_energy = 0.5 * eps * float(mesh.element_volume @ aniso.gamma(grads) ** 2)
+    band, grads = interface_band(mesh, u) if band is None else band
+    grad_energy = 0.5 * eps * float(
+        mesh.element_volume[band] @ aniso.gamma(grads) ** 2)
     m = lumped_mass(mesh) if mass is None else mass
     uc = np.clip(u, -1.0, 1.0)
     pot_energy = float(m @ (0.5 * (1.0 - uc * uc))) / eps

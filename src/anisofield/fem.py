@@ -8,9 +8,17 @@ Every stiffness here is a sum over elements of w_sigma T_sigma, with
 per-element weights w that change from step to step and exactly
 symmetric element blocks T that depend only on the mesh and the weight
 matrices.  The blocks are built once (``stiffness_blocks``), and each
-assembly is one weighted ``bincount`` into the mesh's fixed CSR pattern
+assembly is a weighted ``bincount`` into the mesh's fixed CSR pattern
 (``SimplicialMesh.slot_map``).  Summation follows the element order for
 every entry, so the result is exactly symmetric and deterministic.
+
+The anisotropic stiffness is split into a far field and a band.  With the
+obstacle potential U is exactly +-1 outside a thin interface band, and on
+an element whose vertex values are all equal the linearization takes its
+B(0) = L sum_l G_l branch.  So the B(0) stiffness of the whole mesh, L
+sum_l K_l, is built once per run (``far_field_stiffness``), and each step
+adds only the correction sum_l (c_l - L) T_l of the band elements found
+by ``interface_band``.
 """
 
 import numpy as np
@@ -21,6 +29,8 @@ __all__ = [
     "stiffness_blocks",
     "isotropic_block",
     "isotropic_stiffness",
+    "interface_band",
+    "far_field_stiffness",
     "assemble_anisotropic_stiffness",
     "assemble_mobility_stiffness",
 ]
@@ -57,11 +67,16 @@ def isotropic_block(mesh):
     return stiffness_blocks(mesh, np.eye(mesh.dim)[None])[0]
 
 
-def _assemble(mesh, local):
-    """CSR matrix of the element blocks ``local`` (n_elements, d+1, d+1)."""
+def _scatter(mesh, local, subset=slice(None)):
+    """CSR data of the element blocks ``local`` of the elements ``subset``."""
     slot_map = mesh.slot_map
-    data = np.bincount(slot_map.slots.ravel(), weights=local.ravel(),
+    return np.bincount(slot_map.slots[subset].ravel(), weights=local.ravel(),
                        minlength=slot_map.nnz)
+
+
+def _csr(mesh, data):
+    """The P1 matrix with CSR data ``data`` in the mesh's fixed pattern."""
+    slot_map = mesh.slot_map
     return sp.csr_matrix(
         (data, slot_map.indices.copy(), slot_map.indptr.copy()),
         shape=(mesh.n_vertices, mesh.n_vertices))
@@ -69,23 +84,60 @@ def _assemble(mesh, local):
 
 def isotropic_stiffness(mesh):
     """Standard P1 Laplacian stiffness, K_ij = sum |sigma| grad_j . grad_i."""
-    return _assemble(mesh, isotropic_block(mesh))
+    return _csr(mesh, _scatter(mesh, isotropic_block(mesh)))
 
 
-def assemble_anisotropic_stiffness(mesh, aniso, u_prev, blocks=None):
+def interface_band(mesh, u):
+    """The elements on which ``u`` is not constant, and its gradients there.
+
+    An element is in the band unless its vertex values are all equal,
+    which is decided by comparing the values, not the gradient: on some
+    meshes a constant field has a P1 gradient of rounding size, which
+    would send the linearization down its q != 0 branch.  Returns
+    ``(band, grads)`` with the element indices and the (n_band, d)
+    gradients.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.shape != (mesh.n_vertices,):
+        raise ValueError("nodal value array does not match vertex count")
+    first = u[mesh.elements[:, 0]]
+    flat = first == u[mesh.elements[:, 1]]
+    for k in range(2, mesh.dim + 1):
+        flat &= first == u[mesh.elements[:, k]]
+    band = np.flatnonzero(~flat)
+    return band, mesh.element_gradients(u, band)
+
+
+def far_field_stiffness(mesh, aniso, blocks):
+    """CSR data of the B(0) stiffness L sum_l K_l, the anisotropic
+    stiffness of a constant field; ``blocks`` are
+    ``stiffness_blocks(mesh, aniso.matrices)``, scattered one at a time."""
+    return aniso.n_terms * sum(_scatter(mesh, block) for block in blocks)
+
+
+def assemble_anisotropic_stiffness(mesh, aniso, u_prev, blocks=None,
+                                   far_field=None, band=None):
     """Stiffness of the linearized anisotropic form with B frozen at grad(u_prev).
 
     K_ij = sum_sigma |sigma| grad_j . B(grad u_prev|_sigma) grad_i, with B
-    evaluated once per element at the constant P1 gradient of ``u_prev``
-    (elements where the gradient vanishes get the B(0) branch).  The result
-    is symmetric positive semidefinite with kernel spanned by constants.
-    ``blocks`` are ``stiffness_blocks(mesh, aniso.matrices)``, built here
-    when not given.
+    evaluated once per element at the constant P1 gradient of ``u_prev``.
+    Elements whose vertex values are all equal get the B(0) branch: their
+    part is the ``far_field`` stiffness L sum_l K_l, and only the band
+    elements of ``interface_band`` add sum_l (c_l - L) T_l to it.  The
+    result is symmetric positive semidefinite with kernel spanned by
+    constants.  ``blocks`` are ``stiffness_blocks(mesh, aniso.matrices)``,
+    ``far_field`` is ``far_field_stiffness(mesh, aniso, blocks)`` and
+    ``band`` is ``interface_band(mesh, u_prev)``, each built here when
+    not given.
     """
     if blocks is None:
         blocks = stiffness_blocks(mesh, aniso.matrices)
-    coeffs = aniso.b_coefficients(mesh.element_gradients(u_prev))
-    return _assemble(mesh, np.einsum("le,leij->eij", coeffs, blocks))
+    if far_field is None:
+        far_field = far_field_stiffness(mesh, aniso, blocks)
+    band, grads = interface_band(mesh, u_prev) if band is None else band
+    coeffs = aniso.b_coefficients(grads) - aniso.n_terms
+    local = np.einsum("le,leij->eij", coeffs, blocks[:, band])
+    return _csr(mesh, far_field + _scatter(mesh, local, band))
 
 
 def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None):
@@ -106,4 +158,4 @@ def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None):
     if block is None:
         block = isotropic_block(mesh)
     factor = vals[mesh.elements].mean(axis=1)
-    return _assemble(mesh, factor[:, None, None] * block)
+    return _csr(mesh, _scatter(mesh, factor[:, None, None] * block))

@@ -19,12 +19,15 @@ class SlotMap(NamedTuple):
 
     ``indptr`` and ``indices`` describe the sorted pattern of all vertex
     pairs that share an element; ``slots[e, a, b]`` is the position in
-    the CSR data of the entry (elements[e, a], elements[e, b]).
+    the CSR data of the entry (elements[e, a], elements[e, b]), and
+    ``diagonal[j]`` that of the entry (j, j).  Every vertex must lie in
+    some element.
     """
 
     indptr: np.ndarray
     indices: np.ndarray
     slots: np.ndarray
+    diagonal: np.ndarray
 
     @property
     def nnz(self):
@@ -45,7 +48,9 @@ def _build_slot_map(elements, n_vertices):
         [elements[:, a] * n + elements[:, b] for a, b in pairs if a != b])
     keys.sort()
     keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    diag = np.flatnonzero(np.bincount(elements.ravel(), minlength=n)) * (n + 1)
+    if not np.bincount(elements.ravel(), minlength=n).all():
+        raise ValueError("every vertex must lie in some element")
+    diag = np.arange(n) * (n + 1)
     keys = np.insert(keys, np.searchsorted(keys, diag), diag)
     rows = keys // n
     indptr = np.zeros(n + 1, dtype=np.int32)
@@ -55,9 +60,10 @@ def _build_slot_map(elements, n_vertices):
     slots = np.empty(elements.shape + (nloc,), dtype=np.intp)
     for a, b in pairs:
         slots[:, a, b] = np.searchsorted(keys, elements[:, a] * n + elements[:, b])
-    for arr in (indptr, indices, slots):
+    diagonal = np.searchsorted(keys, diag)
+    for arr in (indptr, indices, slots, diagonal):
         arr.setflags(write=False)
-    return SlotMap(indptr, indices, slots)
+    return SlotMap(indptr, indices, slots, diagonal)
 
 
 class SimplicialMesh:
@@ -130,13 +136,16 @@ class SimplicialMesh:
             self._slot_map = _build_slot_map(self.elements, self.n_vertices)
         return self._slot_map
 
-    def element_gradients(self, nodal_values):
-        """Gradients of the P1 interpolant on all elements, shape (ne, d)."""
+    def element_gradients(self, nodal_values, subset=None):
+        """Gradients of the P1 interpolant, shape (ne, d), on all elements
+        or, when given, on the elements indexed by ``subset`` in its order."""
         values = np.asarray(nodal_values, dtype=float)
         if values.shape != (self.n_vertices,):
             raise ValueError("nodal value array does not match vertex count")
-        return np.einsum("eid,ei->ed", self.basis_gradients,
-                         values[self.elements])
+        grads, elements = self.basis_gradients, self.elements
+        if subset is not None:
+            grads, elements = grads[subset], elements[subset]
+        return np.einsum("eid,ei->ed", grads, values[elements])
 
 
 def _grid_vertices(half_width, n, dim):

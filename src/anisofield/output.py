@@ -178,9 +178,11 @@ def snapshot_path(out_dir, step, prefix="snapshot"):
 class RunManifest:
     """Reproducibility record: the resolved config, how the run ended
     (``completed``; ``failed`` if truncated; ``aborted`` if a solver
-    failure was raised), the emitted files, the per-step wall clock and
-    the versions of the package, Python, numpy and scipy.  The manifest
-    determines the run; its fields are the keys of ``manifest.json``."""
+    failure was raised), the emitted files, the per-step wall clock, the
+    largest KKT residual of the steps taken (None before the first), the
+    number of steps flagged for an energy increase and the versions of the
+    package, Python, numpy and scipy.  The manifest determines the run;
+    its fields are the keys of ``manifest.json``."""
 
     run_id: str
     status: str
@@ -188,14 +190,17 @@ class RunManifest:
     csv: Optional[str]
     snapshots: list
     step_seconds: list
+    kkt_residual_max: Optional[float]
+    energy_increase_flags: int
     created: str
     versions: dict
 
     @classmethod
     def collect(cls, config_text, csv_path, snapshot_paths, step_seconds,
-                status):
+                status, kkt_residual_max, energy_increase_flags):
         return cls(run_id_for(config_text), status, config_text, csv_path,
                    list(snapshot_paths), list(step_seconds),
+                   kkt_residual_max, energy_increase_flags,
                    time.strftime("%Y-%m-%dT%H:%M:%S"),
                    {"anisofield": __version__,
                     "python": platform.python_version(),

@@ -25,14 +25,13 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import output
 from .diagnostics import (dirichlet_energy_functional, discrete_energy,
                           stability_residual)
 from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
-                  isotropic_block, isotropic_stiffness, lumped_mass,
-                  stiffness_blocks)
+                  far_field_stiffness, interface_band, isotropic_block,
+                  isotropic_stiffness, lumped_mass, stiffness_blocks)
 # nothing in the package calls pattern_coloring; the benchmark tracer wraps it
 from .obstacle import (SolverStats, mobility_solver, pattern_coloring,
                        solve_coupled_ch, solve_obstacle)
@@ -139,6 +138,8 @@ class SchemeState:
     ``t`` is n tau.  For the standard ``allen_cahn`` scheme the step
     approximates the flow at n tau / (1 + tau/eps^2) (see
     ``allen_cahn_step``); for the ``implicit`` variant at n tau.
+    ``band`` is ``interface_band`` of ``u``, found once for the energy of
+    this state and the assembly of the next step.
     """
 
     n: int
@@ -148,6 +149,7 @@ class SchemeState:
     report: "object"
     dissipation: float
     stats: SolverStats
+    band: tuple
 
 
 # -- initial data -----------------------------------------------------
@@ -236,9 +238,11 @@ class Workspace:
     change during a run, so neither does anything built from them alone:
     the mass vector, built here, and, built on first use, the isotropic
     element block, the element blocks of ``aniso``'s weight matrices, the
-    constant mobility stiffness b0 K and its solver: fast transforms on a
-    Kuhn grid with W prescribed on the boundary or, in 2d, natural
-    boundary conditions, and an LU otherwise (see ``mobility_solver``).
+    far-field stiffness L sum_l K_l (the anisotropic stiffness wherever
+    U^old is flat, see ``far_field_stiffness``), the constant mobility
+    stiffness b0 K and its solver: fast transforms on a Kuhn grid with W
+    prescribed on the boundary or, in 2d, natural boundary conditions,
+    and an LU otherwise (see ``mobility_solver``).
     """
 
     def __init__(self, mesh, aniso, config):
@@ -256,6 +260,11 @@ class Workspace:
     def aniso_blocks(self):
         """Element blocks of ``aniso``'s weight matrices."""
         return stiffness_blocks(self.mesh, self.aniso.matrices)
+
+    @functools.cached_property
+    def far_field(self):
+        """CSR data of the B(0) stiffness L sum_l K_l."""
+        return far_field_stiffness(self.mesh, self.aniso, self.aniso_blocks)
 
     @functools.cached_property
     def mobility_stiffness(self):
@@ -276,14 +285,17 @@ def _state(ws, n, u, w, dissipation, stats, prev=None):
     functional when W is prescribed on the boundary and, after a step
     from ``prev``, the stability residual."""
     config = ws.config
-    report = discrete_energy(ws.mesh, ws.aniso, config.eps, u, mass=ws.mass)
+    band = interface_band(ws.mesh, u)
+    report = discrete_energy(ws.mesh, ws.aniso, config.eps, u, mass=ws.mass,
+                             band=band)
     if config.w_bdry is not None:
         report = report.with_dirichlet(dirichlet_energy_functional(
             report, config.alpha, config.c_psi, config.w_bdry))
     if prev is not None:
         report.stability_residual = stability_residual(prev.report, report,
                                                        dissipation)
-    return SchemeState(n, n * config.tau, u, w, report, dissipation, stats)
+    return SchemeState(n, n * config.tau, u, w, report, dissipation, stats,
+                       band)
 
 
 def initial_state(ws, u0):
@@ -311,11 +323,17 @@ def allen_cahn_step(state, ws):
     config = ws.config
     u_old = state.u
     eps, tau = config.eps, config.tau
-    k_aniso = assemble_anisotropic_stiffness(ws.mesh, ws.aniso, u_old,
-                                             ws.aniso_blocks)
+    a_mat = assemble_anisotropic_stiffness(ws.mesh, ws.aniso, u_old,
+                                           ws.aniso_blocks, ws.far_field,
+                                           state.band)
     # the implicit variant moves M U / eps from the right side to the matrix
     shift = eps / tau - (1.0 / eps if config.implicit else 0.0)
-    a_mat = (eps * k_aniso + sp.diags(shift * ws.mass)).tocsr()
+    a_mat.data *= eps
+    a_mat.data[ws.mesh.slot_map.diagonal] += shift * ws.mass
+    # the pattern holds exact zeros (about a quarter of it on the Kuhn
+    # mesh: the isotropic entries across cell diagonals); kept, they would
+    # enter every LU of the solve and raise its fill
+    a_mat.eliminate_zeros()
     rhs = ws.mass * (shift + 1.0 / eps) * u_old
     sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol)
     u = sol.solution
@@ -355,7 +373,8 @@ def cahn_hilliard_step(state, ws):
             mesh, u_old, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR),
             ws.iso_block)
     k_aniso = assemble_anisotropic_stiffness(mesh, ws.aniso, u_old,
-                                             ws.aniso_blocks)
+                                             ws.aniso_blocks, ws.far_field,
+                                             state.band)
     u, w, stats = solve_coupled_ch(
         ws.mass, k_b, k_aniso, u_old,
         theta=config.theta, tau=tau, eps=eps, alpha=config.alpha,
@@ -410,7 +429,8 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     manifest below ``out_dir`` when given, which then needs the
     ``config_text`` that the run id and the manifest record; ``on_step``
     is called with every state (including the initial one).  Per-step
-    energy increases beyond 10x the solver tolerance are counted, a solve
+    energy increases beyond 10x the solver tolerance are counted (the
+    manifest records the count and the largest KKT residual), a solve
     that misses its tolerance ends the run with a state dump (written in
     place of that step's snapshot): ``strict=True`` raises
     :class:`SolverFailure` (manifest status ``aborted``), otherwise the run
@@ -475,9 +495,11 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
         if writer:
             writer.close()
         if out_dir is not None:
+            kkt_max = max((r.solver_residual for r in records[1:]),
+                          default=None)
             output.RunManifest.collect(config_text, csv_path, snapshot_paths,
-                                       step_seconds, status).write(
-                                           manifest_path)
+                                       step_seconds, status, kkt_max,
+                                       violations).write(manifest_path)
     if failure is not None and strict:
         raise failure
     return RunResult(state, records, violations, failure is not None,

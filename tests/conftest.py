@@ -45,6 +45,19 @@ def reference_stiffness(mesh, weights):
     return mat
 
 
+def shuffled_mesh(mesh, perm):
+    """The mesh with its vertices renumbered: new vertex k is old vertex
+    ``perm[k]``, so a nodal field ``u`` of ``mesh`` is ``u[perm]`` here.
+    The element list keeps its order and local vertex order."""
+    from anisofield import SimplicialMesh
+
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(mesh.n_vertices)
+    return SimplicialMesh(mesh.dim, mesh.half_width, mesh.subdivisions,
+                          mesh.vertices[perm].copy(), inv[mesh.elements].copy(),
+                          mesh.boundary_mask[perm].copy())
+
+
 def fd_gradient(func, p, step):
     """Central finite differences of a scalar function of a d-vector."""
     p = np.asarray(p, dtype=float)

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from anisofield import (Circle, SimplicialMesh, build_uniform_mesh,
-                        discrete_energy, dirichlet_energy_functional,
-                        initial_profile, isotropic, make_regularized_l1,
-                        stability_residual, wulff_shape_distance,
-                        zero_level_set)
+from anisofield import (Circle, build_uniform_mesh, discrete_energy,
+                        dirichlet_energy_functional, initial_profile,
+                        isotropic, make_regularized_l1, stability_residual,
+                        wulff_shape_distance, zero_level_set)
 from anisofield.anisotropy import unit_directions
+from conftest import shuffled_mesh
 
 EPS_INV = 16.0 * math.pi
 
@@ -71,12 +71,7 @@ def test_energy_invariant_under_vertex_reordering(mesh2d_small):
     rng = np.random.default_rng(5)
     u = rng.uniform(-1, 1, mesh.n_vertices)
     perm = rng.permutation(mesh.n_vertices)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(mesh.n_vertices)
-    shuffled = SimplicialMesh(mesh.dim, mesh.half_width, mesh.subdivisions,
-                              mesh.vertices[perm].copy(),
-                              inv[mesh.elements].copy(),
-                              mesh.boundary_mask[perm].copy())
+    shuffled = shuffled_mesh(mesh, perm)
     aniso = make_regularized_l1(2, 0.1)
     a = discrete_energy(mesh, aniso, 0.05, u)
     b = discrete_energy(shuffled, aniso, 0.05, u[perm])

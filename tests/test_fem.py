@@ -1,14 +1,16 @@
 """Lumped mass and stiffness assembly against hand values and identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 import anisofield.mesh
 from anisofield import (AnisotropyDensity, assemble_anisotropic_stiffness,
                         assemble_mobility_stiffness, build_uniform_mesh,
-                        isotropic, isotropic_stiffness, lumped_mass,
-                        make_regularized_l1)
-from conftest import random_spd_density, reference_stiffness
+                        discrete_energy, isotropic, isotropic_stiffness,
+                        lumped_mass, make_regularized_l1)
+from conftest import random_spd_density, reference_stiffness, shuffled_mesh
 
 
 def test_lumped_mass_interior_vertex_2d():
@@ -116,10 +118,10 @@ def _plateau_field(mesh, seed):
     return np.clip(u, -1.0, 1.0)
 
 
-def _assert_matches_reference(k, ref):
+def _assert_matches_reference(k, ref, rtol=1e-13):
     np.testing.assert_array_equal(k.indptr, ref.indptr)
     np.testing.assert_array_equal(k.indices, ref.indices)
-    assert abs(k - ref).max() <= 1e-13 * abs(ref).max()
+    assert abs(k - ref).max() <= rtol * abs(ref).max()
     assert abs(k - k.T).max() == 0.0
 
 
@@ -167,3 +169,55 @@ def test_slot_map_is_built_once_per_mesh(monkeypatch):
     isotropic_stiffness(mesh)
     assemble_mobility_stiffness(mesh, u, lambda v: 1.0 - v * v)
     assert len(builds) == 1
+
+
+def test_flat_elements_take_the_zero_branch_despite_rounding():
+    # the P1 gradient of this constant is of rounding size (up to 3.6e-15)
+    # on 180 of the 2738 elements; equal vertex values still mean B(0) and
+    # no gradient energy, not c_l up to (1 + delta) / delta
+    mesh = build_uniform_mesh(2, 0.5, 37)
+    aniso = make_regularized_l1(2, 0.01)
+    u = np.full(mesh.n_vertices, 0.7071)
+    assert np.count_nonzero(mesh.element_gradients(u).any(axis=1)) == 180
+    k = assemble_anisotropic_stiffness(mesh, aniso, u)
+    b0 = aniso.n_terms * aniso.matrices.sum(axis=0)
+    _assert_matches_reference(k, reference_stiffness(
+        mesh, np.broadcast_to(b0, (mesh.n_elements, 2, 2))))
+    assert discrete_energy(mesh, aniso, 0.05, u).gradient_energy == 0.0
+
+
+def _band_field(mesh, seed):
+    """A seeded diffuse sphere: exactly +-1 plateaus and a band of random
+    values across a radial profile between them."""
+    rng = np.random.default_rng(seed)
+    center = rng.uniform(-0.1, 0.1, mesh.dim)
+    dist = 0.25 - np.linalg.norm(mesh.vertices - center, axis=1)
+    noise = rng.uniform(-0.2, 0.2, mesh.n_vertices)
+    return np.clip(dist / 0.08 + noise, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["kuhn", "shuffled"])
+@pytest.mark.parametrize("dim,n,density", [(2, 24, "l1reg"), (3, 8, "iso"),
+                                           (3, 8, "l1reg")])
+def test_band_assembly_and_energy_match_full_element_sums(dim, n, density,
+                                                          shuffle):
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    u = _band_field(mesh, 9)
+    if shuffle:
+        perm = np.random.default_rng(10).permutation(mesh.n_vertices)
+        mesh, u = shuffled_mesh(mesh, perm), u[perm]
+    aniso = (make_regularized_l1(dim, 0.01) if density == "l1reg"
+             else isotropic(dim))
+    values = u[mesh.elements]
+    flat = (values == values[:, :1]).all(axis=1)
+    assert 0.05 < 1.0 - flat.mean() < 0.5
+    grads = mesh.element_gradients(u)
+    # so the oracle's B(grad u) takes the B(0) branch on every flat element
+    assert not grads[flat].any()
+    k = assemble_anisotropic_stiffness(mesh, aniso, u)
+    _assert_matches_reference(
+        k, reference_stiffness(mesh, aniso.b_matrix(grads)), rtol=1e-14)
+    eps = 0.05
+    full = math.fsum(0.5 * eps * mesh.element_volume * aniso.gamma(grads) ** 2)
+    energy = discrete_energy(mesh, aniso, eps, u).gradient_energy
+    assert energy == pytest.approx(full, rel=1e-14)

@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from anisofield import build_uniform_mesh
+from anisofield import SimplicialMesh, build_uniform_mesh
 
 
 def test_smallest_2d_mesh_counts():
@@ -93,6 +93,24 @@ def test_element_gradient_reproduces_random_affine(dim):
     assert grads.shape == (mesh.n_elements, dim)
     np.testing.assert_allclose(grads, np.tile(a, (mesh.n_elements, 1)),
                                rtol=1e-12, atol=1e-12)
+    subset = rng.permutation(mesh.n_elements)[:7]
+    np.testing.assert_array_equal(mesh.element_gradients(values, subset),
+                                  grads[subset])
+
+
+def test_slot_map_diagonal_and_vertices_in_no_element():
+    mesh = build_uniform_mesh(2, 0.5, 3)
+    slot_map = mesh.slot_map
+    rows = np.repeat(np.arange(mesh.n_vertices), np.diff(slot_map.indptr))
+    np.testing.assert_array_equal(rows[slot_map.diagonal],
+                                  np.arange(mesh.n_vertices))
+    np.testing.assert_array_equal(slot_map.indices[slot_map.diagonal],
+                                  np.arange(mesh.n_vertices))
+    orphan = SimplicialMesh(2, 0.5, 3, np.vstack([mesh.vertices, [0.1, 0.1]]),
+                            mesh.elements.copy(),
+                            np.append(mesh.boundary_mask, False))
+    with pytest.raises(ValueError, match="some element"):
+        orphan.slot_map
 
 
 def test_build_rejects_bad_arguments():

@@ -9,8 +9,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisofield import (Circle, SchemeConfig, SimplicialMesh,
-                        assemble_anisotropic_stiffness, build_uniform_mesh,
+from anisofield import (Circle, SchemeConfig, assemble_anisotropic_stiffness,
+                        build_uniform_mesh,
                         initial_profile, isotropic, isotropic_stiffness,
                         lumped_mass, make_regularized_l1, run_simulation,
                         solve_coupled_ch, solve_obstacle)
@@ -18,7 +18,8 @@ from anisofield import obstacle
 from anisofield.obstacle import (GridTransform, _active_set_polish,
                                  factor_mobility, kkt_violation,
                                  mobility_solver, pattern_coloring)
-from conftest import enumerate_coupled_solution, projected_gradient_box_qp
+from conftest import (enumerate_coupled_solution, projected_gradient_box_qp,
+                      shuffled_mesh)
 
 
 def test_single_variable_clipped_to_bound():
@@ -331,13 +332,8 @@ def test_mobility_solver_keeps_the_lu_elsewhere():
     mesh, k_b, mass, _ = _mobility_case(3, 6, False)
     assert isinstance(mobility_solver(k_b, mass, 3), spla.SuperLU)
     mesh = build_uniform_mesh(2, 0.5, 8)
-    perm = np.random.default_rng(3).permutation(mesh.n_vertices)
-    inv = np.empty_like(perm)
-    inv[perm] = np.arange(mesh.n_vertices)
-    shuffled = SimplicialMesh(mesh.dim, mesh.half_width, mesh.subdivisions,
-                              mesh.vertices[perm].copy(),
-                              inv[mesh.elements].copy(),
-                              mesh.boundary_mask[perm].copy())
+    shuffled = shuffled_mesh(
+        mesh, np.random.default_rng(3).permutation(mesh.n_vertices))
     k_b = (2.0 * isotropic_stiffness(shuffled)).tocsr()
     mass = lumped_mass(shuffled)
     for mask in (None, shuffled.boundary_mask):

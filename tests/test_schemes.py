@@ -353,6 +353,25 @@ def test_run_simulation_writes_manifest_on_solver_failure(mesh2d_medium,
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["status"] == ("aborted" if strict else "failed")
     assert len(manifest["step_seconds"]) == 1
+    assert manifest["kkt_residual_max"] > cfg.tol
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+def test_manifest_records_kkt_residual_and_energy_flags(mesh2d_small,
+                                                        tmp_path, monkeypatch,
+                                                        flagged):
+    if flagged:  # every step reports an energy increase
+        monkeypatch.setattr(anisofield.schemes, "stability_residual",
+                            lambda *args: 1.0)
+    cfg = _ac_config(t_end=5e-4)
+    result = run_simulation(cfg, mesh2d_small, make_regularized_l1(2, 0.1),
+                            Circle((0.0, 0.0), 0.3), out_dir=tmp_path,
+                            config_text="counters")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["energy_increase_flags"] == result.monotonicity_violations
+    assert result.monotonicity_violations == (5 if flagged else 0)
+    residuals = [r.solver_residual for r in result.records[1:]]
+    assert manifest["kkt_residual_max"] == max(residuals) <= cfg.tol
 
 
 def test_run_simulation_with_out_dir_needs_config_text(mesh2d_small, tmp_path):

@@ -24,9 +24,11 @@ ROOT = Path(__file__).resolve().parents[1]
      "--repeats", "1"],
     ["obstacle_lu.py", "ordering", "--steps", "2"],
     ["obstacle_lu.py", "newton", "--steps", "2"],
+    ["band_assembly.py", "--subdivisions", "16", "--steps", "2",
+     "--repeats", "1"],
 ], ids=["flow_clock-identity", "coupled_schur-neumann",
         "coupled_schur-ordering", "coupled_schur-transform",
-        "obstacle_lu-ordering", "obstacle_lu-newton"])
+        "obstacle_lu-ordering", "obstacle_lu-newton", "band_assembly"])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

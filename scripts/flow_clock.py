@@ -32,7 +32,8 @@ CENTER = (0.0, 0.0)
 
 
 def flow_tau(tau):
-    return tau / (1.0 + tau / EPS**2)
+    return SchemeConfig("allen_cahn", eps_inv=EPS_INV, tau=tau,
+                        t_end=tau).flow_tau
 
 
 def _march(mesh, aniso, tau, n_steps, on_step, tol=1e-9, implicit=False):

@@ -12,7 +12,7 @@ Subcommands:
   reported as data.
 * ``benchmark-circle CONFIG``: compare the measured interface radius of
   an isotropic shrinking circle against the closed-form law, sampled on
-  the scheme's flow clock (see ``allen_cahn_step``).
+  the scheme's flow clock (see ``SchemeConfig.flow_tau``).
 """
 
 import argparse
@@ -42,13 +42,8 @@ def _cmd_run(args):
                             setup.geometry, out_dir=out_dir,
                             config_text=emit_config(setup))
     final = result.final_state
-    scheme = setup.scheme
-    flow = ""
-    if scheme.scheme == "allen_cahn" and not scheme.implicit:
-        flow_t = final.t / (1.0 + scheme.tau / scheme.eps**2)
-        flow = f" (flow time n*tau/(1 + tau/eps^2) = {flow_t:.6g})"
     print(f"run {setup.run_id}: {final.n} steps to t = n*tau = "
-          f"{final.t:.6g}{flow}")
+          f"{final.t:.6g} (flow time {final.n * setup.scheme.flow_tau:.6g})")
     print(f"  E_gamma_h = {final.report.e_gamma_h:.12g}"
           + (f", F_gamma_h = {final.report.f_gamma_h:.12g}"
              if final.report.f_gamma_h is not None else ""))
@@ -76,10 +71,9 @@ def _cmd_stability_sweep(args):
     base = setup.scheme
     b0 = base.b0 if base.scheme != "allen_cahn" else 1.0
     bound = implicit_tau_bound(base.eps, base.theta, base.alpha, b0)
-    factors = [float(f) for f in args.tau_factors.split(",")]
     print(f"implicit-variant step bound: tau < {bound:.6g}")
     print("factor      tau        variant    converged  max_resid   monotone")
-    for factor in factors:
+    for factor in args.tau_factors:
         tau = factor * bound
         for implicit in (False, True):
             cfg = dataclasses.replace(base, tau=tau, t_end=args.steps * tau,
@@ -116,12 +110,8 @@ def _cmd_benchmark_circle(args):
               "the Euclidean density gamma(p) = |p| (spec = iso), not "
               f"{setup.anisotropy_spec!r}", file=sys.stderr)
         return 2
-    # the standard scheme's step n approximates the flow at n tau' with
-    # tau' = tau/(1 + tau/eps^2); the implicit variant's at n tau
-    tau = setup.scheme.tau
-    flow_tau = tau if setup.scheme.implicit else tau / (
-        1.0 + tau / setup.scheme.eps**2)
-    times = sorted(float(t) for t in args.times.split(","))
+    tau, flow_tau = setup.scheme.tau, setup.scheme.flow_tau
+    times = sorted(args.times)
     steps = [int(round(t / flow_tau)) for t in times]
     cfg = dataclasses.replace(setup.scheme, t_end=max(steps) * tau)
     mesh = setup.build_mesh()
@@ -151,6 +141,22 @@ def _cmd_benchmark_circle(args):
     return 0 if worst <= tol else 1
 
 
+# argparse types; argparse reports their ValueError as an invalid value
+def _positive_numbers(text):
+    """Comma-separated positive finite numbers."""
+    values = [float(v) for v in text.split(",")]
+    if not all(0.0 < v < math.inf for v in values):
+        raise argparse.ArgumentTypeError(f"not all positive and finite: {text}")
+    return values
+
+
+def _count(text):
+    """An integer of at least 1."""
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
+    return int(text)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="anisofield",
@@ -166,21 +172,23 @@ def main(argv=None):
                            help="check density inequalities on random samples")
     p_ver.add_argument("spec")
     p_ver.add_argument("--dim", type=int, default=2, choices=(2, 3))
-    p_ver.add_argument("--samples", type=int, default=100_000)
+    p_ver.add_argument("--samples", type=_count, default=100_000)
     p_ver.add_argument("--seed", type=int, default=0)
     p_ver.set_defaults(func=_cmd_verify_anisotropy)
 
     p_sweep = sub.add_parser("stability-sweep",
                              help="stress the schemes at large time steps")
     p_sweep.add_argument("config")
-    p_sweep.add_argument("--tau-factors", default="1,100,10000")
-    p_sweep.add_argument("--steps", type=int, default=10)
+    p_sweep.add_argument("--tau-factors", type=_positive_numbers,
+                         default="1,100,10000")
+    p_sweep.add_argument("--steps", type=_count, default=10)
     p_sweep.set_defaults(func=_cmd_stability_sweep)
 
     p_bench = sub.add_parser("benchmark-circle",
                              help="isotropic shrinking-circle benchmark")
     p_bench.add_argument("config")
-    p_bench.add_argument("--times", default="0.01,0.02,0.03")
+    p_bench.add_argument("--times", type=_positive_numbers,
+                         default="0.01,0.02,0.03")
     p_bench.set_defaults(func=_cmd_benchmark_circle)
 
     args = parser.parse_args(argv)

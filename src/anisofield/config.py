@@ -8,7 +8,8 @@ reproduces ``setup`` exactly.
 Anisotropy specifications are either ``iso``, ``l1reg:<delta>`` with an
 optional rotation (``l1reg:<delta>:rot=<angle_deg>`` in 2d,
 ``l1reg:<delta>:rot=<axis>,<angle_deg>`` in 3d), or an explicit list of
-row-major weight matrices.
+row-major weight matrices.  One table declares each ``[geometry]`` kind's
+class and keys for parsing, key checks and emitting.
 """
 
 import math
@@ -34,12 +35,21 @@ __all__ = [
 
 DEFAULT_EPS_INV = 16.0 * math.pi
 
+# each [geometry] kind: its class and its keys, in field and emit order
+_GEOMETRIES = {
+    "circle": (Circle, ("center", "radius")),
+    "circles": (MultiCircle, ("items",)),
+    "sphere": (Sphere, ("center", "radius")),
+    "cuboid": (Cuboid, ("center", "half_extents")),
+    "uniform": (Uniform, ("value",)),
+}
+
 _KEYS = {
     "domain": {"dim", "half_width", "subdivisions"},
     "anisotropy": {"spec", "matrices"},
     "scheme": {"preset", "scheme", "tau", "t_end", "eps_inv", "theta",
                "alpha", "mobility", "w_bdry", "implicit", "tol"},
-    "geometry": {"kind", "center", "radius", "items", "half_extents", "value"},
+    "geometry": {"kind"}.union(*(keys for _, keys in _GEOMETRIES.values())),
     "output": {"dir", "snapshot_every"},
 }
 
@@ -205,38 +215,24 @@ def _parse_geometry(geo, dim):
     kind = geo.get("kind")
     if kind is None:
         raise ConfigError("[geometry] requires a kind")
-    allowed = {
-        "circle": {"kind", "center", "radius"},
-        "circles": {"kind", "items"},
-        "sphere": {"kind", "center", "radius"},
-        "cuboid": {"kind", "center", "half_extents"},
-        "uniform": {"kind", "value"},
-    }
-    if kind not in allowed:
+    if kind not in _GEOMETRIES:
         raise ConfigError(f"[geometry] unknown kind {kind!r}")
-    extra = set(geo) - allowed[kind]
+    if kind == "sphere" and dim != 3:
+        raise ConfigError("[geometry] sphere requires dim = 3")
+    cls, keys = _GEOMETRIES[kind]
+    extra = sorted(set(geo) - {"kind", *keys})
     if extra:
-        raise ConfigError(f"[geometry] keys {sorted(extra)} do not apply to {kind!r}")
-    if kind == "uniform":
-        return Uniform(_as_float("geometry", "value", geo["value"]))
-    if kind in ("circle", "sphere"):
-        if kind == "sphere" and dim != 3:
-            raise ConfigError("[geometry] sphere requires dim = 3")
-        center = _vector("geometry", "center", geo.get("center", ""), dim)
-        radius = _as_float("geometry", "radius", geo["radius"])
-        cls = Sphere if kind == "sphere" else Circle
-        return cls(center, radius)
+        raise ConfigError(f"[geometry] keys {extra} do not apply to kind {kind!r}")
+    missing = [key for key in keys if key not in geo]
+    if missing:
+        raise ConfigError(f"[geometry] kind {kind!r} requires keys {missing}")
     if kind == "circles":
-        circles = []
-        for chunk in geo["items"].split(";"):
-            vals = _vector("geometry", "items", chunk, dim + 1)
-            circles.append(Circle(vals[:dim], vals[dim]))
-        if not circles:
-            raise ConfigError("[geometry] items is empty")
-        return MultiCircle(tuple(circles))
-    center = _vector("geometry", "center", geo["center"], dim)
-    extents = _vector("geometry", "half_extents", geo["half_extents"], dim)
-    return Cuboid(center, extents)
+        items = [_vector("geometry", "items", chunk, dim + 1)
+                 for chunk in geo["items"].split(";")]
+        return MultiCircle(tuple(Circle(v[:dim], v[dim]) for v in items))
+    return cls(*(_vector("geometry", key, geo[key], dim)
+                 if key in ("center", "half_extents")
+                 else _as_float("geometry", key, geo[key]) for key in keys))
 
 
 def parse_config(text):
@@ -334,23 +330,16 @@ def parse_config(text):
 
 
 def _emit_geometry(geometry):
-    fmt = lambda vec: ",".join(repr(float(v)) for v in vec)
-    if isinstance(geometry, Uniform):
-        return {"kind": "uniform", "value": repr(float(geometry.value))}
-    if isinstance(geometry, Sphere):
-        return {"kind": "sphere", "center": fmt(geometry.center),
-                "radius": repr(float(geometry.radius))}
-    if isinstance(geometry, Circle):
-        return {"kind": "circle", "center": fmt(geometry.center),
-                "radius": repr(float(geometry.radius))}
-    if isinstance(geometry, MultiCircle):
-        items = "; ".join(fmt(tuple(c.center) + (c.radius,))
-                          for c in geometry.circles)
-        return {"kind": "circles", "items": items}
-    if isinstance(geometry, Cuboid):
-        return {"kind": "cuboid", "center": fmt(geometry.center),
-                "half_extents": fmt(geometry.half_extents)}
-    raise ConfigError(f"cannot emit geometry {geometry!r}")
+    fmt = lambda value: ",".join(repr(float(v)) for v in np.atleast_1d(value))
+    for kind, (cls, keys) in _GEOMETRIES.items():
+        if type(geometry) is cls:
+            break
+    else:
+        raise ConfigError(f"cannot emit geometry {geometry!r}")
+    if kind == "circles":
+        return {"kind": kind, "items": "; ".join(
+            fmt(tuple(c.center) + (c.radius,)) for c in geometry.circles)}
+    return {"kind": kind, **{key: fmt(getattr(geometry, key)) for key in keys}}
 
 
 def emit_config(setup):

@@ -15,8 +15,8 @@ differ only in the subsolve of each round:
   conserved schemes: a lumped mass equation for (U, W) together with the
   box-constrained variational inequality for U.  With constant mobility
   each round eliminates W and solves the SPD Schur complement on the
-  inactive set by preconditioned CG, with one solver of the mobility
-  stiffness per run (:func:`mobility_solver`: fast sine or cosine
+  inactive set by preconditioned CG, with one solver ``f -> W`` of the
+  mobility stiffness per run (:func:`mobility_solver`: fast sine or cosine
   transforms on a lexicographic Kuhn grid, else the LU of
   :func:`factor_mobility`); with degenerate mobility it solves the saddle
   system on the inactive set by a sparse LU.
@@ -259,26 +259,28 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
 
 
 def factor_mobility(k_b, mass, boundary_mask=None):
-    """LU of a mobility stiffness for :func:`solve_coupled_ch`.
+    """Sparse-LU solver ``f -> W`` of a mobility stiffness.
 
-    With W prescribed on the boundary this factors K_b on the interior
+    With W prescribed on the boundary W = K_b,II^-1 f on the interior
     nodes.  With natural boundary conditions the constants span the
-    kernel of K_b, so it is bordered by the mass vector: the factored
-    matrix is [[K_b, M 1], [(M 1)^T, 0]].  A constant mobility stiffness
-    takes this LU only where :func:`mobility_solver` finds no exact
-    transform.
+    kernel of K_b: W solves K_b W = f - (sum f / sum m) m with m . W = 0,
+    m the lumped ``mass``, by the LU of the bordered matrix
+    [[K_b, m], [m^T, 0]].  A constant mobility stiffness takes this LU
+    only where :func:`mobility_solver` finds no exact transform.
     """
     k_b = k_b.tocsr()
     if boundary_mask is not None:
         wdofs = np.flatnonzero(~boundary_mask)
-        return _splu_symmetric(k_b[wdofs][:, wdofs])
-    return _splu_symmetric(sp.bmat([[k_b, mass[:, None]],
-                                    [mass[None, :], None]]))
+        return _splu_symmetric(k_b[wdofs][:, wdofs]).solve
+    lu = _splu_symmetric(sp.bmat([[k_b, mass[:, None]],
+                                  [mass[None, :], None]]))
+    # the border row asks m . W = 0; its multiplier, sum f / sum m, is dropped
+    return lambda f: lu.solve(np.append(f, 0.0))[:-1]
 
 
 class GridTransform:
-    """Exact solve with a Kronecker sum of 1d second differences by fast
-    transforms, in the layout of :func:`factor_mobility`'s LU.
+    """Exact solver ``f -> W`` (the contract of :func:`factor_mobility`)
+    of a Kronecker sum of 1d second differences by fast transforms.
 
     Without ``mass`` the matrix is scale (T + ... + T) on the grid
     ``shape``, T = tridiag(-1, 2, -1) along each axis: the interior block
@@ -292,10 +294,9 @@ class GridTransform:
     D = diag(1/2, 1, ..., 1, 1/2): the natural-boundary P1 stiffness of a
     2d Kuhn grid.  The DCT-I solves T_N v = mu D v, k = 0, ..., N
     (Strang, SIAM Review 41, 1999), so the symmetric scaling by D^(-1/2)
-    makes it diagonal.  The system is bordered by the real lumped
-    ``mass``, as in :func:`factor_mobility`: the multiplier of the right
-    side [f, g] is sum(f) / sum(mass), the constant mode is dropped and W's
-    constant then set so that mass . W = g.
+    makes it diagonal.  With the real lumped ``mass``, f becomes
+    f - (sum f / sum mass) mass, the constant mode (the kernel) is dropped
+    and W's constant set so that mass . W = 0.
     """
 
     def __init__(self, shape, scale, mass=None):
@@ -317,34 +318,31 @@ class GridTransform:
             self._total = mass.sum()
 
     def __repr__(self):
-        kind = "DST-I" if self.mass is None else "DCT-I, bordered"
+        kind = "DST-I" if self.mass is None else "DCT-I"
         return f"GridTransform({kind}, grid {'x'.join(map(str, self.shape))})"
 
-    def solve(self, f):
+    def __call__(self, f):
         if self.mass is None:
             y = scipy.fft.dstn(f.reshape(self.shape), type=1, norm="ortho")
             y *= self._inv_eig
             return scipy.fft.dstn(y, type=1, norm="ortho").ravel()
-        rhs, g = f[:-1], f[-1]
-        lam = rhs.sum() / self._total
-        y = scipy.fft.dctn((rhs - lam * self.mass).reshape(self.shape)
+        lam = f.sum() / self._total
+        y = scipy.fft.dctn((f - lam * self.mass).reshape(self.shape)
                            * self._weight, type=1, norm="ortho")
         y *= self._inv_eig
         w = (scipy.fft.dctn(y, type=1, norm="ortho") * self._weight).ravel()
-        w += (g - self.mass @ w) / self._total
-        return np.append(w, lam)
+        return w - (self.mass @ w) / self._total
 
 
 def mobility_solver(k_b, mass, dim, boundary_mask=None):
-    """The run's solver of a constant mobility stiffness, in the layout of
-    :func:`factor_mobility`'s LU (``.solve`` of the W dofs, with the
-    multiplier last under natural boundary conditions).
+    """The run's solver ``f -> W`` of a constant mobility stiffness, with
+    the contract of :func:`factor_mobility`.
 
     A :class:`GridTransform` on the grid that the size of ``k_b`` implies,
     with the scale read off its largest diagonal entry (2 dim scale), is
-    accepted only if it reproduces ``k_b``: on a fixed-seed probe x (with
-    a zero multiplier under natural boundary conditions), solving with
-    the system of x must return x to 1e-10 relative.  That holds on a
+    accepted only if it reproduces ``k_b``: on a fixed-seed probe x (of
+    zero mass-weighted mean under natural boundary conditions), solving
+    with K_b x must return x to 1e-10 relative.  That holds on a
     lexicographic Kuhn grid with W prescribed on the boundary (2d and 3d)
     or with natural boundary conditions in 2d.  Elsewhere (3d natural
     boundary conditions, whose boundary rows are not of Kronecker form,
@@ -361,11 +359,9 @@ def mobility_solver(k_b, mass, dim, boundary_mask=None):
     if nodes >= 3 and math.prod(shape) == k.shape[0]:
         solver = GridTransform(shape, k.diagonal().max() / (2 * dim), border)
         probe = np.random.default_rng(0).standard_normal(k.shape[0])
-        rhs = k @ probe
         if border is not None:
-            # a zero multiplier: the transform gives any multiplier exactly
-            probe, rhs = np.append(probe, 0.0), np.append(rhs, border @ probe)
-        error = np.abs(solver.solve(rhs) - probe).max()
+            probe -= (border @ probe) / border.sum()
+        error = np.abs(solver(k @ probe) - probe).max()
         if error <= 1e-10 * np.abs(probe).max():
             return solver
     return factor_mobility(k_b, mass, boundary_mask)
@@ -423,8 +419,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     Each round's equations are solved one of two ways:
 
     * ``kb_factor`` given (constant mobility; :func:`mobility_solver` of
-      ``k_b``, or any object with the ``.solve`` of
-      :func:`factor_mobility`'s LU): W is eliminated, and U on the
+      ``k_b``, or any solver ``f -> W`` with the contract of
+      :func:`factor_mobility`): W is eliminated, and U on the
       inactive set I solves the SPD Schur complement
       eps K_aniso,II + (c^2 tau/theta) M_I [K_b^-1]_II M_I by
       preconditioned CG to a max-norm residual of ``tol``/20, one solve
@@ -473,15 +469,12 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         rhs_mass += scale * (k_b[wdofs] @ w_fixed)
     kb_ww = -scale * k_b[wdofs][:, wdofs] if kb_factor is None else None
 
-    def mass_solve(factor, f):
-        """W on the W dofs, zero elsewhere, with -scale K_b W = f, by
-        ``factor`` in the layout of :func:`factor_mobility`; with natural
-        boundary conditions the W of zero mass-weighted mean, any nonzero
-        sum of f going to the multiplier of that constraint."""
+    def mass_solve(solve, f):
+        """W on the W dofs, zero elsewhere, with -scale K_b W = f by
+        ``solve`` (see :func:`factor_mobility`); under natural boundary
+        conditions of zero mass-weighted mean, sum(f) projected out."""
         w = np.zeros(n)
-        sol = factor.solve(-f / scale if dirichlet
-                           else np.append(-f / scale, 0.0))
-        w[wdofs] = sol[:wdofs.size]
+        w[wdofs] = solve(-f / scale)
         return w
 
     # Each round solver fills U at the inactive nodes of ``u`` (pinned
@@ -539,9 +532,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         u_pin = act.astype(float)
         rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
         if inactive.size == 0:
-            factor = (factor_mobility(k_b, mass, boundary_mask)
-                      if kb_factor is None else kb_factor)
-            return u_pin, w_fixed + mass_solve(factor, rhs2)
+            solve = kb_factor or factor_mobility(k_b, mass, boundary_mask)
+            return u_pin, w_fixed + mass_solve(solve, rhs2)
         s11 = eps * k_aniso[inactive][:, inactive]
         if implicit:
             s11 = s11 - sp.diags(mass[inactive] / eps)

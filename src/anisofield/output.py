@@ -180,8 +180,9 @@ class RunManifest:
     (``completed``; ``failed`` if truncated; ``aborted`` if a solver
     failure was raised), the emitted files, the per-step wall clock, the
     largest KKT residual of the steps taken (None before the first), the
-    number of steps flagged for an energy increase and the versions of the
-    package, Python, numpy and scipy.  The manifest determines the run;
+    number of steps flagged for an energy increase, the versions of the
+    package, Python, numpy and scipy and the flow time n ``flow_tau`` of
+    the last state, which the run sets.  The manifest determines the run;
     its fields are the keys of ``manifest.json``."""
 
     run_id: str
@@ -194,6 +195,7 @@ class RunManifest:
     energy_increase_flags: int
     created: str
     versions: dict
+    flow_time: Optional[float] = None
 
     @classmethod
     def collect(cls, config_text, csv_path, snapshot_paths, step_seconds,

@@ -130,14 +130,20 @@ class SchemeConfig:
     def c_psi(self):
         return C_PSI
 
+    @property
+    def flow_tau(self):
+        """Flow time of one step: tau / (1 + tau/eps^2) for the standard
+        ``allen_cahn`` scheme (see ``allen_cahn_step``), tau otherwise."""
+        if self.scheme == "allen_cahn" and not self.implicit:
+            return self.tau / (1.0 + self.tau / self.eps**2)
+        return self.tau
+
 
 @dataclass
 class SchemeState:
     """State after step ``n``: fields, energies and solver statistics.
 
-    ``t`` is n tau.  For the standard ``allen_cahn`` scheme the step
-    approximates the flow at n tau / (1 + tau/eps^2) (see
-    ``allen_cahn_step``); for the ``implicit`` variant at n tau.
+    ``t`` is n tau; the step approximates the flow at n ``flow_tau``.
     ``band`` is ``interface_band`` of ``u``, found once for the energy of
     this state and the assembly of the next step.
     """
@@ -240,9 +246,9 @@ class Workspace:
     element block, the element blocks of ``aniso``'s weight matrices, the
     far-field stiffness L sum_l K_l (the anisotropic stiffness wherever
     U^old is flat, see ``far_field_stiffness``), the constant mobility
-    stiffness b0 K and its solver: fast transforms on a Kuhn grid with W
-    prescribed on the boundary or, in 2d, natural boundary conditions,
-    and an LU otherwise (see ``mobility_solver``).
+    stiffness b0 K and its solver ``f -> W``: fast transforms on a Kuhn
+    grid with W prescribed on the boundary or, in 2d, natural boundary
+    conditions, and an LU otherwise (see ``mobility_solver``).
     """
 
     def __init__(self, mesh, aniso, config):
@@ -273,7 +279,7 @@ class Workspace:
 
     @functools.cached_property
     def mobility_factor(self):
-        """Solver of b0 K on the W dofs (see ``mobility_solver``)."""
+        """Solver f -> W of b0 K on the W dofs (see ``mobility_solver``)."""
         dirichlet = self.config.w_bdry is not None
         return mobility_solver(self.mobility_stiffness, self.mass,
                                self.mesh.dim,
@@ -497,9 +503,11 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
         if out_dir is not None:
             kkt_max = max((r.solver_residual for r in records[1:]),
                           default=None)
-            output.RunManifest.collect(config_text, csv_path, snapshot_paths,
-                                       step_seconds, status, kkt_max,
-                                       violations).write(manifest_path)
+            manifest = output.RunManifest.collect(
+                config_text, csv_path, snapshot_paths, step_seconds, status,
+                kkt_max, violations)
+            manifest.flow_time = state.n * config.flow_tau
+            manifest.write(manifest_path)
     if failure is not None and strict:
         raise failure
     return RunResult(state, records, violations, failure is not None,

@@ -95,6 +95,15 @@ def test_run_reports_bad_config(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_reports_a_missing_geometry_key(tmp_path, capsys):
+    cfg = tmp_path / "no_radius.cfg"
+    cfg.write_text(TINY_RUN.replace("radius = 0.3\n", ""))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'circle'" in err and "'radius'" in err
+    assert "Traceback" not in err
+
+
 def test_run_rejects_infinite_t_end_before_writing(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text(TINY_RUN.replace("t_end = 5e-4", "t_end = inf"))
@@ -129,6 +138,23 @@ def test_run_rejects_non_finite_values_before_writing(tmp_path, capsys, case):
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not (out / "energy.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["stability-sweep", "CFG", "--tau-factors", "abc"],
+    ["stability-sweep", "CFG", "--tau-factors", "1,-1"],
+    ["stability-sweep", "CFG", "--steps", "0"],
+    ["benchmark-circle", "CFG", "--times", "x"],
+    ["verify-anisotropy", "iso", "--samples", "0"],
+], ids=["tau-factors-word", "tau-factors-negative", "steps", "times",
+        "samples"])
+def test_bad_numeric_option_is_named_by_argparse(tmp_path, capsys, argv):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_RUN)
+    with pytest.raises(SystemExit) as exc:
+        main([str(cfg) if a == "CFG" else a for a in argv])
+    assert exc.value.code == 2
+    assert f"error: argument {argv[2]}:" in capsys.readouterr().err
 
 
 def test_verify_anisotropy_passes(capsys):

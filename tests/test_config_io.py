@@ -199,6 +199,38 @@ def test_geometry_kinds_parse():
     with pytest.raises(ConfigError):
         parse_config("[geometry]\nkind = sphere\ncenter = 0,0\nradius = 0.3\n"
                      + MINIMAL)  # sphere needs dim 3
+    with pytest.raises(ConfigError, match=r"\['radius'\].*'uniform'"):
+        parse_config("[geometry]\nkind = uniform\nvalue = 1\nradius = 0.3\n"
+                     + MINIMAL)
+    with pytest.raises(ConfigError, match="'hexagon'"):
+        parse_config("[geometry]\nkind = hexagon\n" + MINIMAL)
+
+
+# a complete [geometry] section of each kind, in the dim it needs
+GEOMETRIES = {
+    "circle": (2, {"center": "0,0", "radius": "0.3"}),
+    "circles": (2, {"items": "-0.2,0,0.2 ; 0.25,0,0.15"}),
+    "sphere": (3, {"center": "0,0,0", "radius": "0.3"}),
+    "cuboid": (3, {"center": "0,0,0", "half_extents": "0.4,0.05,0.05"}),
+    "uniform": (2, {"value": "1"}),
+}
+
+
+def _geometry_text(kind, keys):
+    lines = [f"[domain]\ndim = {GEOMETRIES[kind][0]}\n\n[geometry]",
+             f"kind = {kind}"] + [f"{key} = {value}" for key, value in keys.items()]
+    return "\n".join(lines) + "\n" + MINIMAL
+
+
+@pytest.mark.parametrize("kind,key", [(kind, key) for kind, (_, keys)
+                                      in GEOMETRIES.items() for key in keys])
+def test_geometry_without_a_required_key_names_kind_and_key(kind, key):
+    keys = dict(GEOMETRIES[kind][1])
+    setup = parse_config(_geometry_text(kind, keys))
+    assert parse_config(emit_config(setup)).geometry == setup.geometry
+    del keys[key]
+    with pytest.raises(ConfigError, match=rf"'{kind}'.*'{key}'"):
+        parse_config(_geometry_text(kind, keys))
 
 
 # -- CSV contract -------------------------------------------------------

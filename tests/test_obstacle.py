@@ -5,7 +5,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -287,21 +286,25 @@ def test_transform_matches_lu_dirichlet(dim, n):
     mesh, k_b, mass, mask = _mobility_case(dim, n, True)
     transform = _transform_factor(k_b, mass, mesh, mask)
     f = np.random.default_rng(1).standard_normal(np.count_nonzero(~mask))
-    ref = factor_mobility(k_b, mass, mask).solve(f)
-    assert np.abs(transform.solve(f) - ref).max() <= 1e-11 * np.abs(ref).max()
+    ref = factor_mobility(k_b, mass, mask)(f)
+    assert np.abs(transform(f) - ref).max() <= 1e-11 * np.abs(ref).max()
 
 
 def test_transform_matches_lu_natural_2d():
-    # a right side with nonzero sum and a nonzero last (mass) entry: the
-    # multiplier, W's constant and the rest must all match the bordered LU
+    # a right side with nonzero sum: both solvers project it onto the
+    # range of K_b and return the W of zero mass-weighted mean
     mesh, k_b, mass, _ = _mobility_case(2, 16, False)
     transform = _transform_factor(k_b, mass, mesh, None)
-    f = np.random.default_rng(2).standard_normal(mesh.n_vertices + 1) + 0.5
-    ref = factor_mobility(k_b, mass).solve(f)
-    sol = transform.solve(f)
-    assert np.abs(sol - ref).max() <= 1e-11 * np.abs(ref).max()
-    assert abs(sol[-1] - ref[-1]) <= 1e-11 * abs(ref[-1])
-    assert abs(sol[-1]) > 0.1
+    f = np.random.default_rng(2).standard_normal(mesh.n_vertices) + 0.5
+    assert abs(f.sum()) > 0.1 * np.abs(f).sum()
+    ref = factor_mobility(k_b, mass)(f)
+    w = transform(f)
+    assert np.abs(w - ref).max() <= 1e-11 * np.abs(ref).max()
+    projected = f - (f.sum() / mass.sum()) * mass
+    for sol in (w, ref):
+        assert (np.abs(k_b @ sol - projected).max()
+                <= 1e-11 * np.abs(projected).max())
+        assert abs(mass @ sol) <= 1e-14 * (mass @ np.abs(sol))
 
 
 @settings(deadline=None, database=None, derandomize=True)
@@ -314,15 +317,12 @@ def test_transform_inverts_the_mobility_stiffness(n, b0, dirichlet, seed):
     if dirichlet:
         wdofs = np.flatnonzero(~mask)
         x = rng.standard_normal(wdofs.size)
-        sol = transform.solve(k_b[wdofs][:, wdofs] @ x)
+        sol = transform(k_b[wdofs][:, wdofs] @ x)
     else:
-        # a multiplier whose border term is of the size of K_b x, so the
-        # right side determines it to full precision
-        lam = b0 * n * n * rng.standard_normal()
+        # W is fixed up to its constant: x of zero mass-weighted mean
         x = rng.standard_normal(mesh.n_vertices)
-        sol = transform.solve(np.append(k_b @ x + lam * mass, mass @ x))
-        assert abs(sol[-1] - lam) <= 1e-11 * abs(lam)
-        sol = sol[:-1]
+        x -= (mass @ x) / mass.sum()
+        sol = transform(k_b @ x)
     assert np.abs(sol - x).max() <= 1e-11 * np.abs(x).max()
 
 
@@ -330,7 +330,7 @@ def test_mobility_solver_keeps_the_lu_elsewhere():
     # 3d natural boundary conditions: the boundary rows are not of
     # Kronecker form; a vertex-shuffled Kuhn grid: not lexicographic
     mesh, k_b, mass, _ = _mobility_case(3, 6, False)
-    assert isinstance(mobility_solver(k_b, mass, 3), spla.SuperLU)
+    assert not isinstance(mobility_solver(k_b, mass, 3), GridTransform)
     mesh = build_uniform_mesh(2, 0.5, 8)
     shuffled = shuffled_mesh(
         mesh, np.random.default_rng(3).permutation(mesh.n_vertices))
@@ -338,7 +338,7 @@ def test_mobility_solver_keeps_the_lu_elsewhere():
     mass = lumped_mass(shuffled)
     for mask in (None, shuffled.boundary_mask):
         solver = mobility_solver(k_b, mass, 2, mask)
-        assert isinstance(solver, spla.SuperLU)
+        assert not isinstance(solver, GridTransform)
 
 
 # -- coupled solver, Schur-complement path (constant mobility) --------

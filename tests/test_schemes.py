@@ -374,6 +374,19 @@ def test_manifest_records_kkt_residual_and_energy_flags(mesh2d_small,
     assert manifest["kkt_residual_max"] == max(residuals) <= cfg.tol
 
 
+@pytest.mark.parametrize("implicit", [False, True],
+                         ids=["standard", "implicit"])
+def test_manifest_records_the_flow_time(mesh2d_small, tmp_path, implicit):
+    # the standard step at tau is the implicit step at tau/(1 + tau/eps^2)
+    tau = 1e-5
+    cfg = _ac_config(tau=tau, t_end=5 * tau, implicit=implicit)
+    run_simulation(cfg, mesh2d_small, isotropic(2), Circle((0.0, 0.0), 0.3),
+                   out_dir=tmp_path, config_text="flow clock")
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    flow_tau = tau if implicit else tau / (1.0 + tau / EPS**2)
+    assert manifest["flow_time"] == pytest.approx(5 * flow_tau, rel=1e-14)
+
+
 def test_run_simulation_with_out_dir_needs_config_text(mesh2d_small, tmp_path):
     # the run id and the directory guard come from the config text
     out = tmp_path / "out"

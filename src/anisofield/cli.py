@@ -42,8 +42,11 @@ def _cmd_run(args):
                             setup.geometry, out_dir=out_dir,
                             config_text=emit_config(setup))
     final = result.final_state
+    flow_tau = setup.scheme.flow_tau
+    flow = (f" (flow time n*tau/(1 + tau/eps^2) = {final.n * flow_tau:.6g})"
+            if flow_tau != setup.scheme.tau else "")
     print(f"run {setup.run_id}: {final.n} steps to t = n*tau = "
-          f"{final.t:.6g} (flow time {final.n * setup.scheme.flow_tau:.6g})")
+          f"{final.t:.6g}{flow}")
     print(f"  E_gamma_h = {final.report.e_gamma_h:.12g}"
           + (f", F_gamma_h = {final.report.f_gamma_h:.12g}"
              if final.report.f_gamma_h is not None else ""))
@@ -141,9 +144,8 @@ def _cmd_benchmark_circle(args):
     return 0 if worst <= tol else 1
 
 
-# argparse types; argparse reports their ValueError as an invalid value
 def _positive_numbers(text):
-    """Comma-separated positive finite numbers."""
+    """argparse type: comma-separated positive finite numbers."""
     values = [float(v) for v in text.split(",")]
     if not all(0.0 < v < math.inf for v in values):
         raise argparse.ArgumentTypeError(f"not all positive and finite: {text}")
@@ -151,7 +153,7 @@ def _positive_numbers(text):
 
 
 def _count(text):
-    """An integer of at least 1."""
+    """argparse type: an integer of at least 1."""
     if int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1: {text}")
     return int(text)

@@ -9,11 +9,11 @@ Anisotropy specifications are either ``iso``, ``l1reg:<delta>`` with an
 optional rotation (``l1reg:<delta>:rot=<angle_deg>`` in 2d,
 ``l1reg:<delta>:rot=<axis>,<angle_deg>`` in 3d), or an explicit list of
 row-major weight matrices.  One table declares each ``[geometry]`` kind's
-class and keys for parsing, key checks and emitting.
+class, keys and their value types for parsing, key checks and emitting.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -35,13 +35,22 @@ __all__ = [
 
 DEFAULT_EPS_INV = 16.0 * math.pi
 
-# each [geometry] kind: its class and its keys, in field and emit order
+# [geometry] value types, (parse(key, text, dim), emit(value)); items "x,y,r; ..."
+_NUM = (lambda key, text, dim: _as_float("geometry", key, text),
+        lambda value: repr(float(value)))
+_VEC = (lambda key, text, dim: _vector("geometry", key, text, dim),
+        lambda value: ",".join(repr(float(v)) for v in value))
+_ITEMS = (lambda key, text, dim: tuple(Circle(v[:dim], v[dim]) for v in (
+              _vector("geometry", key, c, dim + 1) for c in text.split(";"))),
+          lambda items: "; ".join(_VEC[1]((*c.center, c.radius)) for c in items))
+
+# each [geometry] kind: its class and its keys' value types, in field order
 _GEOMETRIES = {
-    "circle": (Circle, ("center", "radius")),
-    "circles": (MultiCircle, ("items",)),
-    "sphere": (Sphere, ("center", "radius")),
-    "cuboid": (Cuboid, ("center", "half_extents")),
-    "uniform": (Uniform, ("value",)),
+    "circle": (Circle, {"center": _VEC, "radius": _NUM}),
+    "circles": (MultiCircle, {"items": _ITEMS}),
+    "sphere": (Sphere, {"center": _VEC, "radius": _NUM}),
+    "cuboid": (Cuboid, {"center": _VEC, "half_extents": _VEC}),
+    "uniform": (Uniform, {"value": _NUM}),
 }
 
 _KEYS = {
@@ -226,13 +235,7 @@ def _parse_geometry(geo, dim):
     missing = [key for key in keys if key not in geo]
     if missing:
         raise ConfigError(f"[geometry] kind {kind!r} requires keys {missing}")
-    if kind == "circles":
-        items = [_vector("geometry", "items", chunk, dim + 1)
-                 for chunk in geo["items"].split(";")]
-        return MultiCircle(tuple(Circle(v[:dim], v[dim]) for v in items))
-    return cls(*(_vector("geometry", key, geo[key], dim)
-                 if key in ("center", "half_extents")
-                 else _as_float("geometry", key, geo[key]) for key in keys))
+    return cls(*(parse(key, geo[key], dim) for key, (parse, _) in keys.items()))
 
 
 def parse_config(text):
@@ -330,16 +333,11 @@ def parse_config(text):
 
 
 def _emit_geometry(geometry):
-    fmt = lambda value: ",".join(repr(float(v)) for v in np.atleast_1d(value))
     for kind, (cls, keys) in _GEOMETRIES.items():
         if type(geometry) is cls:
-            break
-    else:
-        raise ConfigError(f"cannot emit geometry {geometry!r}")
-    if kind == "circles":
-        return {"kind": kind, "items": "; ".join(
-            fmt(tuple(c.center) + (c.radius,)) for c in geometry.circles)}
-    return {"kind": kind, **{key: fmt(getattr(geometry, key)) for key in keys}}
+            return {"kind": kind, **{key: emit(getattr(geometry, f.name))
+                    for (key, (_, emit)), f in zip(keys.items(), fields(cls))}}
+    raise ConfigError(f"cannot emit geometry {geometry!r}")
 
 
 def emit_config(setup):

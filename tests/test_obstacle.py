@@ -319,10 +319,13 @@ def test_transform_inverts_the_mobility_stiffness(n, b0, dirichlet, seed):
         x = rng.standard_normal(wdofs.size)
         sol = transform(k_b[wdofs][:, wdofs] @ x)
     else:
-        # W is fixed up to its constant: x of zero mass-weighted mean
+        # W is fixed up to its constant: x of zero mass-weighted mean; the
+        # lam * mass term, of the size of K_b x, is what the solver must
+        # project out of the right side
+        lam = b0 * n * n * rng.standard_normal()
         x = rng.standard_normal(mesh.n_vertices)
         x -= (mass @ x) / mass.sum()
-        sol = transform(k_b @ x)
+        sol = transform(k_b @ x + lam * mass)
     assert np.abs(sol - x).max() <= 1e-11 * np.abs(x).max()
 
 

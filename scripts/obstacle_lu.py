@@ -10,8 +10,9 @@ subcommand prints the numbers that DECISIONS.md records:
 
 ``ordering`` runs an Allen-Cahn configuration (configs/fig1.cfg unless
 ``--config`` names another) once with SuperLU's default COLAMD ordering
-in place of the helper and once as shipped, and compares the LUs, the
-active-set rounds of every step and U.  ``newton`` runs it once with
+in place of the helper (both factor the pattern without its explicit
+zeros) and once as shipped, and compares the LUs, the active-set rounds
+of every step and U.  ``newton`` runs it once with
 projected Newton alone (from U^old, at most 100 rounds) as the obstacle
 solver and compares with the shipped loop-first solve.  ``fallback``
 solves the random dense SPD systems A = R^T R + shift I of DECISIONS.md
@@ -70,7 +71,8 @@ def _run(path, steps):
 
 def cmd_ordering(args):
     original = obstacle._splu_symmetric
-    obstacle._splu_symmetric = lambda mat: spla.splu(mat.tocsc())
+    obstacle._splu_symmetric = lambda mat: spla.splu(
+        obstacle._zero_free_csc(mat))
     try:
         default = _run(args.config, args.steps)
     finally:

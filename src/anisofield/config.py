@@ -8,8 +8,9 @@ reproduces ``setup`` exactly.
 Anisotropy specifications are either ``iso``, ``l1reg:<delta>`` with an
 optional rotation (``l1reg:<delta>:rot=<angle_deg>`` in 2d,
 ``l1reg:<delta>:rot=<axis>,<angle_deg>`` in 3d), or an explicit list of
-row-major weight matrices.  One table declares each ``[geometry]`` kind's
-class, keys and their value types for parsing, key checks and emitting.
+row-major weight matrices.  Two tables, one of the plain keys and one of
+the ``[geometry]`` kinds, declare every other key and its value type for
+parsing, key checks and emitting.
 """
 
 import math
@@ -35,14 +36,39 @@ __all__ = [
 
 DEFAULT_EPS_INV = 16.0 * math.pi
 
-# [geometry] value types, (parse(key, text, dim), emit(value)); items "x,y,r; ..."
-_NUM = (lambda key, text, dim: _as_float("geometry", key, text),
+# value types, (parse(section, key, text, dim), emit(value))
+_STR = (lambda section, key, text, dim: text, str)
+_INT = (lambda section, key, text, dim: _as_int(section, key, text), str)
+_BOOL = (lambda section, key, text, dim: _as_bool(section, key, text),
+         lambda value: "true" if value else "false")
+_NUM = (lambda section, key, text, dim: _as_float(section, key, text),
         lambda value: repr(float(value)))
-_VEC = (lambda key, text, dim: _vector("geometry", key, text, dim),
+_VEC = (lambda section, key, text, dim: _vector(section, key, text, dim),
         lambda value: ",".join(repr(float(v)) for v in value))
-_ITEMS = (lambda key, text, dim: tuple(Circle(v[:dim], v[dim]) for v in (
-              _vector("geometry", key, c, dim + 1) for c in text.split(";"))),
+# [geometry] items "x,y,r; ..."
+_ITEMS = (lambda section, key, text, dim: tuple(Circle(v[:dim], v[dim]) for v in (
+              _vector(section, key, c, dim + 1) for c in text.split(";"))),
           lambda items: "; ".join(_VEC[1]((*c.center, c.radius)) for c in items))
+
+# theta: a number or the token eps, resolved to 1/eps_inv by parse_config
+_THETA = (lambda section, key, text, dim:
+          text if text == "eps" else _NUM[0](section, key, text, dim), _NUM[1])
+_REQUIRED = object()
+
+# [domain], [scheme] and [output] keys in emit order: value type, default
+# text (_REQUIRED: none, None: unset); each fills the field of its name, but
+# dir fills RunSetup.out_dir and mobility both mobility and b0
+_PLAIN = {
+    "domain": {"dim": (_INT, "2"), "half_width": (_NUM, "0.5"),
+               "subdivisions": (_INT, "128")},
+    "scheme": {"scheme": (_STR, _REQUIRED), "tau": (_NUM, _REQUIRED),
+               "t_end": (_NUM, _REQUIRED),
+               "eps_inv": (_NUM, repr(DEFAULT_EPS_INV)),
+               "theta": (_THETA, "1"), "alpha": (_NUM, "1"),
+               "mobility": (_STR, "constant:2"), "w_bdry": (_NUM, None),
+               "implicit": (_BOOL, "false"), "tol": (_NUM, "1e-9")},
+    "output": {"snapshot_every": (_INT, "0"), "dir": (_STR, None)},
+}
 
 # each [geometry] kind: its class and its keys' value types, in field order
 _GEOMETRIES = {
@@ -53,13 +79,13 @@ _GEOMETRIES = {
     "uniform": (Uniform, {"value": _NUM}),
 }
 
+# every section's keys, in emit order
 _KEYS = {
-    "domain": {"dim", "half_width", "subdivisions"},
+    "domain": set(_PLAIN["domain"]),
     "anisotropy": {"spec", "matrices"},
-    "scheme": {"preset", "scheme", "tau", "t_end", "eps_inv", "theta",
-               "alpha", "mobility", "w_bdry", "implicit", "tol"},
+    "scheme": {"preset", *_PLAIN["scheme"]},
     "geometry": {"kind"}.union(*(keys for _, keys in _GEOMETRIES.values())),
-    "output": {"dir", "snapshot_every"},
+    "output": set(_PLAIN["output"]),
 }
 
 _PRESETS = {
@@ -235,37 +261,44 @@ def _parse_geometry(geo, dim):
     missing = [key for key in keys if key not in geo]
     if missing:
         raise ConfigError(f"[geometry] kind {kind!r} requires keys {missing}")
-    return cls(*(parse(key, geo[key], dim) for key, (parse, _) in keys.items()))
+    return cls(*(parse("geometry", key, geo[key], dim)
+                 for key, (parse, _) in keys.items()))
 
 
 def parse_config(text):
-    """Parse configuration text into a fully resolved :class:`RunSetup`."""
+    """Parse configuration text into a fully resolved :class:`RunSetup`.
+
+    A preset's keys are defaults: its ``[scheme]`` keys fill in one by one,
+    its other sections only a user's section that fits them, one that names
+    no key the preset's does not and no other kind."""
     sections = _parse_sections(text)
-    scheme_keys = dict(sections.get("scheme", {}))
+    preset = sections.setdefault("scheme", {}).pop("preset", None)
+    if preset in _UNAVAILABLE_PRESETS:
+        raise ConfigError(
+            f"preset {preset!r} relies on the hexagonal density whose "
+            "weight matrices are not published; approximate it with an "
+            "explicit [anisotropy] matrices = ... list instead")
+    if preset is not None and preset not in _PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}")
+    for section, defaults in _PRESETS.get(preset, {}).items():
+        given = sections.setdefault(section, {})
+        if section == "scheme" or (given.keys() <= defaults.keys() and
+                                   given.get("kind") in (None, defaults.get("kind"))):
+            for key, value in defaults.items():
+                given.setdefault(key, value)
 
-    preset = scheme_keys.pop("preset", None)
-    if preset is not None:
-        if preset in _UNAVAILABLE_PRESETS:
-            raise ConfigError(
-                f"preset {preset!r} relies on the hexagonal density whose "
-                "weight matrices are not published; approximate it with an "
-                "explicit [anisotropy] matrices = ... list instead")
-        if preset not in _PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
-        for section, values in _PRESETS[preset].items():
-            target = scheme_keys if section == "scheme" else \
-                sections.setdefault(section, {})
-            for key, value in values.items():
-                target.setdefault(key, value)
-
-    domain = sections.get("domain", {})
-    dim = _as_int("domain", "dim", domain.get("dim", "2"))
+    values = {}
+    for section, keys in _PLAIN.items():
+        given = sections.get(section, {})
+        for key, ((parse, _), default) in keys.items():
+            raw = given.get(key, default)
+            if raw is _REQUIRED:
+                raise ConfigError(f"[{section}] missing required key {key!r}")
+            values[key] = None if raw is None else parse(section, key, raw, None)
+    dim = values["dim"]
     if dim not in (2, 3):
         raise ConfigError("[domain] dim must be 2 or 3")
-    half_width = _as_float("domain", "half_width", domain.get("half_width", "0.5"))
-    subdivisions = _as_int("domain", "subdivisions",
-                           domain.get("subdivisions", "128"))
-    if half_width <= 0 or subdivisions < 1:
+    if values["half_width"] <= 0 or values["subdivisions"] < 1:
         raise ConfigError("[domain] half_width and subdivisions must be positive")
 
     aniso_sec = sections.get("anisotropy", {})
@@ -274,62 +307,33 @@ def parse_config(text):
     if "matrices" in aniso_sec:
         aniso = _parse_matrices(aniso_sec["matrices"], dim)
         spec_str = "matrices:" + ";".join(
-            ",".join(repr(float(x)) for x in mat.ravel())
-            for mat in aniso.matrices)
+            _VEC[1](mat.ravel()) for mat in aniso.matrices)
     else:
         spec_str = aniso_sec.get("spec", "iso")
         aniso = parse_anisotropy_spec(spec_str, dim)
 
-    for key in ("scheme", "tau", "t_end"):
-        if key not in scheme_keys:
-            raise ConfigError(f"[scheme] missing required key {key!r}")
-    eps_inv = _as_float("scheme", "eps_inv",
-                        scheme_keys.get("eps_inv", repr(DEFAULT_EPS_INV)))
-    if eps_inv <= 0:
-        raise ConfigError("[scheme] eps_inv must be positive")
-    theta_raw = scheme_keys.get("theta", "1")
-    theta = 1.0 / eps_inv if theta_raw.strip() == "eps" else _as_float(
-        "scheme", "theta", theta_raw)
-    mobility_raw = scheme_keys.get("mobility", "constant:2")
-    if mobility_raw == "degenerate":
-        mobility, b0 = "degenerate", 1.0
-    elif mobility_raw.startswith("constant"):
-        mobility = "constant"
-        _, _, b0_raw = mobility_raw.partition(":")
-        b0 = _as_float("scheme", "mobility", b0_raw) if b0_raw else 2.0
+    mobility, _, b0 = values["mobility"].partition(":")
+    if values["mobility"] == "degenerate":
+        b0 = 1.0
+    elif mobility == "constant":
+        b0 = _as_float("scheme", "mobility", b0) if b0 else 2.0
     else:
-        raise ConfigError(f"[scheme] unknown mobility {mobility_raw!r}")
-
-    output = sections.get("output", {})
-    snapshot_every = _as_int("output", "snapshot_every",
-                             output.get("snapshot_every", "0"))
+        raise ConfigError(f"[scheme] unknown mobility {values['mobility']!r}")
+    values.update(mobility=mobility, b0=b0)
+    if values["eps_inv"] <= 0:
+        raise ConfigError("[scheme] eps_inv must be positive")
+    if values["theta"] == "eps":
+        values["theta"] = 1.0 / values["eps_inv"]
     try:
-        scheme = SchemeConfig(
-            scheme=scheme_keys["scheme"],
-            eps_inv=eps_inv,
-            tau=_as_float("scheme", "tau", scheme_keys["tau"]),
-            t_end=_as_float("scheme", "t_end", scheme_keys["t_end"]),
-            theta=theta,
-            alpha=_as_float("scheme", "alpha", scheme_keys.get("alpha", "1")),
-            mobility=mobility,
-            b0=b0,
-            w_bdry=(None if "w_bdry" not in scheme_keys
-                    else _as_float("scheme", "w_bdry", scheme_keys["w_bdry"])),
-            snapshot_every=snapshot_every,
-            implicit=_as_bool("scheme", "implicit",
-                              scheme_keys.get("implicit", "false")),
-            tol=_as_float("scheme", "tol", scheme_keys.get("tol", "1e-9")),
-        )
+        scheme = SchemeConfig(**{f.name: values[f.name]
+                                 for f in fields(SchemeConfig)})
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    geometry = _parse_geometry(
-        sections.get("geometry", {"kind": "circle", "center": "0,0" if dim == 2
-                                  else "0,0,0", "radius": "0.3"}), dim)
-    return RunSetup(dim=dim, half_width=half_width, subdivisions=subdivisions,
-                    anisotropy=aniso, anisotropy_spec=spec_str,
-                    geometry=geometry, scheme=scheme,
-                    out_dir=output.get("dir"))
+    geometry = _parse_geometry(sections.get("geometry", {
+        "kind": "circle", "center": ",".join("0" * dim), "radius": "0.3"}), dim)
+    return RunSetup(dim, values["half_width"], values["subdivisions"], aniso,
+                    spec_str, geometry, scheme, values["dir"])
 
 
 def _emit_geometry(geometry):
@@ -343,41 +347,17 @@ def _emit_geometry(geometry):
 def emit_config(setup):
     """Canonical text for a resolved setup; parsing it reproduces the setup."""
     sc = setup.scheme
-    lines = [
-        "[domain]",
-        f"dim = {setup.dim}",
-        f"half_width = {repr(setup.half_width)}",
-        f"subdivisions = {setup.subdivisions}",
-        "",
-        "[anisotropy]",
-    ]
-    if setup.anisotropy_spec.startswith("matrices:"):
-        lines.append(f"matrices = {setup.anisotropy_spec[len('matrices:'):]}")
-    else:
-        lines.append(f"spec = {setup.anisotropy_spec}")
-    mobility = ("degenerate" if sc.mobility == "degenerate"
-                else f"constant:{repr(sc.b0)}")
-    lines += [
-        "",
-        "[scheme]",
-        f"scheme = {sc.scheme}",
-        f"tau = {repr(sc.tau)}",
-        f"t_end = {repr(sc.t_end)}",
-        f"eps_inv = {repr(sc.eps_inv)}",
-        f"theta = {repr(sc.theta)}",
-        f"alpha = {repr(sc.alpha)}",
-        f"mobility = {mobility}",
-    ]
-    if sc.w_bdry is not None:
-        lines.append(f"w_bdry = {repr(sc.w_bdry)}")
-    lines += [
-        f"implicit = {'true' if sc.implicit else 'false'}",
-        f"tol = {repr(sc.tol)}",
-        "",
-        "[geometry]",
-    ]
-    lines += [f"{key} = {value}" for key, value in _emit_geometry(setup.geometry).items()]
-    lines += ["", "[output]", f"snapshot_every = {sc.snapshot_every}"]
-    if setup.out_dir is not None:
-        lines.append(f"dir = {setup.out_dir}")
-    return "\n".join(lines) + "\n"
+    values = {**vars(setup), **vars(sc), "dir": setup.out_dir,
+              "mobility": "degenerate" if sc.mobility == "degenerate"
+              else "constant:" + _NUM[1](sc.b0)}
+    spec = setup.anisotropy_spec
+    text = {section: {key: emit(values[key])
+                      for key, ((_, emit), _) in keys.items()
+                      if values[key] is not None}
+            for section, keys in _PLAIN.items()}
+    text["anisotropy"] = ({"matrices": spec[len("matrices:"):]}
+                          if spec.startswith("matrices:") else {"spec": spec})
+    text["geometry"] = _emit_geometry(setup.geometry)
+    return "\n".join(f"[{section}]\n" + "".join(
+        f"{key} = {value}\n" for key, value in text[section].items())
+        for section in _KEYS)

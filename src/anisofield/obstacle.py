@@ -113,11 +113,20 @@ def pattern_coloring(matrix):
     return [np.flatnonzero(colors == c) for c in range(colors.max() + 1)]
 
 
+def _zero_free_csc(mat):
+    """A CSC copy of ``mat`` without its explicit zeros (the Kuhn pattern
+    holds the isotropic entries across cell diagonals), which would
+    otherwise enter an LU's ordering and fill."""
+    mat = mat.tocsc(copy=True)
+    mat.eliminate_zeros()
+    return mat
+
+
 def _splu_symmetric(mat):
-    """Sparse LU with a symmetric fill-reducing ordering that prefers
-    diagonal pivots; every LU of both solvers goes through it, as all
-    their systems are symmetric."""
-    return spla.splu(mat.tocsc(), permc_spec="MMD_AT_PLUS_A",
+    """Sparse LU of the zero-free pattern with a symmetric fill-reducing
+    ordering that prefers diagonal pivots; every LU of both solvers goes
+    through it, as all their systems are symmetric."""
+    return spla.splu(_zero_free_csc(mat), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 

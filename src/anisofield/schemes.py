@@ -336,10 +336,6 @@ def allen_cahn_step(state, ws):
     shift = eps / tau - (1.0 / eps if config.implicit else 0.0)
     a_mat.data *= eps
     a_mat.data[ws.mesh.slot_map.diagonal] += shift * ws.mass
-    # the pattern holds exact zeros (about a quarter of it on the Kuhn
-    # mesh: the isotropic entries across cell diagonals); kept, they would
-    # enter every LU of the solve and raise its fill
-    a_mat.eliminate_zeros()
     rhs = ws.mass * (shift + 1.0 / eps) * u_old
     sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol)
     u = sol.solution

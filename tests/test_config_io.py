@@ -93,6 +93,12 @@ def test_theta_eps_token():
     assert setup.scheme.theta == pytest.approx(1.0 / (16.0 * math.pi))
 
 
+@pytest.mark.parametrize("eps_inv", ["0", "-1"])
+def test_theta_eps_needs_a_positive_eps_inv(eps_inv):
+    with pytest.raises(ConfigError, match="eps_inv must be positive"):
+        parse_config(MINIMAL + f"eps_inv = {eps_inv}\ntheta = eps\n")
+
+
 def test_missing_required_keys():
     with pytest.raises(ConfigError):
         parse_config("[scheme]\nscheme = allen_cahn\ntau = 1e-4\n")
@@ -146,6 +152,30 @@ def test_preset_keys_can_be_overridden():
     setup = parse_config("[scheme]\npreset = fig1\ntau = 5e-5\n")
     assert setup.scheme.tau == 5e-5
     assert setup.scheme.t_end == 0.05
+
+
+PRESET_FITS = {
+    # a preset's geometry yields to another kind, its spec to matrices
+    "fig1-uniform": ("fig1", "[geometry]\nkind = uniform\nvalue = 0.5\n",
+                     Uniform(0.5), "l1reg:0.01"),
+    "fig4-circle": ("fig4", "[geometry]\nkind = circle\ncenter = 0.1,0\n"
+                    "radius = 0.25\n", Circle((0.1, 0.0), 0.25), "l1reg:0.01"),
+    "fig1-matrices": ("fig1", "[anisotropy]\nmatrices = 1,0,0,1\n",
+                      Circle((0.0, 0.0), 0.3), "matrices:1.0,0.0,0.0,1.0"),
+    # a partial section of the preset's own kind is completed
+    "fig1-radius": ("fig1", "[geometry]\nradius = 0.2\n",
+                    Circle((0.0, 0.0), 0.2), "l1reg:0.01"),
+}
+
+
+@pytest.mark.parametrize("case", PRESET_FITS)
+def test_preset_fills_only_the_sections_it_fits(case):
+    preset, section, geometry, spec = PRESET_FITS[case]
+    setup = parse_config(f"[scheme]\npreset = {preset}\n\n{section}")
+    assert setup.geometry == geometry
+    assert setup.anisotropy_spec == spec
+    assert setup.scheme == parse_config(f"[scheme]\npreset = {preset}\n").scheme
+    assert emit_config(parse_config(emit_config(setup))) == emit_config(setup)
 
 
 def test_3d_rotation_spec_strings():
@@ -231,6 +261,22 @@ def test_geometry_without_a_required_key_names_kind_and_key(kind, key):
     del keys[key]
     with pytest.raises(ConfigError, match=rf"'{kind}'.*'{key}'"):
         parse_config(_geometry_text(kind, keys))
+
+
+# run ids of the shipped configurations: a change to parsing or emitting
+# that moves one leaves its earlier run directories unrecognised
+RUN_IDS = {
+    "configs/fig1.cfg": "bd682412314d",
+    "configs/fig4.cfg": "9c03820704fa",
+    "configs/surface_diffusion.cfg": "792cf4ce43eb",
+    "perfbench/ac3d_sphere.cfg": "2ca22238ae08",
+}
+
+
+@pytest.mark.parametrize("path", RUN_IDS)
+def test_shipped_configs_keep_their_run_ids(path):
+    root = Path(__file__).resolve().parents[1]
+    assert parse_config((root / path).read_text()).run_id == RUN_IDS[path]
 
 
 # -- CSV contract -------------------------------------------------------

@@ -449,12 +449,14 @@ def test_coupled_schur_deterministic(dirichlet):
 def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     # the obstacle loop, its projected-Newton fallback, the mobility factor,
     # the Schur preconditioners and the saddle LU all factor through the
-    # symmetric minimum-degree ordering in SymmetricMode
+    # symmetric minimum-degree ordering in SymmetricMode, and none of them
+    # factors an explicit zero of the Kuhn pattern
     calls = []
     splu = obstacle.spla.splu
 
     def recording_splu(mat, *args, **kwargs):
         calls.append((args, kwargs))
+        assert np.count_nonzero(mat.data == 0.0) == 0, mat.shape
         return splu(mat, *args, **kwargs)
 
     monkeypatch.setattr(obstacle.spla, "splu", recording_splu)

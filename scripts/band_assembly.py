@@ -52,14 +52,16 @@ def full_assembly(ws, u):
     """K over all elements: c_l at every element's own gradient."""
     mesh = ws.mesh
     coeffs = ws.aniso.b_coefficients(mesh.element_gradients(u))
-    local = np.einsum("le,leij->eij", coeffs, ws.aniso_blocks)
+    local = np.einsum("le,leij->eij", coeffs,
+                      ws.aniso_blocks[:, mesh.element_class])
     return fem._csr(mesh, fem._scatter(mesh, local))
 
 
 def full_gradient_energy(ws, u):
     mesh = ws.mesh
     gamma = ws.aniso.gamma(mesh.element_gradients(u))
-    return 0.5 * ws.config.eps * float(mesh.element_volume @ gamma ** 2)
+    volume = mesh.class_volume[mesh.element_class]
+    return 0.5 * ws.config.eps * float(volume @ gamma ** 2)
 
 
 def band_assembly(ws, u):
@@ -70,8 +72,8 @@ def band_assembly(ws, u):
 def band_gradient_energy(ws, u):
     band, grads = fem.interface_band(ws.mesh, u)
     gamma = ws.aniso.gamma(grads)
-    return 0.5 * ws.config.eps * float(ws.mesh.element_volume[band]
-                                       @ gamma ** 2)
+    volume = ws.mesh.class_volume[ws.mesh.element_class[band]]
+    return 0.5 * ws.config.eps * float(volume @ gamma ** 2)
 
 
 def main():

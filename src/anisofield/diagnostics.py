@@ -70,7 +70,8 @@ def discrete_energy(mesh, aniso, eps, u, mass=None, band=None):
         raise ValueError("field leaves the admissible set K^h")
     band, grads = interface_band(mesh, u) if band is None else band
     grad_energy = 0.5 * eps * float(
-        mesh.element_volume[band] @ aniso.gamma(grads) ** 2)
+        mesh.class_volume[mesh.element_class[band]]
+        @ aniso.gamma(grads) ** 2)
     m = lumped_mass(mesh) if mass is None else mass
     uc = np.clip(u, -1.0, 1.0)
     pot_energy = float(m @ (0.5 * (1.0 - uc * uc))) / eps

@@ -7,8 +7,10 @@ which is exactly the inner product the stability results are stated for.
 Every stiffness here is a sum over elements of w_sigma T_sigma, with
 per-element weights w that change from step to step and exactly
 symmetric element blocks T that depend only on the mesh and the weight
-matrices.  The blocks are built once (``stiffness_blocks``), and each
-assembly is a weighted ``bincount`` into the mesh's fixed CSR pattern
+matrices.  The blocks are built once per element class
+(``stiffness_blocks``; ``SimplicialMesh.element_class``), and each
+assembly gathers them per element and scatters them with one weighted
+``bincount`` into the mesh's fixed CSR pattern
 (``SimplicialMesh.slot_map``).  Summation follows the element order for
 every entry, so the result is exactly symmetric and deterministic.
 
@@ -38,7 +40,7 @@ __all__ = [
 
 def lumped_mass(mesh):
     """Lumped mass vector M_j = integral of hat function j = sum |sigma|/(d+1)."""
-    share = mesh.element_volume / (mesh.dim + 1)
+    share = (mesh.class_volume / (mesh.dim + 1))[mesh.element_class]
     return np.bincount(mesh.elements.ravel(),
                        weights=np.repeat(share, mesh.dim + 1),
                        minlength=mesh.n_vertices)
@@ -48,13 +50,14 @@ def stiffness_blocks(mesh, matrices):
     """Element blocks T_l = |sigma| grad(phi) G_l grad(phi)^T per weight matrix.
 
     ``matrices`` has shape (L, d, d); the result has shape
-    (L, n_elements, d+1, d+1) and every block is exactly symmetric.
+    (L, n_classes, d+1, d+1), one block per element class, and every
+    block is exactly symmetric.
     """
-    g = mesh.basis_gradients
+    g = mesh.class_gradients
     g_t = g.transpose(0, 2, 1)
-    vol = mesh.element_volume[:, None, None]
+    vol = mesh.class_volume[:, None, None]
     nloc = mesh.dim + 1
-    blocks = np.empty((len(matrices), mesh.n_elements, nloc, nloc))
+    blocks = np.empty((len(matrices), mesh.n_classes, nloc, nloc))
     for block, mat in zip(blocks, matrices):
         np.matmul(g @ mat, g_t, out=block)
         block += block.transpose(0, 2, 1).copy()
@@ -63,7 +66,7 @@ def stiffness_blocks(mesh, matrices):
 
 
 def isotropic_block(mesh):
-    """The element block of the identity weight, shape (n_elements, d+1, d+1)."""
+    """The element block of the identity weight, shape (n_classes, d+1, d+1)."""
     return stiffness_blocks(mesh, np.eye(mesh.dim)[None])[0]
 
 
@@ -84,7 +87,8 @@ def _csr(mesh, data):
 
 def isotropic_stiffness(mesh):
     """Standard P1 Laplacian stiffness, K_ij = sum |sigma| grad_j . grad_i."""
-    return _csr(mesh, _scatter(mesh, isotropic_block(mesh)))
+    block = isotropic_block(mesh)
+    return _csr(mesh, _scatter(mesh, block[mesh.element_class]))
 
 
 def interface_band(mesh, u):
@@ -112,7 +116,8 @@ def far_field_stiffness(mesh, aniso, blocks):
     """CSR data of the B(0) stiffness L sum_l K_l, the anisotropic
     stiffness of a constant field; ``blocks`` are
     ``stiffness_blocks(mesh, aniso.matrices)``, scattered one at a time."""
-    return aniso.n_terms * sum(_scatter(mesh, block) for block in blocks)
+    return aniso.n_terms * sum(_scatter(mesh, block[mesh.element_class])
+                               for block in blocks)
 
 
 def assemble_anisotropic_stiffness(mesh, aniso, u_prev, blocks=None,
@@ -136,7 +141,8 @@ def assemble_anisotropic_stiffness(mesh, aniso, u_prev, blocks=None,
         far_field = far_field_stiffness(mesh, aniso, blocks)
     band, grads = interface_band(mesh, u_prev) if band is None else band
     coeffs = aniso.b_coefficients(grads) - aniso.n_terms
-    local = np.einsum("le,leij->eij", coeffs, blocks[:, band])
+    local = np.einsum("le,leij->eij", coeffs,
+                      blocks[:, mesh.element_class[band]])
     return _csr(mesh, far_field + _scatter(mesh, local, band))
 
 
@@ -157,5 +163,6 @@ def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None):
         raise ValueError("mobility is negative at some vertex")
     if block is None:
         block = isotropic_block(mesh)
-    factor = vals[mesh.elements].mean(axis=1)
-    return _csr(mesh, _scatter(mesh, factor[:, None, None] * block))
+    local = block[mesh.element_class]
+    local *= vals[mesh.elements].mean(axis=1)[:, None, None]
+    return _csr(mesh, _scatter(mesh, local))

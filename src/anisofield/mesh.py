@@ -3,7 +3,9 @@
 The grid cells are split by the Kuhn (Freudenthal) pattern: 2 triangles per
 square in 2d, 6 tetrahedra per cube in 3d, all sharing the main diagonal of
 their cell.  The pattern is conforming across cells and every element has
-the same volume h^d / d!.
+the same volume h^d / d!.  The elements fall into d! classes of translates
+(Bey, Numer. Math. 85, 2000), and the mesh computes its element data once
+per class.
 """
 
 import itertools
@@ -67,7 +69,13 @@ def _build_slot_map(elements, n_vertices):
 
 
 class SimplicialMesh:
-    """Conforming simplicial mesh with per-element P1 basis gradients.
+    """Conforming simplicial mesh with P1 element data per element class.
+
+    The elements of a class are translates of its first element, with the
+    same local vertex order, so the volume and the P1 basis gradients are
+    computed once per class; the constructor checks every element's edge
+    vectors against its class's to 1e-12 h.  A mesh of arbitrary elements
+    passes ``np.arange(n_elements)``, one class per element.
 
     Attributes
     ----------
@@ -79,8 +87,9 @@ class SimplicialMesh:
     vertices : (n_vertices, dim) float array
     elements : (n_elements, dim + 1) int array
     boundary_mask : (n_vertices,) bool array, True on the domain boundary
-    element_volume : (n_elements,) float array
-    basis_gradients : (n_elements, dim + 1, dim) float array
+    element_class : (n_elements,) int array, numbered from 0
+    class_volume : (n_classes,) float array
+    class_gradients : (n_classes, dim + 1, dim) float array
         Constant gradients of the local P1 basis functions.
     slot_map : SlotMap
         CSR pattern and element-entry slots of the P1 matrices, built on
@@ -88,7 +97,7 @@ class SimplicialMesh:
     """
 
     def __init__(self, dim, half_width, subdivisions, vertices, elements,
-                 boundary_mask):
+                 boundary_mask, element_class):
         self.dim = dim
         self.half_width = float(half_width)
         self.subdivisions = int(subdivisions)
@@ -96,18 +105,31 @@ class SimplicialMesh:
         self.elements = elements
         self.boundary_mask = boundary_mask
 
-        p0 = vertices[elements[:, 0]]
-        edges = vertices[elements[:, 1:]] - p0[:, None, :]  # rows p_i - p_0
-        det = np.linalg.det(edges)
+        self.element_class = element_class = np.asarray(element_class)
+        classes, first = np.unique(element_class, return_index=True)
+        if (element_class.shape != elements.shape[:1]
+                or element_class.dtype.kind not in "iu"
+                or classes[0] != 0 or classes[-1] != classes.size - 1):
+            raise ValueError("element_class must give each element an "
+                             "integer class, numbered from 0 without gaps")
+        points = np.take(vertices, elements, axis=0)
+        edges = points[:, 1:] - points[:, :1]  # rows p_i - p_0
+        rep_edges = edges[first]
+        edges -= np.take(rep_edges, element_class, axis=0)
+        if not np.abs(edges, out=edges).max() <= 1e-12 * self.mesh_size:
+            raise ValueError("element is not a translate of its class's "
+                             "first element")
+        det = np.linalg.det(rep_edges)
         if np.any(det == 0.0):
             raise ValueError("degenerate element in mesh")
-        self.element_volume = np.abs(det) / np.prod(range(1, dim + 1))
-        grads = np.linalg.inv(edges).transpose(0, 2, 1)  # rows of T^(-T)
-        self.basis_gradients = np.concatenate(
+        self.class_volume = np.abs(det) / np.prod(range(1, dim + 1))
+        grads = np.linalg.inv(rep_edges).transpose(0, 2, 1)  # rows of T^(-T)
+        self.class_gradients = np.concatenate(
             [-grads.sum(axis=1, keepdims=True), grads], axis=1)
 
         for arr in (self.vertices, self.elements, self.boundary_mask,
-                    self.element_volume, self.basis_gradients):
+                    self.element_class, self.class_volume,
+                    self.class_gradients):
             arr.setflags(write=False)
         self._slot_map = None
 
@@ -118,6 +140,10 @@ class SimplicialMesh:
     @property
     def n_elements(self):
         return self.elements.shape[0]
+
+    @property
+    def n_classes(self):
+        return self.class_volume.size
 
     @property
     def mesh_size(self):
@@ -142,10 +168,11 @@ class SimplicialMesh:
         values = np.asarray(nodal_values, dtype=float)
         if values.shape != (self.n_vertices,):
             raise ValueError("nodal value array does not match vertex count")
-        grads, elements = self.basis_gradients, self.elements
+        classes, elements = self.element_class, self.elements
         if subset is not None:
-            grads, elements = grads[subset], elements[subset]
-        return np.einsum("eid,ei->ed", grads, values[elements])
+            classes, elements = classes[subset], elements[subset]
+        return np.einsum("eid,ei->ed", self.class_gradients[classes],
+                         values[elements])
 
 
 def _grid_vertices(half_width, n, dim):
@@ -159,10 +186,15 @@ def build_uniform_mesh(dim, half_width, subdivisions):
     """Kuhn triangulation of (-H, H)^dim with ``subdivisions`` cells per axis.
 
     Yields (N+1)^d vertices and 2 N^2 triangles (d = 2) or 6 N^3 tetrahedra
-    (d = 3); the associated fine mesh size is h = 2 H / N.
+    (d = 3); the associated fine mesh size is h = 2 H / N.  The elements
+    are stacked by their position in the cell, N^d at a time, and each of
+    these d! stacks is one element class.
     """
     if dim not in (2, 3):
         raise ValueError("dim must be 2 or 3")
+    if (isinstance(subdivisions, (bool, np.bool_))
+            or not float(subdivisions).is_integer()):
+        raise ValueError("subdivisions must be a whole number")
     if subdivisions < 1:
         raise ValueError("need at least one subdivision per axis")
     if not 0 < half_width < np.inf:
@@ -178,10 +210,8 @@ def build_uniform_mesh(dim, half_width, subdivisions):
         v10 = v00 + 1
         v01 = v00 + (n + 1)
         v11 = v01 + 1
-        elements = np.vstack([
-            np.column_stack([v00, v10, v11]),
-            np.column_stack([v00, v11, v01]),
-        ])
+        parts = [np.column_stack([v00, v10, v11]),
+                 np.column_stack([v00, v11, v01])]
     else:
         ci = np.tile(cell, n * n)
         cj = np.tile(np.repeat(cell, n), n)
@@ -192,9 +222,11 @@ def build_uniform_mesh(dim, half_width, subdivisions):
         for perm in itertools.permutations(range(3)):
             offs = np.cumsum([0] + [strides[axis] for axis in perm])
             parts.append(np.column_stack([base + o for o in offs]))
-        elements = np.vstack(parts)
+    elements = np.vstack(parts)
+    element_class = np.repeat(np.arange(len(parts)), n ** dim)
 
     on_face = np.abs(np.abs(vertices) - half_width) <= 1e-12 * half_width
     boundary_mask = np.any(on_face, axis=1)
     return SimplicialMesh(dim, half_width, n, vertices,
-                          elements.astype(np.int64), boundary_mask)
+                          elements.astype(np.int64), boundary_mask,
+                          element_class)

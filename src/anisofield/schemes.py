@@ -243,7 +243,7 @@ class Workspace:
     The mesh, the anisotropy density ``aniso`` and the ``config`` do not
     change during a run, so neither does anything built from them alone:
     the mass vector, built here, and, built on first use, the isotropic
-    element block, the element blocks of ``aniso``'s weight matrices, the
+    and ``aniso``'s element blocks (one per element class), the
     far-field stiffness L sum_l K_l (the anisotropic stiffness wherever
     U^old is flat, see ``far_field_stiffness``), the constant mobility
     stiffness b0 K and its solver ``f -> W``: fast transforms on a Kuhn
@@ -259,7 +259,7 @@ class Workspace:
 
     @functools.cached_property
     def iso_block(self):
-        """Isotropic element block, the weight of the mobility stiffness."""
+        """Isotropic element blocks, the weight of the mobility stiffness."""
         return isotropic_block(self.mesh)
 
     @functools.cached_property

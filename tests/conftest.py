@@ -23,17 +23,31 @@ def random_spd_density(dim=2, n_terms=2, seed=42):
     return AnisotropyDensity(mats)
 
 
+def reference_element_data(mesh):
+    """Volume and P1 basis gradients of every element, computed element
+    by element from its vertices with ``det`` and ``inv``, without the
+    mesh's per-class tables: shapes (n_elements,) and
+    (n_elements, d+1, d)."""
+    points = mesh.vertices[mesh.elements]
+    edges = points[:, 1:] - points[:, :1]
+    volume = np.abs(np.linalg.det(edges)) / np.prod(range(1, mesh.dim + 1))
+    grads = np.linalg.inv(edges).transpose(0, 2, 1)
+    return volume, np.concatenate([-grads.sum(axis=1, keepdims=True), grads],
+                                  axis=1)
+
+
 def reference_stiffness(mesh, weights):
     """Element-by-element P1 assembly of sum |sigma| grad_j . W_sigma grad_i.
 
     ``weights`` holds one d x d matrix per element.  Each element block is
-    formed by a three-operand einsum, symmetrized, and the blocks are
-    scattered as COO triplets and converted to sorted CSR.
+    formed from ``reference_element_data`` by a three-operand einsum,
+    symmetrized, and the blocks are scattered as COO triplets and
+    converted to sorted CSR.
     """
-    g = mesh.basis_gradients
+    volume, g = reference_element_data(mesh)
     local = np.einsum("eid,edc,ejc->eij", g, weights, g)
     local = 0.5 * (local + local.transpose(0, 2, 1))
-    local *= mesh.element_volume[:, None, None]
+    local *= volume[:, None, None]
     nloc = mesh.dim + 1
     shape = (mesh.n_elements, nloc, nloc)
     rows = np.broadcast_to(mesh.elements[:, :, None], shape)
@@ -48,14 +62,15 @@ def reference_stiffness(mesh, weights):
 def shuffled_mesh(mesh, perm):
     """The mesh with its vertices renumbered: new vertex k is old vertex
     ``perm[k]``, so a nodal field ``u`` of ``mesh`` is ``u[perm]`` here.
-    The element list keeps its order and local vertex order."""
+    The element list keeps its order and local vertex order, and so its
+    element classes."""
     from anisofield import SimplicialMesh
 
     inv = np.empty_like(perm)
     inv[perm] = np.arange(mesh.n_vertices)
     return SimplicialMesh(mesh.dim, mesh.half_width, mesh.subdivisions,
                           mesh.vertices[perm].copy(), inv[mesh.elements].copy(),
-                          mesh.boundary_mask[perm].copy())
+                          mesh.boundary_mask[perm].copy(), mesh.element_class)
 
 
 def fd_gradient(func, p, step):

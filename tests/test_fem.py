@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 import anisofield.mesh
-from anisofield import (AnisotropyDensity, assemble_anisotropic_stiffness,
+from anisofield.fem import isotropic_block, stiffness_blocks
+from anisofield import (AnisotropyDensity, SimplicialMesh,
+                        assemble_anisotropic_stiffness,
                         assemble_mobility_stiffness, build_uniform_mesh,
                         discrete_energy, isotropic, isotropic_stiffness,
                         lumped_mass, make_regularized_l1)
-from conftest import random_spd_density, reference_stiffness, shuffled_mesh
+from conftest import (random_spd_density, reference_element_data,
+                      reference_stiffness, shuffled_mesh)
 
 
 def test_lumped_mass_interior_vertex_2d():
@@ -80,8 +83,8 @@ def test_energy_form_consistency(mesh2d_medium):
         k = assemble_anisotropic_stiffness(mesh2d_medium, aniso, u)
         quad = (k @ u) @ u
         grads = mesh2d_medium.element_gradients(u)
-        direct = float(mesh2d_medium.element_volume
-                       @ (2.0 * aniso.a_value(grads)))
+        volume = reference_element_data(mesh2d_medium)[0]
+        direct = float(volume @ (2.0 * aniso.a_value(grads)))
         assert quad == pytest.approx(direct, rel=1e-12)
 
 
@@ -153,6 +156,16 @@ def test_mobility_and_isotropic_stiffness_match_reference_assembly(dim, n):
         k_b, reference_stiffness(mesh, factor[:, None, None] * eye))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_element_blocks_are_kept_per_class(dim):
+    mesh = build_uniform_mesh(dim, 0.5, 4)
+    aniso = make_regularized_l1(dim, 0.1)
+    nloc = dim + 1
+    assert (stiffness_blocks(mesh, aniso.matrices).shape
+            == (aniso.n_terms, mesh.n_classes, nloc, nloc))
+    assert isotropic_block(mesh).shape == (mesh.n_classes, nloc, nloc)
+
+
 def test_slot_map_is_built_once_per_mesh(monkeypatch):
     builds = []
     build = anisofield.mesh._build_slot_map
@@ -172,10 +185,13 @@ def test_slot_map_is_built_once_per_mesh(monkeypatch):
 
 
 def test_flat_elements_take_the_zero_branch_despite_rounding():
-    # the P1 gradient of this constant is of rounding size (up to 3.6e-15)
-    # on 180 of the 2738 elements; equal vertex values still mean B(0) and
-    # no gradient energy, not c_l up to (1 + delta) / delta
-    mesh = build_uniform_mesh(2, 0.5, 37)
+    # on the Kuhn elements with one class per element, the P1 gradient of
+    # this constant is of rounding size (up to 3.6e-15) on 180 of the 2738
+    # elements; equal vertex values still mean B(0) and no gradient
+    # energy, not c_l up to (1 + delta) / delta
+    kuhn = build_uniform_mesh(2, 0.5, 37)
+    mesh = SimplicialMesh(2, 0.5, 37, kuhn.vertices, kuhn.elements,
+                          kuhn.boundary_mask, np.arange(kuhn.n_elements))
     aniso = make_regularized_l1(2, 0.01)
     u = np.full(mesh.n_vertices, 0.7071)
     assert np.count_nonzero(mesh.element_gradients(u).any(axis=1)) == 180
@@ -218,6 +234,7 @@ def test_band_assembly_and_energy_match_full_element_sums(dim, n, density,
     _assert_matches_reference(
         k, reference_stiffness(mesh, aniso.b_matrix(grads)), rtol=1e-14)
     eps = 0.05
-    full = math.fsum(0.5 * eps * mesh.element_volume * aniso.gamma(grads) ** 2)
+    volume = reference_element_data(mesh)[0]
+    full = math.fsum(0.5 * eps * volume * aniso.gamma(grads) ** 2)
     energy = discrete_energy(mesh, aniso, eps, u).gradient_energy
     assert energy == pytest.approx(full, rel=1e-14)

@@ -7,20 +7,25 @@ import numpy as np
 import pytest
 
 from anisofield import SimplicialMesh, build_uniform_mesh
+from conftest import reference_element_data, shuffled_mesh
+
+
+def _element_volume(mesh):
+    return mesh.class_volume[mesh.element_class]
 
 
 def test_smallest_2d_mesh_counts():
     mesh = build_uniform_mesh(2, 0.5, 1)
     assert mesh.n_vertices == 4
     assert mesh.n_elements == 2
-    assert mesh.element_volume.sum() == pytest.approx(1.0, rel=1e-15)
+    assert _element_volume(mesh).sum() == pytest.approx(1.0, rel=1e-15)
 
 
 def test_3d_mesh_counts():
     mesh = build_uniform_mesh(3, 0.5, 2)
     assert mesh.n_vertices == 27
     assert mesh.n_elements == 48
-    assert mesh.element_volume.sum() == pytest.approx(1.0, rel=1e-12)
+    assert _element_volume(mesh).sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def test_default_fine_mesh_size():
@@ -34,7 +39,7 @@ def test_default_fine_mesh_size():
 def test_mesh_is_conforming(dim, n):
     # every interior facet must be shared by exactly two elements
     mesh = build_uniform_mesh(dim, 0.7, n)
-    assert mesh.element_volume.sum() == pytest.approx(1.4**dim, rel=1e-12)
+    assert _element_volume(mesh).sum() == pytest.approx(1.4**dim, rel=1e-12)
     facets = Counter()
     for elem in mesh.elements:
         for facet in combinations(sorted(elem), dim):
@@ -49,14 +54,14 @@ def test_mesh_is_conforming(dim, n):
 @pytest.mark.parametrize("dim,n", [(2, 4), (3, 2)])
 def test_partition_of_unity_gradients(dim, n):
     mesh = build_uniform_mesh(dim, 0.5, n)
-    sums = mesh.basis_gradients.sum(axis=1)
-    assert np.abs(sums).max() <= 1e-12 * np.abs(mesh.basis_gradients).max()
+    sums = mesh.class_gradients.sum(axis=1)
+    assert np.abs(sums).max() <= 1e-12 * np.abs(mesh.class_gradients).max()
 
 
 def test_all_element_volumes_positive_and_equal():
     mesh = build_uniform_mesh(3, 0.5, 3)
     h = mesh.mesh_size
-    np.testing.assert_allclose(mesh.element_volume, h**3 / 6, rtol=1e-12)
+    np.testing.assert_allclose(_element_volume(mesh), h**3 / 6, rtol=1e-12)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -108,7 +113,8 @@ def test_slot_map_diagonal_and_vertices_in_no_element():
                                   np.arange(mesh.n_vertices))
     orphan = SimplicialMesh(2, 0.5, 3, np.vstack([mesh.vertices, [0.1, 0.1]]),
                             mesh.elements.copy(),
-                            np.append(mesh.boundary_mask, False))
+                            np.append(mesh.boundary_mask, False),
+                            mesh.element_class)
     with pytest.raises(ValueError, match="some element"):
         orphan.slot_map
 
@@ -121,3 +127,78 @@ def test_build_rejects_bad_arguments():
     for half_width in (-1.0, 0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             build_uniform_mesh(2, half_width, 2)
+    # int() would silently build N = 2 and N = 1 from these
+    for subdivisions in (2.5, True, np.True_, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            build_uniform_mesh(2, 1.0, subdivisions)
+    assert build_uniform_mesh(2, 1.0, 3.0).subdivisions == 3
+
+
+@pytest.mark.parametrize("dim,n,exact", [
+    (2, 3, False), (2, 37, False), (2, 64, True), (2, 128, True),
+    (3, 5, False), (3, 8, True), (3, 17, False), (3, 24, False)])
+def test_class_data_matches_per_element_recomputation(dim, n, exact):
+    # Within a class the edge vectors agree bit for bit when h is a power
+    # of two (every 2d workload mesh); otherwise the linspace vertices
+    # leave them, and so the per-element values, a few ulp apart.
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    assert mesh.n_classes == (2 if dim == 2 else 6)
+    volume, grads = reference_element_data(mesh)
+    class_volume = mesh.class_volume[mesh.element_class]
+    class_grads = mesh.class_gradients[mesh.element_class]
+    if exact:
+        np.testing.assert_array_equal(class_volume, volume)
+        np.testing.assert_array_equal(class_grads, grads)
+    assert np.abs(class_volume - volume).max() <= 1e-13 * volume.max()
+    assert (np.abs(class_grads - grads).max()
+            <= 1e-13 * np.abs(grads).max())
+
+
+def test_one_class_per_element_is_the_element_by_element_data():
+    mesh = build_uniform_mesh(3, 0.5, 3)
+    single = SimplicialMesh(3, 0.5, 3, mesh.vertices, mesh.elements,
+                            mesh.boundary_mask, np.arange(mesh.n_elements))
+    volume, grads = reference_element_data(mesh)
+    assert single.n_classes == mesh.n_elements
+    np.testing.assert_array_equal(single.class_volume, volume)
+    np.testing.assert_array_equal(single.class_gradients, grads)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_wrong_element_class_is_rejected(dim):
+    mesh = build_uniform_mesh(dim, 0.5, 3)
+
+    def build(element_class):
+        return SimplicialMesh(dim, 0.5, 3, mesh.vertices, mesh.elements,
+                              mesh.boundary_mask, element_class)
+
+    swapped = mesh.element_class.copy()
+    swapped[[0, -1]] = swapped[[-1, 0]]
+    gap = np.where(mesh.element_class == 0, 0, mesh.element_class + 1)
+    for element_class in (swapped, np.zeros(mesh.n_elements, dtype=int),
+                          gap, mesh.element_class[1:],
+                          mesh.element_class.astype(float)):
+        with pytest.raises(ValueError):
+            build(element_class)
+    # a vertex moved by a fraction of h breaks every element around it
+    moved = mesh.vertices.copy()
+    moved[5] += 1e-6 * mesh.mesh_size
+    with pytest.raises(ValueError, match="translate"):
+        SimplicialMesh(dim, 0.5, 3, moved, mesh.elements, mesh.boundary_mask,
+                       mesh.element_class)
+
+
+@pytest.mark.parametrize("dim,n", [(2, 7), (3, 4)])
+def test_shuffled_mesh_reproduces_its_parent(dim, n):
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    rng = np.random.default_rng(dim)
+    perm = rng.permutation(mesh.n_vertices)
+    shuffled = shuffled_mesh(mesh, perm)
+    np.testing.assert_array_equal(shuffled.vertices[shuffled.elements],
+                                  mesh.vertices[mesh.elements])
+    np.testing.assert_array_equal(shuffled.class_volume, mesh.class_volume)
+    np.testing.assert_array_equal(shuffled.class_gradients,
+                                  mesh.class_gradients)
+    u = rng.uniform(-1.0, 1.0, mesh.n_vertices)
+    np.testing.assert_array_equal(shuffled.element_gradients(u[perm]),
+                                  mesh.element_gradients(u))

@@ -6,21 +6,24 @@ K_b per run (a fast transform on a Kuhn grid where it is exact, else an
 LU); with degenerate mobility it factors the saddle system of every
 active-set round.  Each subcommand prints the numbers that DECISIONS.md
 records, comparing the Schur path with the saddle path on the same inputs,
-or, for ``transform``, the K_b LU with the transform solve:
+or, for ``transform``, the K_b LU with the transform solve; ``rounds``
+runs the Schur path alone and splits each step's active-set rounds into
+loose and exact ones:
 
     PYTHONPATH=src python scripts/coupled_schur.py fig4 --steps 8
+    PYTHONPATH=src python scripts/coupled_schur.py rounds --steps 20
     PYTHONPATH=src python scripts/coupled_schur.py neumann --steps 30
     PYTHONPATH=src python scripts/coupled_schur.py degenerate --steps 10
     PYTHONPATH=src python scripts/coupled_schur.py update --steps 3
     PYTHONPATH=src python scripts/coupled_schur.py ordering --count 8
     PYTHONPATH=src python scripts/coupled_schur.py transform --n2 128 --n3 24
 
-``fig4`` runs configs/fig4.cfg (Dirichlet, N = 128); ``neumann`` the
-setting of acceptance criterion 9 (natural boundary conditions, constant
-mobility, N = 64); ``degenerate`` and ``ordering`` configs/
-surface_diffusion.cfg (degenerate mobility, N = 64); ``transform`` b0 K
-(b0 = 2) on 2d and 3d Kuhn grids under both boundary conditions.  BLAS
-runs on one thread, as in the benchmark.
+``fig4`` and ``rounds`` run configs/fig4.cfg (Dirichlet, N = 128);
+``neumann`` the setting of acceptance criterion 9 (natural boundary
+conditions, constant mobility, N = 64); ``degenerate`` and ``ordering``
+configs/surface_diffusion.cfg (degenerate mobility, N = 64);
+``transform`` b0 K (b0 = 2) on 2d and 3d Kuhn grids under both boundary
+conditions.  BLAS runs on one thread, as in the benchmark.
 """
 
 import os
@@ -56,10 +59,11 @@ def _default_lu(mat):
 
 
 class PcgCounter:
-    """Counts the CG iterations of every Schur solve, and its failures."""
+    """Counts the CG iterations of every Schur solve, and its failures,
+    and records its tolerance."""
 
     def __init__(self, drop_residual_update=False):
-        self.iterations, self.failures = [], 0
+        self.iterations, self.tols, self.failures = [], [], 0
         self.drop_residual_update = drop_residual_update
 
     def __enter__(self):
@@ -72,6 +76,7 @@ class PcgCounter:
                 calls[0] += 1
                 return apply(v)
 
+            self.tols.append(tol)
             pre = precond
             if self.drop_residual_update:
                 pre = lambda r: (precond(r)[0], r)  # noqa: E731
@@ -186,6 +191,45 @@ def cmd_neumann(args):
     print(f"schur mass drift: max per step "
           f"{np.abs(np.diff(masses)).max():.1e}, total "
           f"{abs(masses[-1] - masses[0]):.1e}")
+
+
+def cmd_rounds(args):
+    """Loose and exact active-set rounds of the Schur path, step by step."""
+    mesh, aniso, cfg, u0 = _fig4_case()
+    ws = Workspace(mesh, aniso, cfg)
+    print(f"K_b solver: {_describe(ws.mobility_factor)}")
+    # the K_b solver is built, so every LU counted below is a preconditioner
+    state = initial_state(ws, u0)
+    factored = []
+    original = obstacle.spla.splu
+
+    def counting_splu(mat, *a, **kw):
+        factored.append(mat.shape[0])
+        return original(mat, *a, **kw)
+
+    print("step  rounds (loose, exact)  CG iterations  LUs  KKT residual")
+    totals = np.zeros(5, dtype=int)
+    obstacle.spla.splu = counting_splu
+    try:
+        for _ in range(args.steps):
+            factored.clear()
+            with PcgCounter() as counter:
+                state = cahn_hilliard_step(state, ws)
+            # a loose round runs its CG above tol/20; the rest are exact
+            loose = sum(t > cfg.tol / 20.0 for t in counter.tols)
+            row = (state.stats.iterations, loose,
+                   state.stats.iterations - loose, state.stats.cg_iterations,
+                   len(factored))
+            totals += row
+            print(f"{state.n:4d}  {row[0]:3d} ({row[1]:2d}, {row[2]:2d})  "
+                  f"{row[3]:13d}  {row[4]:3d}  {state.stats.residual:.1e}"
+                  f"{'' if state.stats.converged else '  not converged'}")
+    finally:
+        obstacle.spla.splu = original
+    print(f"total {totals[0]} rounds ({totals[1]} loose, {totals[2]} exact), "
+          f"{totals[3]} CG iterations, {totals[4]} LUs")
+    print(f"final E_gamma_h {state.report.e_gamma_h!r}, mass "
+          f"{state.report.mass!r}")
 
 
 def cmd_update(args):
@@ -318,6 +362,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, steps in (("fig4", cmd_fig4, 8),
+                              ("rounds", cmd_rounds, 20),
                               ("neumann", cmd_neumann, 30),
                               ("update", cmd_update, 3),
                               ("degenerate", cmd_degenerate, 10)):

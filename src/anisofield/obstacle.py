@@ -18,8 +18,11 @@ differ only in the subsolve of each round:
   inactive set by preconditioned CG, with one solver ``f -> W`` of the
   mobility stiffness per run (:func:`mobility_solver`: fast sine or cosine
   transforms on a lexicographic Kuhn grid, else the LU of
-  :func:`factor_mobility`); with degenerate mobility it solves the saddle
-  system on the inactive set by a sparse LU.
+  :func:`factor_mobility`).  Only the step's last round must be exact, so
+  the CG of an earlier round may stop at a tolerance scaled to the KKT
+  residual so far (an inexact Newton method); the step always ends on a
+  round solved to ``tol``/20.  With degenerate mobility it solves the
+  saddle system on the inactive set by a sparse LU.
 
 Both are deterministic: fixed inputs give bit-identical results.
 Convergence is measured by the componentwise KKT violation
@@ -67,12 +70,15 @@ class ViSolution:
 @dataclass
 class SolverStats:
     """Statistics of one step's constrained solve; ``mobility_regularized``
-    is set by a degenerate-mobility step that floored the mobility."""
+    is set by a degenerate-mobility step that floored the mobility, and
+    ``cg_iterations`` counts the CG iterations of the Schur-complement
+    rounds (0 off that path)."""
 
     iterations: int
     residual: float
     converged: bool
     mobility_regularized: bool = False
+    cg_iterations: int = 0
 
 
 def kkt_violation(residual, x):
@@ -130,51 +136,75 @@ def _splu_symmetric(mat):
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
-def _active_set(x, subsolve, kkt, tol, max_rounds):
+# An inexact round's subsolve tolerance, relative to the lowest KKT
+# residual so far: the forcing term of Eisenstat & Walker, SIAM J. Sci.
+# Comput. 17 (1996), on the active-set loop read as a semismooth Newton
+# method (Hintermueller, Ito & Kunisch, SIAM J. Optim. 13, 2003).
+_FORCING = 1e-2
+
+
+def _active_set(x, subsolve, kkt, tol, max_rounds, exact_tol=None):
     """Primal active-set loop shared by both constrained solvers.
 
     Starts from the bound pattern of ``x``.  Each round,
-    ``subsolve(act, inactive)`` returns the iterate with the nodes pinned
-    at ``act`` (+1, -1, or 0 for free) and any extra unknowns, and
-    ``kkt(x_clip, extra)`` the VI residual vector and the KKT residual of
-    the clipped iterate.  Free nodes leaving the box are pinned; pinned
-    nodes stay pinned while their multiplier is positive.  The loop stops
-    on a revisited active set, a singular subproblem or after
-    ``max_rounds``, with its lowest-residual iterate (``x`` and None if
-    no round finished).  Returns ``(x, extra, residual, rounds, converged)``.
+    ``subsolve(act, inactive, sub_tol, x)`` returns the iterate with the
+    nodes pinned at ``act`` (+1, -1, or 0 for free) and any extra
+    unknowns, given the last clipped iterate ``x`` (the start in the first
+    round), and ``kkt(x_clip, extra)`` the VI residual vector and the KKT
+    residual of the clipped iterate.  Free nodes leaving the box are
+    pinned; pinned nodes stay pinned while their multiplier is positive.
+
+    Without ``exact_tol`` every round is exact and ``sub_tol`` is None.
+    With it (an iterative subsolve) a round is loose, to ``sub_tol`` =
+    max(``exact_tol``, _FORCING times the lowest residual so far), except
+    the first round, a round after a residual rise and a set already
+    solved loosely, which get ``exact_tol``.  A loose round never ends
+    the loop: if it meets ``tol`` or leads back to a set solved exactly,
+    its own set is solved once more, exactly.
+
+    The loop stops on a set solved exactly before, a singular subproblem
+    or after ``max_rounds``, with its lowest-residual iterate (``x`` and
+    None if no round finished).  Returns
+    ``(x, extra, residual, rounds, converged)``.
     """
     act = _bound_pattern(x)
-    seen = set()
+    solved = {}  # active set -> whether it was solved exactly
     best_x, best_extra, best_res = x, None, np.inf
+    rose = True  # the first round has no residual to scale by
     rounds = 0
     for rounds in range(1, max_rounds + 1):
         key = act.tobytes()
-        if key in seen:
+        if solved.get(key):
             break
-        seen.add(key)
+        sub_tol = exact_tol
+        if not (exact_tol is None or rose or key in solved):
+            sub_tol = max(exact_tol, _FORCING * best_res)
+        exact = solved[key] = sub_tol == exact_tol
         try:
-            x_new, extra = subsolve(act, np.flatnonzero(act == 0))
+            x_new, extra = subsolve(act, np.flatnonzero(act == 0), sub_tol, x)
         except (RuntimeError, np.linalg.LinAlgError):
             break
-        x_clip = np.clip(x_new, -1.0, 1.0)
-        r, res = kkt(x_clip, extra)
-        if res < best_res:
-            best_x, best_extra, best_res = x_clip, extra, res
-        if res <= tol:
-            return x_clip, extra, res, rounds, True
+        x = np.clip(x_new, -1.0, 1.0)
+        r, res = kkt(x, extra)
+        rose = not res < best_res
+        if not rose:
+            best_x, best_extra, best_res = x, extra, res
+        if res <= tol and exact:
+            return x, extra, res, rounds, True
         new_act = np.zeros(x.size, dtype=np.int8)
         new_act[(act == 0) & (x_new > 1.0)] = 1
         new_act[(act == 0) & (x_new < -1.0)] = -1
         new_act[(act == 1) & (-r > 0.0)] = 1
         new_act[(act == -1) & (r > 0.0)] = -1
-        act = new_act
+        if exact or (res > tol and not solved.get(new_act.tobytes())):
+            act = new_act
     return best_x, best_extra, best_res, rounds, False
 
 
 def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
     """Active-set obstacle solve from the bound pattern of ``x``, one LU
     of the inactive block per round: ``(x, residual, rounds, converged)``."""
-    def subsolve(act, inactive):
+    def subsolve(act, inactive, *_):  # exact: the tolerance is ignored
         x_new = act.astype(float)
         if inactive.size:
             pinned = a_mat @ x_new
@@ -385,16 +415,17 @@ def _projected_cg(apply, b, x, precond, tol, max_iter=500):
     on the residual minus the constraint normal times the multiplier
     (Gould, Hribar & Nocedal, SIAM J. Sci. Comput. 23, 2001); the iterates
     then stay on the constraint of ``x``.  Stops when the max-norm of the
-    residual is at most ``tol``; raises ``RuntimeError`` on a nonpositive
-    curvature or after ``max_iter`` iterations.
+    residual is at most ``tol`` and returns the solution and the number of
+    iterations; raises ``RuntimeError`` on a nonpositive curvature or
+    after ``max_iter`` iterations.
     """
     r = b - apply(x)
     z, r = precond(r)
     d = z
     rz = r @ z
-    for _ in range(max_iter):
+    for iterations in range(max_iter):
         if np.abs(r).max() <= tol:
-            return x
+            return x, iterations
         sd = apply(d)
         curvature = d @ sd
         if not curvature > 0.0:
@@ -432,11 +463,18 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       :func:`factor_mobility`): W is eliminated, and U on the
       inactive set I solves the SPD Schur complement
       eps K_aniso,II + (c^2 tau/theta) M_I [K_b^-1]_II M_I by
-      preconditioned CG to a max-norm residual of ``tol``/20, one solve
-      with ``kb_factor`` per iteration.  With natural boundary conditions
-      the CG is projected onto the mass constraint.  W is then recovered
-      from the mass equation with ``kb_factor``, its constant (natural
-      boundary conditions) from the inactive rows.
+      preconditioned CG, one solve with ``kb_factor`` per iteration.  The
+      CG runs to a max-norm residual of max(``tol``/20, 1e-2 times the
+      lowest KKT residual so far); the first round, a round after a
+      residual rise and the round that ends the step run to ``tol``/20
+      (see :func:`_active_set`).  It starts from the last round's clipped
+      U on I (``u_old`` in the first round), under natural boundary
+      conditions projected onto the mass constraint, which the CG then
+      keeps.  A round on the inactive set
+      of the round before reuses its preconditioner LU; at most one is
+      kept.  W is then recovered from the mass equation with
+      ``kb_factor``, its constant (natural boundary conditions) from the
+      inactive rows.
     * otherwise (degenerate mobility, where a floored K_b is too ill
       conditioned for CG): one sparse LU of the symmetric saddle system in
       (U_I, W).
@@ -449,7 +487,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     returned stats, not raised).
 
     Returns ``(U, W, stats)`` with U in [-1, 1]^n and a
-    :class:`SolverStats`.
+    :class:`SolverStats`, whose ``cg_iterations`` totals the CG
+    iterations of the step.
     """
     n = mass.size
     u_old = np.asarray(u_old, dtype=float)
@@ -497,7 +536,11 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         w[wdofs] = z[inactive.size:]
         return w
 
-    def schur_round(u, inactive, s11, rhs1, rhs2):
+    cg_iterations = 0
+    factor = None  # the last preconditioner: (its inactive set, its LU)
+
+    def schur_round(u, inactive, s11, rhs1, rhs2, sub_tol, x0):
+        nonlocal cg_iterations, factor
         m_i = mass[inactive]
         coupled = np.zeros(n)
 
@@ -507,27 +550,33 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                 kb_factor, c * mass[wdofs] * coupled[wdofs])[inactive]
 
         b = rhs1 + c * m_i * mass_solve(kb_factor, rhs2)[inactive]
+        if factor is None or not np.array_equal(factor[0], inactive):
+            factor = None  # released before the next LU is factored
+            if dirichlet:
+                # s11 plus a lower bound for the diagonal of the coupling
+                # term, nonsingular even when every node is inactive
+                interior = ~boundary_mask[inactive]
+                shift = np.zeros(inactive.size)
+                shift[interior] = ((c * c / scale) * m_i[interior] ** 2
+                                   / k_b.diagonal()[inactive[interior]])
+                precond_mat = s11 + sp.diags(shift)
+            else:
+                precond_mat = sp.bmat([[s11, m_i[:, None]],
+                                       [m_i[None, :], None]])
+            factor = inactive, _splu_symmetric(precond_mat)
+        lu = factor[1]
         if dirichlet:
-            # s11 plus a lower bound for the diagonal of the coupling term,
-            # nonsingular even when every node is inactive
-            interior = ~boundary_mask[inactive]
-            shift = np.zeros(inactive.size)
-            shift[interior] = ((c * c / scale) * m_i[interior] ** 2
-                               / k_b.diagonal()[inactive[interior]])
-            lu = _splu_symmetric(s11 + sp.diags(shift))
-            x = _projected_cg(apply, b, lu.solve(b),
-                              lambda r: (lu.solve(r), r), tol / 20.0)
+            x, iterations = _projected_cg(apply, b, x0,
+                                          lambda r: (lu.solve(r), r), sub_tol)
         else:
-            lu = _splu_symmetric(sp.bmat([[s11, m_i[:, None]],
-                                          [m_i[None, :], None]]))
-
             def precond(r):
                 sol = lu.solve(np.append(r, 0.0))
                 return sol[:-1], r - m_i * sol[-1]
 
             # the nodal mass of U is conserved: M_I . U_I = M . (u_old - u)
-            x0 = lu.solve(np.append(b, mass @ (u_old - u)))[:-1]
-            x = _projected_cg(apply, b, x0, precond, tol / 20.0)
+            x0 = x0 + m_i * ((mass @ (u_old - u) - m_i @ x0) / (m_i @ m_i))
+            x, iterations = _projected_cg(apply, b, x0, precond, sub_tol)
+        cg_iterations += iterations
         u[inactive] = x
         w = w_fixed + mass_solve(kb_factor,
                                  rhs_mass + c * mass[wdofs] * u[wdofs])
@@ -537,7 +586,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
             w += (m_i @ r) / (c * (m_i @ m_i))
         return w
 
-    def subsolve(act, inactive):
+    def subsolve(act, inactive, sub_tol, x):
         u_pin = act.astype(float)
         rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
         if inactive.size == 0:
@@ -549,8 +598,10 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         rhs1 = mass[inactive] * ((0.0 if implicit else u_old[inactive] / eps)
                                  + c * w_fixed[inactive])
         rhs1 -= eps * (k_aniso[inactive] @ u_pin)
-        round_solve = saddle_round if kb_factor is None else schur_round
-        return u_pin, round_solve(u_pin, inactive, s11, rhs1, rhs2)
+        if kb_factor is None:
+            return u_pin, saddle_round(u_pin, inactive, s11, rhs1, rhs2)
+        return u_pin, schur_round(u_pin, inactive, s11, rhs1, rhs2, sub_tol,
+                                  x[inactive])
 
     def kkt(u_clip, w):
         pot = u_clip if implicit else u_old
@@ -559,9 +610,12 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         return r, float(max(kkt_violation(r, u_clip).max(),
                             np.abs(mass_defect[wdofs]).max()))
 
+    # the Schur rounds may be loose; the saddle LU is always exact
     u, w, residual, rounds, converged = _active_set(
-        u_old.copy(), subsolve, kkt, tol, max_iter)
+        u_old.copy(), subsolve, kkt, tol, max_iter,
+        exact_tol=None if kb_factor is None else tol / 20.0)
     if w is None:
         w = w_fixed
-    return u, w, SolverStats(rounds, residual, converged)
+    return u, w, SolverStats(rounds, residual, converged,
+                             cg_iterations=cg_iterations)
 

@@ -180,10 +180,11 @@ class RunManifest:
     (``completed``; ``failed`` if truncated; ``aborted`` if a solver
     failure was raised), the emitted files, the per-step wall clock, the
     largest KKT residual of the steps taken (None before the first), the
-    number of steps flagged for an energy increase, the versions of the
-    package, Python, numpy and scipy and the flow time n ``flow_tau`` of
-    the last state, which the run sets.  The manifest determines the run;
-    its fields are the keys of ``manifest.json``."""
+    number of steps flagged for an energy increase, the CG iterations of
+    the Schur-complement solves of all steps (0 off that path), the
+    versions of the package, Python, numpy and scipy and the flow time
+    n ``flow_tau`` of the last state, which the run sets.  The manifest
+    determines the run; its fields are the keys of ``manifest.json``."""
 
     run_id: str
     status: str
@@ -193,16 +194,18 @@ class RunManifest:
     step_seconds: list
     kkt_residual_max: Optional[float]
     energy_increase_flags: int
+    cg_iterations: int
     created: str
     versions: dict
     flow_time: Optional[float] = None
 
     @classmethod
     def collect(cls, config_text, csv_path, snapshot_paths, step_seconds,
-                status, kkt_residual_max, energy_increase_flags):
+                status, kkt_residual_max, energy_increase_flags,
+                cg_iterations):
         return cls(run_id_for(config_text), status, config_text, csv_path,
                    list(snapshot_paths), list(step_seconds),
-                   kkt_residual_max, energy_increase_flags,
+                   kkt_residual_max, energy_increase_flags, cg_iterations,
                    time.strftime("%Y-%m-%dT%H:%M:%S"),
                    {"anisofield": __version__,
                     "python": platform.python_version(),

@@ -432,7 +432,8 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     ``config_text`` that the run id and the manifest record; ``on_step``
     is called with every state (including the initial one).  Per-step
     energy increases beyond 10x the solver tolerance are counted (the
-    manifest records the count and the largest KKT residual), a solve
+    manifest records the count, the largest KKT residual and the total
+    CG iterations of the Schur-complement solves), a solve
     that misses its tolerance ends the run with a state dump (written in
     place of that step's snapshot): ``strict=True`` raises
     :class:`SolverFailure` (manifest status ``aborted``), otherwise the run
@@ -457,7 +458,7 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
 
     records = [output.CsvRecord.of(state)]
     n_steps = max(int(round(config.t_end / config.tau)), 1)
-    violations = 0
+    violations = cg_iterations = 0
     failure = None
     step_seconds = []
     status = "aborted"
@@ -470,6 +471,7 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
             tic = time.perf_counter()
             state = step_fn(state, ws)
             step_seconds.append(time.perf_counter() - tic)
+            cg_iterations += state.stats.cg_iterations
             records.append(output.CsvRecord.of(state))
             if writer:
                 writer.write(records[-1])
@@ -501,7 +503,7 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
                           default=None)
             manifest = output.RunManifest.collect(
                 config_text, csv_path, snapshot_paths, step_seconds, status,
-                kkt_max, violations)
+                kkt_max, violations, cg_iterations)
             manifest.flow_time = state.n * config.flow_tau
             manifest.write(manifest_path)
     if failure is not None and strict:

@@ -372,6 +372,23 @@ def test_manifest_records_kkt_residual_and_energy_flags(mesh2d_small,
     assert result.monotonicity_violations == (5 if flagged else 0)
     residuals = [r.solver_residual for r in result.records[1:]]
     assert manifest["kkt_residual_max"] == max(residuals) <= cfg.tol
+    assert manifest["cg_iterations"] == 0  # no Schur-complement solve
+
+
+def test_manifest_records_the_cg_iterations(tmp_path):
+    # a constant-mobility conserved run: the manifest holds the run total
+    # of the per-step Schur CG iterations
+    cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
+                       t_end=5e-5, alpha=1.0, b0=2.0, w_bdry=-65.0)
+    per_step = []
+    run_simulation(cfg, build_uniform_mesh(2, 0.5, 16),
+                   make_regularized_l1(2, 0.01), Uniform(1.0),
+                   out_dir=tmp_path, config_text="schur counters",
+                   on_step=lambda state: per_step.append(
+                       state.stats.cg_iterations))
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert per_step[0] == 0 and len(per_step) == 6
+    assert manifest["cg_iterations"] == sum(per_step) > 0
 
 
 @pytest.mark.parametrize("implicit", [False, True],

@@ -1,4 +1,4 @@
-"""Plain key=value run configuration: parsing, presets and round-trip emit.
+"""Plain key=value run configuration: parsing and round-trip emit.
 
 The format is deliberately minimal (sections in brackets, ``key = value``
 lines, ``#`` comments) so resolved configurations diff cleanly and the
@@ -83,27 +83,10 @@ _GEOMETRIES = {
 _KEYS = {
     "domain": set(_PLAIN["domain"]),
     "anisotropy": {"spec", "matrices"},
-    "scheme": {"preset", *_PLAIN["scheme"]},
+    "scheme": set(_PLAIN["scheme"]),
     "geometry": {"kind"}.union(*(keys for _, keys in _GEOMETRIES.values())),
     "output": set(_PLAIN["output"]),
 }
-
-_PRESETS = {
-    "fig1": {
-        "scheme": {"scheme": "allen_cahn", "tau": "1e-4", "t_end": "0.05"},
-        "anisotropy": {"spec": "l1reg:0.01"},
-        "geometry": {"kind": "circle", "center": "0,0", "radius": "0.3"},
-    },
-    "fig4": {
-        "scheme": {"scheme": "cahn_hilliard_dirichlet", "tau": "1e-5",
-                   "t_end": "1e-3", "w_bdry": "-65",
-                   "mobility": "constant:2"},
-        "anisotropy": {"spec": "l1reg:0.01"},
-        "geometry": {"kind": "uniform", "value": "1"},
-    },
-}
-
-_UNAVAILABLE_PRESETS = ("fig2", "fig3")
 
 
 class ConfigError(ValueError):
@@ -266,27 +249,8 @@ def _parse_geometry(geo, dim):
 
 
 def parse_config(text):
-    """Parse configuration text into a fully resolved :class:`RunSetup`.
-
-    A preset's keys are defaults: its ``[scheme]`` keys fill in one by one,
-    its other sections only a user's section that fits them, one that names
-    no key the preset's does not and no other kind."""
+    """Parse configuration text into a fully resolved :class:`RunSetup`."""
     sections = _parse_sections(text)
-    preset = sections.setdefault("scheme", {}).pop("preset", None)
-    if preset in _UNAVAILABLE_PRESETS:
-        raise ConfigError(
-            f"preset {preset!r} relies on the hexagonal density whose "
-            "weight matrices are not published; approximate it with an "
-            "explicit [anisotropy] matrices = ... list instead")
-    if preset is not None and preset not in _PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}")
-    for section, defaults in _PRESETS.get(preset, {}).items():
-        given = sections.setdefault(section, {})
-        if section == "scheme" or (given.keys() <= defaults.keys() and
-                                   given.get("kind") in (None, defaults.get("kind"))):
-            for key, value in defaults.items():
-                given.setdefault(key, value)
-
     values = {}
     for section, keys in _PLAIN.items():
         given = sections.get(section, {})

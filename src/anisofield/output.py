@@ -160,7 +160,10 @@ def prepare_run_dir(out_dir, run_id):
     manifest = os.path.join(out_dir, "manifest.json")
     if os.path.exists(manifest):
         with open(manifest, "r", encoding="utf-8") as fh:
-            previous = json.load(fh).get("run_id")
+            data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError(f"{manifest} is not a JSON object")
+        previous = data.get("run_id")
         if previous != run_id:
             raise ValueError(f"{out_dir} holds run {previous}, not {run_id}; "
                              "choose another output directory")

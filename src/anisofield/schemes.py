@@ -153,7 +153,6 @@ class SchemeState:
     u: np.ndarray
     w: np.ndarray
     report: "object"
-    dissipation: float
     stats: SolverStats
     band: tuple
 
@@ -300,8 +299,7 @@ def _state(ws, n, u, w, dissipation, stats, prev=None):
     if prev is not None:
         report.stability_residual = stability_residual(prev.report, report,
                                                        dissipation)
-    return SchemeState(n, n * config.tau, u, w, report, dissipation, stats,
-                       band)
+    return SchemeState(n, n * config.tau, u, w, report, stats, band)
 
 
 def initial_state(ws, u0):

@@ -88,6 +88,16 @@ def test_run_refuses_directory_of_another_run(tmp_path, capsys, first_run):
     assert (out / "energy.csv").read_bytes() == csv_bytes
 
 
+def test_run_reports_a_manifest_that_is_not_an_object(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("[]")
+    assert main(["run", str(CONFIGS / "fig1.cfg"), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out / "manifest.json") in err
+    assert not (out / "energy.csv").exists()
+
+
 def test_run_reports_bad_config(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("[scheme]\nscheme = allen_cahn\n")

@@ -13,6 +13,8 @@ from anisofield import (Circle, ConfigError, MultiCircle, Uniform,
 from anisofield.output import (CSV_HEADER, CsvRecord, EnergyCsvWriter,
                                write_vtk_snapshot)
 
+ROOT = Path(__file__).resolve().parents[1]
+
 MINIMAL = """
 [scheme]
 scheme = allen_cahn
@@ -125,15 +127,13 @@ def test_unknown_key_and_section_rejected():
     with pytest.raises(ConfigError):
         parse_config("[scheme]\nscheme = allen_cahn\nscheme = allen_cahn\n"
                      "tau = 1e-4\nt_end = 1.0\n")
+    with pytest.raises(ConfigError,
+                       match=r"unknown key 'preset' in \[scheme\]"):
+        parse_config(MINIMAL + "preset = fig1\n")
 
 
-def test_unavailable_preset_suggests_matrices():
-    with pytest.raises(ConfigError, match="matrices"):
-        parse_config("[scheme]\npreset = fig3\n")
-
-
-def test_fig1_preset_expands():
-    setup = parse_config("[scheme]\npreset = fig1\n")
+def test_fig1_config_is_the_faceting_circle():
+    setup = parse_config((ROOT / "configs" / "fig1.cfg").read_text())
     assert setup.scheme.scheme == "allen_cahn"
     assert setup.scheme.tau == 1e-4
     assert setup.scheme.t_end == 0.05
@@ -141,41 +141,14 @@ def test_fig1_preset_expands():
     assert setup.geometry == Circle((0.0, 0.0), 0.3)
 
 
-def test_fig4_preset_expands():
-    setup = parse_config("[scheme]\npreset = fig4\n")
+def test_fig4_config_is_the_boundary_layer_onset():
+    setup = parse_config((ROOT / "configs" / "fig4.cfg").read_text())
     assert setup.scheme.scheme == "cahn_hilliard_dirichlet"
+    assert setup.scheme.tau == 1e-5
+    assert setup.scheme.t_end == 1e-3
+    assert setup.anisotropy_spec == "l1reg:0.01"
     assert setup.scheme.w_bdry == -65.0
     assert setup.geometry == Uniform(1.0)
-
-
-def test_preset_keys_can_be_overridden():
-    setup = parse_config("[scheme]\npreset = fig1\ntau = 5e-5\n")
-    assert setup.scheme.tau == 5e-5
-    assert setup.scheme.t_end == 0.05
-
-
-PRESET_FITS = {
-    # a preset's geometry yields to another kind, its spec to matrices
-    "fig1-uniform": ("fig1", "[geometry]\nkind = uniform\nvalue = 0.5\n",
-                     Uniform(0.5), "l1reg:0.01"),
-    "fig4-circle": ("fig4", "[geometry]\nkind = circle\ncenter = 0.1,0\n"
-                    "radius = 0.25\n", Circle((0.1, 0.0), 0.25), "l1reg:0.01"),
-    "fig1-matrices": ("fig1", "[anisotropy]\nmatrices = 1,0,0,1\n",
-                      Circle((0.0, 0.0), 0.3), "matrices:1.0,0.0,0.0,1.0"),
-    # a partial section of the preset's own kind is completed
-    "fig1-radius": ("fig1", "[geometry]\nradius = 0.2\n",
-                    Circle((0.0, 0.0), 0.2), "l1reg:0.01"),
-}
-
-
-@pytest.mark.parametrize("case", PRESET_FITS)
-def test_preset_fills_only_the_sections_it_fits(case):
-    preset, section, geometry, spec = PRESET_FITS[case]
-    setup = parse_config(f"[scheme]\npreset = {preset}\n\n{section}")
-    assert setup.geometry == geometry
-    assert setup.anisotropy_spec == spec
-    assert setup.scheme == parse_config(f"[scheme]\npreset = {preset}\n").scheme
-    assert emit_config(parse_config(emit_config(setup))) == emit_config(setup)
 
 
 def test_3d_rotation_spec_strings():
@@ -271,12 +244,15 @@ RUN_IDS = {
     "configs/surface_diffusion.cfg": "792cf4ce43eb",
     "perfbench/ac3d_sphere.cfg": "2ca22238ae08",
 }
+SHIPPED = [p.relative_to(ROOT).as_posix()
+           for p in sorted(ROOT.glob("configs/*.cfg"))]
+SHIPPED.append("perfbench/ac3d_sphere.cfg")
 
 
-@pytest.mark.parametrize("path", RUN_IDS)
+@pytest.mark.parametrize("path", SHIPPED)
 def test_shipped_configs_keep_their_run_ids(path):
-    root = Path(__file__).resolve().parents[1]
-    assert parse_config((root / path).read_text()).run_id == RUN_IDS[path]
+    assert path in RUN_IDS, f"{path} has no pinned run id"
+    assert parse_config((ROOT / path).read_text()).run_id == RUN_IDS[path]
 
 
 # -- CSV contract -------------------------------------------------------

@@ -8,17 +8,21 @@ active-set round.  Each subcommand prints the numbers that DECISIONS.md
 records, comparing the Schur path with the saddle path on the same inputs,
 or, for ``transform``, the K_b LU with the transform solve; ``rounds``
 runs the Schur path alone and splits each step's active-set rounds into
-loose and exact ones:
+loose and exact ones; ``precond`` compares the sparse LU with the banded
+Cholesky after a reverse Cuthill-McKee ordering on the captured Dirichlet
+preconditioners:
 
     PYTHONPATH=src python scripts/coupled_schur.py fig4 --steps 8
     PYTHONPATH=src python scripts/coupled_schur.py rounds --steps 20
+    PYTHONPATH=src python scripts/coupled_schur.py precond --steps 20
     PYTHONPATH=src python scripts/coupled_schur.py neumann --steps 30
     PYTHONPATH=src python scripts/coupled_schur.py degenerate --steps 10
     PYTHONPATH=src python scripts/coupled_schur.py update --steps 3
     PYTHONPATH=src python scripts/coupled_schur.py ordering --count 8
     PYTHONPATH=src python scripts/coupled_schur.py transform --n2 128 --n3 24
 
-``fig4`` and ``rounds`` run configs/fig4.cfg (Dirichlet, N = 128);
+``fig4``, ``rounds`` and ``precond`` run configs/fig4.cfg (Dirichlet,
+N = 128);
 ``neumann`` the setting of acceptance criterion 9 (natural boundary
 conditions, constant mobility, N = 64); ``degenerate`` and ``ordering``
 configs/surface_diffusion.cfg (degenerate mobility, N = 64);
@@ -32,12 +36,14 @@ for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import contextlib
 import math
 import time
 from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import anisofield.obstacle as obstacle
 from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
@@ -193,24 +199,33 @@ def cmd_neumann(args):
           f"{abs(masses[-1] - masses[0]):.1e}")
 
 
+@contextlib.contextmanager
+def _preconditioners_to(sink):
+    """Hand every Dirichlet preconditioner that ``obstacle._factor_spd``
+    factors to ``sink``."""
+    original = obstacle._factor_spd
+
+    def capture(mat):
+        sink(mat)
+        return original(mat)
+
+    obstacle._factor_spd = capture
+    try:
+        yield
+    finally:
+        obstacle._factor_spd = original
+
+
 def cmd_rounds(args):
     """Loose and exact active-set rounds of the Schur path, step by step."""
     mesh, aniso, cfg, u0 = _fig4_case()
     ws = Workspace(mesh, aniso, cfg)
     print(f"K_b solver: {_describe(ws.mobility_factor)}")
-    # the K_b solver is built, so every LU counted below is a preconditioner
     state = initial_state(ws, u0)
     factored = []
-    original = obstacle.spla.splu
-
-    def counting_splu(mat, *a, **kw):
-        factored.append(mat.shape[0])
-        return original(mat, *a, **kw)
-
-    print("step  rounds (loose, exact)  CG iterations  LUs  KKT residual")
+    print("step  rounds (loose, exact)  CG iterations  factors  KKT residual")
     totals = np.zeros(5, dtype=int)
-    obstacle.spla.splu = counting_splu
-    try:
+    with _preconditioners_to(factored.append):
         for _ in range(args.steps):
             factored.clear()
             with PcgCounter() as counter:
@@ -222,14 +237,65 @@ def cmd_rounds(args):
                    len(factored))
             totals += row
             print(f"{state.n:4d}  {row[0]:3d} ({row[1]:2d}, {row[2]:2d})  "
-                  f"{row[3]:13d}  {row[4]:3d}  {state.stats.residual:.1e}"
+                  f"{row[3]:13d}  {row[4]:7d}  {state.stats.residual:.1e}"
                   f"{'' if state.stats.converged else '  not converged'}")
-    finally:
-        obstacle.spla.splu = original
     print(f"total {totals[0]} rounds ({totals[1]} loose, {totals[2]} exact), "
-          f"{totals[3]} CG iterations, {totals[4]} LUs")
+          f"{totals[3]} CG iterations, {totals[4]} preconditioner factors")
     print(f"final E_gamma_h {state.report.e_gamma_h!r}, mass "
           f"{state.report.mass!r}")
+
+
+def _rcm_bandwidth(mat):
+    """Lower bandwidth of the zero-free ``mat`` after reverse Cuthill-McKee."""
+    mat = obstacle._zero_free_csc(mat).tocsr()
+    where = np.empty(mat.shape[0], dtype=np.intp)
+    where[reverse_cuthill_mckee(mat, symmetric_mode=True)] = np.arange(
+        mat.shape[0])
+    coo = mat.tocoo()
+    return int(np.abs(where[coo.row] - where[coo.col]).max())
+
+
+def cmd_precond(args):
+    """Sparse LU against RCM + banded Cholesky on the Dirichlet
+    preconditioners of the first steps of fig4."""
+    mesh, aniso, cfg, u0 = _fig4_case()
+    ws = Workspace(mesh, aniso, cfg)
+    state = initial_state(ws, u0)
+    blocks = []
+    with _preconditioners_to(blocks.append):
+        for _ in range(args.steps):
+            state = cahn_hilliard_step(state, ws)
+    rng = np.random.default_rng(0)
+    factors = {"sparse LU (MMD_AT_PLUS_A)": obstacle._splu_symmetric,
+               "RCM + banded Cholesky": obstacle._factor_spd}
+    stats = {label: [] for label in factors}
+    gap = 0.0
+    for mat in blocks:
+        b = rng.standard_normal(mat.shape[0])
+        solutions = []
+        for label, factor in factors.items():
+            t_factor = _median_seconds(lambda: factor(mat), args.repeats)
+            solver = factor(mat)
+            t_solve = _median_seconds(lambda: solver.solve(b), args.repeats)
+            x = solver.solve(b)
+            solutions.append(x)
+            stats[label].append((t_factor, t_solve, np.linalg.norm(
+                mat @ x - b) / np.linalg.norm(b)))
+        gap = max(gap, np.abs(solutions[1] - solutions[0]).max()
+                  / np.abs(solutions[0]).max())
+    dims = [m.shape[0] for m in blocks]
+    bands = [_rcm_bandwidth(m) for m in blocks]
+    print(f"{len(blocks)} preconditioners of {args.steps} step(s): dim median "
+          f"{np.median(dims):.0f} (max {max(dims)}), RCM bandwidth median "
+          f"{np.median(bands):.0f} / max {max(bands)}")
+    for label, timings in stats.items():
+        t = np.array(timings)
+        print(f"{label:26s}: factor median {1e3 * np.median(t[:, 0]):.2f} ms "
+              f"(total {t[:, 0].sum():.3f} s), solve median "
+              f"{1e3 * np.median(t[:, 1]):.2f} ms, worst relative residual "
+              f"{t[:, 2].max():.1e}")
+    print(f"max relative difference of the solutions {gap:.1e}; median of "
+          f"{args.repeats} timings each")
 
 
 def cmd_update(args):
@@ -369,6 +435,10 @@ def main():
         p = sub.add_parser(name)
         p.add_argument("--steps", type=int, default=steps)
         p.set_defaults(func=func)
+    p = sub.add_parser("precond")
+    p.add_argument("--steps", type=int, default=20)
+    p.add_argument("--repeats", type=int, default=3)
+    p.set_defaults(func=cmd_precond)
     p = sub.add_parser("ordering")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--repeats", type=int, default=5)

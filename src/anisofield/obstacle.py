@@ -21,8 +21,11 @@ differ only in the subsolve of each round:
   :func:`factor_mobility`).  Only the step's last round must be exact, so
   the CG of an earlier round may stop at a tolerance scaled to the KKT
   residual so far (an inexact Newton method); the step always ends on a
-  round solved to ``tol``/20.  With degenerate mobility it solves the
-  saddle system on the inactive set by a sparse LU.
+  round solved to ``tol``/20.  A round on the set of the round before
+  reuses its preconditioner factor: a banded Cholesky under Dirichlet
+  data, a sparse LU of the bordered matrix under natural boundary
+  conditions.  With degenerate mobility it solves the saddle system on
+  the inactive set by a sparse LU.
 
 Both are deterministic: fixed inputs give bit-identical results.
 Convergence is measured by the componentwise KKT violation
@@ -36,6 +39,8 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
     "ViSolution",
@@ -131,9 +136,58 @@ def _zero_free_csc(mat):
 def _splu_symmetric(mat):
     """Sparse LU of the zero-free pattern with a symmetric fill-reducing
     ordering that prefers diagonal pivots; every LU of both solvers goes
-    through it, as all their systems are symmetric."""
+    through it, as all their systems are symmetric, except the SPD
+    Dirichlet Schur preconditioner (:func:`_factor_spd`)."""
     return spla.splu(_zero_free_csc(mat), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+
+
+class _BandCholesky:
+    """Banded Cholesky factor of a symmetrically permuted SPD matrix."""
+
+    def __init__(self, perm, band):
+        self.perm, self.band = perm, band
+
+    def solve(self, b):
+        x = np.empty(b.size)
+        x[self.perm] = dpbtrs(self.band, b[self.perm], lower=1,
+                              overwrite_b=1)[0]
+        return x
+
+
+def _factor_spd(mat):
+    """Banded Cholesky of the symmetric positive definite ``mat`` after a
+    reverse Cuthill-McKee ordering of its zero-free pattern (Cuthill &
+    McKee, 1969; George & Liu, 1981): an object with ``solve(b)``.
+
+    The inactive sets of the active-set loop are thin rings around the
+    interface, so the ordered bandwidth b is small and LAPACK's ``dpbtrf``
+    factors in O(n b^2).  The lower band is filled straight from the CSR
+    arrays through the ordering's inverse, allocated Fortran-ordered and
+    factored in place, so LAPACK makes no copy of it.  A matrix that is
+    not positive definite raises ``np.linalg.LinAlgError``, which ends the
+    active-set loop like a singular subproblem.
+    """
+    mat = mat.tocsr(copy=True)
+    # sorted, summed and zero-free: the ordering, and so the rounding,
+    # depends on the matrix alone, not on how it is stored
+    mat.sum_duplicates()
+    mat.eliminate_zeros()
+    n = mat.shape[0]
+    perm = reverse_cuthill_mckee(mat, symmetric_mode=True)
+    where = np.empty(n, dtype=np.intp)  # the position of each node in perm
+    where[perm] = np.arange(n)
+    rows = where[np.repeat(np.arange(n), np.diff(mat.indptr))]
+    cols = where[mat.indices]
+    lower = rows >= cols
+    rows, cols = rows[lower], cols[lower]
+    band = np.zeros((int((rows - cols).max(initial=0)) + 1, n), order="F")
+    band[rows - cols, cols] = mat.data[lower]
+    band, info = dpbtrf(band, lower=1, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"banded Cholesky failed (LAPACK info {info})")
+    return _BandCholesky(perm, band)
 
 
 # An inexact round's subsolve tolerance, relative to the lowest KKT
@@ -470,9 +524,13 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       (see :func:`_active_set`).  It starts from the last round's clipped
       U on I (``u_old`` in the first round), under natural boundary
       conditions projected onto the mass constraint, which the CG then
-      keeps.  A round on the inactive set
-      of the round before reuses its preconditioner LU; at most one is
-      kept.  W is then recovered from the mass equation with
+      keeps.  Under Dirichlet data the preconditioner is eps K_aniso,II
+      plus a diagonal shift, which is SPD and factored by banded Cholesky
+      (:func:`_factor_spd`); under natural boundary conditions it is
+      eps K_aniso,II bordered by M_I, factored by the sparse LU.  A round
+      on the inactive set of the round before reuses its preconditioner
+      factor; at most one is kept.  W is then recovered from the mass
+      equation with
       ``kb_factor``, its constant (natural boundary conditions) from the
       inactive rows.
     * otherwise (degenerate mobility, where a floored K_b is too ill
@@ -499,6 +557,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
             raise ValueError("dirichlet data requires a boundary mask")
         wdofs = np.flatnonzero(~boundary_mask)
         w_fixed = np.where(boundary_mask, float(w_bdry), 0.0)
+        kb_diag = k_b.diagonal()  # for the preconditioner's shift
     else:
         total = mass.sum()
         if abs(mass @ u_old) >= total:
@@ -537,7 +596,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         return w
 
     cg_iterations = 0
-    factor = None  # the last preconditioner: (its inactive set, its LU)
+    factor = None  # the last preconditioner: (its inactive set, its factor)
 
     def schur_round(u, inactive, s11, rhs1, rhs2, sub_tol, x0):
         nonlocal cg_iterations, factor
@@ -551,26 +610,25 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
 
         b = rhs1 + c * m_i * mass_solve(kb_factor, rhs2)[inactive]
         if factor is None or not np.array_equal(factor[0], inactive):
-            factor = None  # released before the next LU is factored
+            factor = None  # released before the next one is factored
             if dirichlet:
                 # s11 plus a lower bound for the diagonal of the coupling
                 # term, nonsingular even when every node is inactive
                 interior = ~boundary_mask[inactive]
                 shift = np.zeros(inactive.size)
                 shift[interior] = ((c * c / scale) * m_i[interior] ** 2
-                                   / k_b.diagonal()[inactive[interior]])
-                precond_mat = s11 + sp.diags(shift)
+                                   / kb_diag[inactive[interior]])
+                factor = inactive, _factor_spd(s11 + sp.diags(shift))
             else:
-                precond_mat = sp.bmat([[s11, m_i[:, None]],
-                                       [m_i[None, :], None]])
-            factor = inactive, _splu_symmetric(precond_mat)
-        lu = factor[1]
+                factor = inactive, _splu_symmetric(sp.bmat(
+                    [[s11, m_i[:, None]], [m_i[None, :], None]]))
+        pre = factor[1]
         if dirichlet:
             x, iterations = _projected_cg(apply, b, x0,
-                                          lambda r: (lu.solve(r), r), sub_tol)
+                                          lambda r: (pre.solve(r), r), sub_tol)
         else:
             def precond(r):
-                sol = lu.solve(np.append(r, 0.0))
+                sol = pre.solve(np.append(r, 0.0))
                 return sol[:-1], r - m_i * sol[-1]
 
             # the nodal mass of U is conserved: M_I . U_I = M . (u_old - u)

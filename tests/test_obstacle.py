@@ -1,6 +1,7 @@
 """Constrained solvers against hand values and brute-force oracles."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,10 +9,11 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from anisofield import (Circle, SchemeConfig, assemble_anisotropic_stiffness,
-                        build_uniform_mesh,
-                        initial_profile, isotropic, isotropic_stiffness,
-                        lumped_mass, make_regularized_l1, run_simulation,
+from anisofield import (Circle, SchemeConfig, Uniform, Workspace,
+                        assemble_anisotropic_stiffness, build_uniform_mesh,
+                        cahn_hilliard_step, initial_profile, initial_state,
+                        isotropic, isotropic_stiffness, lumped_mass,
+                        make_regularized_l1, parse_config, run_simulation,
                         solve_coupled_ch, solve_obstacle)
 from anisofield import obstacle
 from anisofield.obstacle import (GridTransform, _active_set_polish,
@@ -444,17 +446,20 @@ def test_coupled_schur_loose_rounds_end_exact(dirichlet, center, monkeypatch):
     # residual so far, never below tol/20, and the step ends on a round at
     # tol/20 (in the natural case a loose round meets the tolerance and
     # its set is solved once more); that exact re-solve of a loosely
-    # solved set reuses its preconditioner LU, so on these cases, which
-    # revisit no set later, there is one LU per distinct inactive set
+    # solved set reuses its preconditioner factor, so on these cases, which
+    # revisit no set later, there is one factor per distinct inactive set:
+    # a banded Cholesky under Dirichlet data, an LU of the bordered
+    # preconditioner under natural boundary conditions
     mesh = build_uniform_mesh(2, 0.5, 16)
     eps = 1.0 / (16.0 * math.pi)
     u_old = initial_profile(mesh, eps, Circle(center, 0.3))
     for make_factor in FACTORS:
         args, kwargs = _schur_case(mesh, u_old, dirichlet,
                                    make_factor=make_factor)
-        tols, inactive_sets, factored = [], [], []
-        cg, loop, splu = (obstacle._projected_cg, obstacle._active_set,
-                          obstacle.spla.splu)
+        tols, inactive_sets, lus, choleskys = [], [], [], []
+        cg, loop, splu, factor_spd = (obstacle._projected_cg,
+                                      obstacle._active_set,
+                                      obstacle.spla.splu, obstacle._factor_spd)
 
         def recording_cg(apply, b, x, precond, tol):
             tols.append(tol)
@@ -469,18 +474,25 @@ def test_coupled_schur_loose_rounds_end_exact(dirichlet, center, monkeypatch):
             return loop(x, recording_subsolve, *rest, **kw)
 
         def recording_splu(mat, *a, **kw):
-            factored.append(mat.shape)
+            lus.append(mat.shape)
             return splu(mat, *a, **kw)
+
+        def recording_factor_spd(mat):
+            choleskys.append(mat.shape)
+            return factor_spd(mat)
 
         with monkeypatch.context() as patch:
             patch.setattr(obstacle, "_projected_cg", recording_cg)
             patch.setattr(obstacle, "_active_set", recording_loop)
             patch.setattr(obstacle.spla, "splu", recording_splu)
+            patch.setattr(obstacle, "_factor_spd", recording_factor_spd)
             _, _, stats = solve_coupled_ch(*args, **kwargs)
         assert stats.converged and stats.residual <= 1e-9
         assert len(tols) == len(inactive_sets) == stats.iterations
         assert max(tols) > 1e-9 / 20.0
         assert min(tols) == tols[0] == tols[-1] == 1e-9 / 20.0
+        factored, other = (choleskys, lus) if dirichlet else (lus, choleskys)
+        assert other == []
         assert len(factored) == len(set(inactive_sets)) < len(inactive_sets)
 
 
@@ -525,23 +537,145 @@ def test_coupled_schur_deterministic(dirichlet):
     assert s1 == s2
 
 
+# -- banded Cholesky of the Dirichlet Schur preconditioner ------------
+
+
+def _relative_gap(mat, b):
+    """Relative max-norm gap of the banded Cholesky and the sparse LU."""
+    x_lu = obstacle._splu_symmetric(mat).solve(b)
+    x_chol = obstacle._factor_spd(mat).solve(b)
+    return np.abs(x_chol - x_lu).max() / np.abs(x_lu).max()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_factor_spd_matches_splu_on_random_spd(seed):
+    # A = B B^T + I for a random sparse B (the product leaves its column
+    # indices unsorted), and the same matrix stored sorted with explicit
+    # zeros at random slots: the ordering and band follow the zero-free
+    # pattern alone, so the storage changes no bit of the solution
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    b_mat = sp.random(n, n, density=min(1.0, 4.0 / n), random_state=rng)
+    mat = (b_mat @ b_mat.T + sp.eye(n)).tocsr()
+    rhs = rng.standard_normal(n)
+    assert _relative_gap(mat, rhs) <= 1e-12
+    rows, cols = rng.integers(0, n, size=(2, 3 * n))
+    coo = mat.tocoo()
+    padded = sp.csr_matrix((np.concatenate([coo.data, np.zeros(6 * n)]),
+                            (np.concatenate([coo.row, rows, cols]),
+                             np.concatenate([coo.col, cols, rows]))),
+                           shape=(n, n))
+    assert np.count_nonzero(padded.data == 0.0) > 0
+    np.testing.assert_array_equal(obstacle._factor_spd(padded).solve(rhs),
+                                  obstacle._factor_spd(mat).solve(rhs))
+
+
+def test_factor_spd_matches_splu_on_fig4_preconditioners(monkeypatch):
+    # the Dirichlet preconditioners of the first two steps of fig4
+    # (N = 128): the whole domain (dim 16,641, RCM bandwidth 129) in the
+    # first round, then shrinking sets down to rings along the boundary
+    # layer (dim 4,800-9,400, bandwidth 25-41)
+    setup = parse_config((Path(__file__).resolve().parents[1] / "configs"
+                          / "fig4.cfg").read_text())
+    mesh = setup.build_mesh()
+    ws = Workspace(mesh, setup.anisotropy, setup.scheme)
+    state = initial_state(ws, initial_profile(mesh, setup.scheme.eps,
+                                              setup.geometry))
+    blocks, factor_spd = [], obstacle._factor_spd
+
+    def capture(mat):
+        blocks.append(mat)
+        return factor_spd(mat)
+
+    monkeypatch.setattr(obstacle, "_factor_spd", capture)
+    for _ in range(2):
+        state = cahn_hilliard_step(state, ws)
+    monkeypatch.undo()
+    assert blocks[0].shape[0] == mesh.n_vertices
+    assert blocks[-1].shape[0] < mesh.n_vertices // 2
+    rng = np.random.default_rng(0)
+    for mat in blocks:
+        assert _relative_gap(mat, rng.standard_normal(mat.shape[0])) <= 1e-12
+
+
+def test_factor_spd_raises_on_an_indefinite_matrix():
+    mat = sp.csr_matrix(np.array([[2.0, -1.0, 0.0],
+                                  [-1.0, -2.0, 1.0],
+                                  [0.0, 1.0, 2.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        obstacle._factor_spd(mat)
+
+
+def test_dirichlet_run_with_banded_cholesky_matches_superlu(monkeypatch):
+    # 5 fig4-like steps at N = 32 (U = 1 under the supercooled boundary
+    # potential): the same active-set rounds on every step as with the
+    # SuperLU preconditioner.  Both runs stop each step's CG at tol/20 and
+    # meet the KKT tolerance 1e-9, so U and W differ at the CG stopping
+    # level: measured 8.1e-9 in U and 1.1e-7 in W (|W| up to 65), within
+    # the bounds of 5e-8 and 1e-6 below
+    cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=16.0 * math.pi,
+                       tau=1e-5, t_end=5e-5, alpha=1.0, b0=2.0, w_bdry=-65.0)
+    mesh = build_uniform_mesh(2, 0.5, 32)
+
+    def run():
+        states = []
+        result = run_simulation(cfg, mesh, make_regularized_l1(2, 0.01),
+                                Uniform(1.0), on_step=states.append)
+        assert not result.failed
+        return states
+
+    cholesky = run()
+    monkeypatch.setattr(obstacle, "_factor_spd", obstacle._splu_symmetric)
+    superlu = run()
+    assert len(cholesky) == len(superlu) == 6
+    assert sum(s.stats.iterations for s in cholesky) > 5
+    for a, b in zip(cholesky, superlu):
+        assert a.stats.iterations == b.stats.iterations
+        assert a.stats.converged and b.stats.converged
+        assert np.abs(a.u - b.u).max() <= 5e-8
+        assert np.abs(a.w - b.w).max() <= 1e-6
+
+
 # -- one factorization policy ------------------------------------------
 
 
 def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     # the obstacle loop, its projected-Newton fallback, the mobility factor,
-    # the Schur preconditioners and the saddle LU all factor through the
-    # symmetric minimum-degree ordering in SymmetricMode, and none of them
-    # factors an explicit zero of the Kuhn pattern
-    calls = []
-    splu = obstacle.spla.splu
+    # the natural-boundary Schur preconditioners and the saddle LU all
+    # factor through the symmetric minimum-degree ordering in
+    # SymmetricMode, and none of them factors an explicit zero of the Kuhn
+    # pattern; the SPD Dirichlet Schur preconditioners take the banded
+    # Cholesky instead, whose ordering sees no explicit zero and whose band
+    # holds exactly the nonzeros of the lower triangle, no wider, and is
+    # factored in place
+    calls, spd_inputs, bands = [], [], []
+    splu, factor_spd = obstacle.spla.splu, obstacle._factor_spd
+    rcm, dpbtrf = obstacle.reverse_cuthill_mckee, obstacle.dpbtrf
 
     def recording_splu(mat, *args, **kwargs):
         calls.append((args, kwargs))
         assert np.count_nonzero(mat.data == 0.0) == 0, mat.shape
         return splu(mat, *args, **kwargs)
 
+    def recording_factor_spd(mat):
+        spd_inputs.append(mat.copy())
+        return factor_spd(mat)
+
+    def recording_rcm(graph, **kwargs):
+        assert np.count_nonzero(graph.data == 0.0) == 0, graph.shape
+        return rcm(graph, **kwargs)
+
+    def recording_dpbtrf(band, **kwargs):
+        bands.append(band.copy())
+        factor, info = dpbtrf(band, **kwargs)
+        # the Fortran-ordered band is factored in place, not copied
+        assert band.flags.f_contiguous and np.shares_memory(factor, band)
+        return factor, info
+
     monkeypatch.setattr(obstacle.spla, "splu", recording_splu)
+    monkeypatch.setattr(obstacle, "_factor_spd", recording_factor_spd)
+    monkeypatch.setattr(obstacle, "reverse_cuthill_mckee", recording_rcm)
+    monkeypatch.setattr(obstacle, "dpbtrf", recording_dpbtrf)
     counts = []
     # rng seed 0: the loop cycles, so the fallback runs too
     a_mat, rhs = _cycling_system(0)
@@ -556,14 +690,27 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     run_simulation(cfg, mesh, make_regularized_l1(2, 0.01),
                    Circle((0.0, 0.0), 0.3))
     counts.append(len(calls))
+    assert spd_inputs == []
     u_old = initial_profile(mesh, cfg.eps, Circle((0.1, 0.0), 0.3))
     args, kwargs = _schur_case(mesh, u_old, True)
-    assert solve_coupled_ch(*args, **kwargs)[2].converged
+    lus_before = len(calls)  # _schur_case factors K_b through splu
+    stats = solve_coupled_ch(*args, **kwargs)[2]
+    assert stats.converged
+    # every Dirichlet preconditioner goes through the banded Cholesky
+    assert len(calls) == lus_before
+    assert 0 < len(spd_inputs) == len(bands) <= stats.iterations
     kwargs.pop("kb_factor")
     assert solve_coupled_ch(*args, **kwargs)[2].converged
+    # the bordered preconditioners of natural boundary conditions
+    args, kwargs = _schur_case(mesh, u_old, False)
+    assert solve_coupled_ch(*args, **kwargs)[2].converged
     counts.append(len(calls))
+    assert len(spd_inputs) == len(bands)
     assert 0 < counts[0] < counts[1] < counts[2]
     for positional, keywords in calls:
         assert positional == ()
         assert keywords.get("permc_spec") == "MMD_AT_PLUS_A"
         assert keywords.get("options", {}).get("SymmetricMode") is True
+    for mat, band in zip(spd_inputs, bands):
+        assert np.count_nonzero(band) == np.count_nonzero(sp.tril(mat).data)
+        assert np.count_nonzero(band[-1]) > 0

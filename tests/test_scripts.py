@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["flow_clock.py", "identity"],
     ["coupled_schur.py", "neumann", "--steps", "2"],
     ["coupled_schur.py", "rounds", "--steps", "2"],
+    ["coupled_schur.py", "precond", "--steps", "1", "--repeats", "1"],
     ["coupled_schur.py", "ordering", "--count", "1", "--repeats", "1"],
     ["coupled_schur.py", "transform", "--n2", "16", "--n3", "6",
      "--repeats", "1"],
@@ -28,7 +29,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["band_assembly.py", "--subdivisions", "16", "--steps", "2",
      "--repeats", "1"],
 ], ids=["flow_clock-identity", "coupled_schur-neumann",
-        "coupled_schur-rounds",
+        "coupled_schur-rounds", "coupled_schur-precond",
         "coupled_schur-ordering", "coupled_schur-transform",
         "obstacle_lu-ordering", "obstacle_lu-newton", "band_assembly"])
 def test_script_runs(argv):

@@ -4,13 +4,15 @@ With constant mobility ``solve_coupled_ch`` eliminates W and solves the
 inactive-set Schur complement by preconditioned CG, with one solver of
 K_b per run (a fast transform on a Kuhn grid where it is exact, else an
 LU); with degenerate mobility it factors the saddle system of every
-active-set round.  Each subcommand prints the numbers that DECISIONS.md
-records, comparing the Schur path with the saddle path on the same inputs,
-or, for ``transform``, the K_b LU with the transform solve; ``rounds``
-runs the Schur path alone and splits each step's active-set rounds into
-loose and exact ones; ``precond`` compares the sparse LU with the banded
-Cholesky after a reverse Cuthill-McKee ordering on the captured Dirichlet
-preconditioners:
+active-set round, with W on the mobility's support only.  Each subcommand
+prints the numbers that DECISIONS.md records, comparing the Schur path
+with the saddle path on the same inputs, or, for ``transform``, the K_b
+LU with the transform solve; ``rounds`` runs the Schur path alone and
+splits each step's active-set rounds into loose and exact ones;
+``precond`` compares the sparse LU with the banded Cholesky after a
+reverse Cuthill-McKee ordering on the captured Dirichlet preconditioners;
+``support`` compares the degenerate saddle on the mobility's support with
+the saddle of the whole domain:
 
     PYTHONPATH=src python scripts/coupled_schur.py fig4 --steps 8
     PYTHONPATH=src python scripts/coupled_schur.py rounds --steps 20
@@ -18,14 +20,15 @@ preconditioners:
     PYTHONPATH=src python scripts/coupled_schur.py neumann --steps 30
     PYTHONPATH=src python scripts/coupled_schur.py degenerate --steps 10
     PYTHONPATH=src python scripts/coupled_schur.py update --steps 3
+    PYTHONPATH=src python scripts/coupled_schur.py support --steps 100
     PYTHONPATH=src python scripts/coupled_schur.py ordering --count 8
     PYTHONPATH=src python scripts/coupled_schur.py transform --n2 128 --n3 24
 
 ``fig4``, ``rounds`` and ``precond`` run configs/fig4.cfg (Dirichlet,
 N = 128);
 ``neumann`` the setting of acceptance criterion 9 (natural boundary
-conditions, constant mobility, N = 64); ``degenerate`` and ``ordering``
-configs/surface_diffusion.cfg (degenerate mobility, N = 64);
+conditions, constant mobility, N = 64); ``degenerate``, ``support`` and
+``ordering`` configs/surface_diffusion.cfg (degenerate mobility, N = 64);
 ``transform`` b0 K (b0 = 2) on 2d and 3d Kuhn grids under both boundary
 conditions.  BLAS runs on one thread, as in the benchmark.
 """
@@ -51,7 +54,7 @@ from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
                         cahn_hilliard_step, initial_profile, initial_state,
                         isotropic_stiffness, lumped_mass, make_regularized_l1,
                         parse_config)
-from anisofield.schemes import MOBILITY_FLOOR, assemble_mobility_stiffness
+from anisofield.schemes import floored_mobility
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS_INV = 16.0 * math.pi
@@ -199,21 +202,35 @@ def cmd_neumann(args):
           f"{abs(masses[-1] - masses[0]):.1e}")
 
 
+def _degenerate_case():
+    setup = parse_config(
+        (ROOT / "configs" / "surface_diffusion.cfg").read_text())
+    mesh, aniso, cfg = setup.build_mesh(), setup.anisotropy, setup.scheme
+    ws = Workspace(mesh, aniso, cfg)
+    return ws, initial_state(
+        ws, initial_profile(mesh, cfg.eps, setup.geometry))
+
+
 @contextlib.contextmanager
-def _preconditioners_to(sink):
-    """Hand every Dirichlet preconditioner that ``obstacle._factor_spd``
-    factors to ``sink``."""
-    original = obstacle._factor_spd
-
-    def capture(mat):
-        sink(mat)
-        return original(mat)
-
-    obstacle._factor_spd = capture
+def _wrapped(name, wrapper):
+    """Replace ``obstacle.<name>`` by ``wrapper(original)`` for a while."""
+    original = getattr(obstacle, name)
+    setattr(obstacle, name, wrapper(original))
     try:
         yield
     finally:
-        obstacle._factor_spd = original
+        setattr(obstacle, name, original)
+
+
+def _preconditioners_to(sink):
+    """Hand every Dirichlet preconditioner that ``obstacle._factor_spd``
+    factors to ``sink``."""
+    def capture(original):
+        def factor(mat):
+            sink(mat)
+            return original(mat)
+        return factor
+    return _wrapped("_factor_spd", capture)
 
 
 def cmd_rounds(args):
@@ -313,15 +330,10 @@ def cmd_update(args):
 
 def cmd_degenerate(args):
     """The Schur path on degenerate-mobility steps, from the saddle states."""
-    setup = parse_config(
-        (ROOT / "configs" / "surface_diffusion.cfg").read_text())
-    mesh, aniso, cfg = setup.build_mesh(), setup.anisotropy, setup.scheme
-    ws = Workspace(mesh, aniso, cfg)
-    state = initial_state(ws, initial_profile(mesh, cfg.eps, setup.geometry))
+    ws, state = _degenerate_case()
+    mesh, aniso, cfg = ws.mesh, ws.aniso, ws.config
     for _ in range(args.steps):
-        k_b = assemble_mobility_stiffness(
-            mesh, state.u,
-            lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR), ws.iso_block)
+        k_b = floored_mobility(mesh, state.u, ws.iso_block)[0]
         k_aniso = assemble_anisotropic_stiffness(mesh, aniso, state.u)
         kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps,
                       alpha=cfg.alpha, c_psi=cfg.c_psi, tol=cfg.tol)
@@ -342,25 +354,25 @@ def cmd_degenerate(args):
 def cmd_ordering(args):
     """Default LU against the symmetric ordering on captured saddles, both
     factoring the pattern without its explicit zeros."""
-    setup = parse_config(
-        (ROOT / "configs" / "surface_diffusion.cfg").read_text())
-    mesh, aniso, cfg = setup.build_mesh(), setup.anisotropy, setup.scheme
-    ws = Workspace(mesh, aniso, cfg)
-    state = initial_state(ws, initial_profile(mesh, cfg.eps, setup.geometry))
+    ws, state = _degenerate_case()
     saddles = []
-    original = spla.splu
 
-    def capture(mat, *a, **kw):
-        if mat.shape[0] > mesh.n_vertices and len(saddles) < args.count:
-            saddles.append(mat.tocsc())
-        return original(mat, *a, **kw)
+    def capture(original):
+        # every round of these steps has inactive nodes, so every LU is
+        # the saddle of a round
+        def factor(mat):
+            if len(saddles) < args.count:
+                saddles.append(mat.tocsc())
+            return original(mat)
+        return factor
 
-    spla.splu = capture
-    try:
-        while len(saddles) < args.count:
+    with _wrapped("_splu_symmetric", capture):
+        for _ in range(args.steps):
+            if len(saddles) >= args.count:
+                break
             state = cahn_hilliard_step(state, ws)
-    finally:
-        spla.splu = original
+    if not saddles:
+        raise SystemExit(f"no saddle factored in {args.steps} step(s)")
     rng = np.random.default_rng(0)
     rows = []
     for mat in saddles:
@@ -383,6 +395,100 @@ def cmd_ordering(args):
     print(f"{len(rows)} saddles of dim {min(m.shape[0] for m in saddles)}-"
           f"{max(m.shape[0] for m in saddles)}, {args.repeats} factorizations "
           f"each")
+
+
+def cmd_support(args):
+    """The degenerate saddle on the mobility's support against the saddle
+    of the whole domain (``frozen`` not given), on the same inputs, step by
+    step from the states of the support path."""
+    ws, state = _degenerate_case()
+    mesh, cfg = ws.mesh, ws.config
+    kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps, alpha=cfg.alpha,
+                  c_psi=cfg.c_psi, tol=cfg.tol)
+    factors, binding = [], []
+    frozen = None
+
+    def timed(original):
+        def factor(mat):
+            tic = time.perf_counter()
+            out = original(mat)
+            factors.append((original.__name__, mat.shape[0],
+                            time.perf_counter() - tic,
+                            out.L.nnz + out.U.nnz if hasattr(out, "L") else 0))
+            return out
+        return factor
+
+    def counted(original):
+        # frozen nodes on a bound whose VI multiplier has the wrong sign,
+        # so that the round releases them: rows off the support that bind
+        def loop(x, subsolve, kkt, *rest, **kw):
+            def recording_kkt(x_clip, w):
+                r, res = kkt(x_clip, w)
+                mult = np.where(x_clip >= 1.0, -r,
+                                np.where(x_clip <= -1.0, r, np.inf))
+                binding.append(np.count_nonzero(frozen & (mult < 0.0)))
+                return r, res
+            return original(x, subsolve, recording_kkt, *rest, **kw)
+        return loop
+
+    print("step  support  frozen  saddle dim (full, S)  fill (full, S)  "
+          "LU ms (full, S)  extension ms  rounds (full, S)  max |dU|  "
+          "max |dW|  binding rows")
+    rows = []
+    with contextlib.ExitStack() as stack:
+        for name, wrapper in (("_splu_symmetric", timed),
+                              ("_factor_spd", timed),
+                              ("_active_set", counted)):
+            stack.enter_context(_wrapped(name, wrapper))
+        for _ in range(args.steps):
+            k_b, frozen = floored_mobility(mesh, state.u, ws.iso_block)
+            k_aniso = assemble_anisotropic_stiffness(
+                mesh, ws.aniso, state.u, ws.aniso_blocks, ws.far_field,
+                state.band)
+            sides = []
+            for mask in (None, frozen):
+                factors.clear()
+                binding.clear()
+                u, w, stats = obstacle.solve_coupled_ch(
+                    ws.mass, k_b, k_aniso, state.u, frozen=mask, **kwargs)
+                lus = [f for f in factors if f[0] == "_splu_symmetric"]
+                ext = [f[2] for f in factors if f[0] == "_factor_spd"]
+                sides.append((u, w, stats, lus, ext, sum(binding)))
+            (u0, w0, s0, lu0, _, _), (u1, w1, s1, lu1, ext, bound) = sides
+            row = (np.count_nonzero(~frozen), np.count_nonzero(frozen),
+                   np.median([f[1] for f in lu0]),
+                   np.median([f[1] for f in lu1]),
+                   np.median([f[3] for f in lu0]),
+                   np.median([f[3] for f in lu1]),
+                   1e3 * np.median([f[2] for f in lu0]),
+                   1e3 * np.median([f[2] for f in lu1]),
+                   1e3 * np.median(ext) if ext else np.nan, len(ext),
+                   s0.iterations, s1.iterations, np.abs(u1 - u0).max(),
+                   np.abs(w1 - w0).max(), bound, s1.residual, s0.converged,
+                   s1.converged)
+            rows.append(row)
+            state = cahn_hilliard_step(state, ws)
+            print(f"{state.n:4d}  {row[0]:7d}  {row[1]:6d}  {row[2]:6.0f} "
+                  f"{row[3]:6.0f}  {row[4]:7.0f} {row[5]:6.0f}  "
+                  f"{row[6]:6.2f} {row[7]:6.2f}  {row[8]:6.2f} ({row[9]})  "
+                  f"{row[10]:3d} {row[11]:3d}  {row[12]:.1e}  {row[13]:.1e}  "
+                  f"{row[14]}")
+    t = np.array(rows, dtype=float)
+    med = np.median(t, axis=0)
+    print(f"medians: support {med[0]:.0f}, frozen {med[1]:.0f}; saddle dim "
+          f"{med[2]:.0f} -> {med[3]:.0f}, fill {med[4]:.0f} -> {med[5]:.0f}, "
+          f"LU {med[6]:.2f} -> {med[7]:.2f} ms; extension factor "
+          f"{np.nanmedian(t[:, 8]):.2f} ms")
+    print(f"rounds {t[:, 10].sum():.0f} (full) and {t[:, 11].sum():.0f} "
+          f"(support), the same on every step: "
+          f"{bool(np.all(t[:, 10] == t[:, 11]))}; "
+          f"{t[:, 9].sum():.0f} extension factors; all converged: "
+          f"{bool(t[:, 16:].all())}, KKT residual of the support path at "
+          f"most {t[:, 15].max():.1e}")
+    print(f"max |dU| {t[:, 12].max():.1e}, max |dW| {t[:, 13].max():.1e} "
+          f"(|W| up to {np.abs(state.w).max():.1f} at the last step); "
+          f"binding rows off the support, over all rounds: "
+          f"{t[:, 14].sum():.0f}")
 
 
 def _median_seconds(func, repeats):
@@ -431,7 +537,8 @@ def main():
                               ("rounds", cmd_rounds, 20),
                               ("neumann", cmd_neumann, 30),
                               ("update", cmd_update, 3),
-                              ("degenerate", cmd_degenerate, 10)):
+                              ("degenerate", cmd_degenerate, 10),
+                              ("support", cmd_support, 100)):
         p = sub.add_parser(name)
         p.add_argument("--steps", type=int, default=steps)
         p.set_defaults(func=func)
@@ -441,6 +548,7 @@ def main():
     p.set_defaults(func=cmd_precond)
     p = sub.add_parser("ordering")
     p.add_argument("--count", type=int, default=8)
+    p.add_argument("--steps", type=int, default=20)
     p.add_argument("--repeats", type=int, default=5)
     p.set_defaults(func=cmd_ordering)
     p = sub.add_parser("transform")

@@ -24,8 +24,10 @@ differ only in the subsolve of each round:
   round solved to ``tol``/20.  A round on the set of the round before
   reuses its preconditioner factor: a banded Cholesky under Dirichlet
   data, a sparse LU of the bordered matrix under natural boundary
-  conditions.  With degenerate mobility it solves the saddle system on
-  the inactive set by a sparse LU.
+  conditions.  With degenerate mobility it solves the saddle system in
+  (U on the inactive set, W) by a sparse LU, with W only on the
+  mobility's support and the inactive set; off them W is the discrete
+  harmonic extension, one banded Cholesky solve.
 
 Both are deterministic: fixed inputs give bit-identical results.
 Convergence is measured by the componentwise KKT violation
@@ -494,7 +496,8 @@ def _projected_cg(apply, b, x, precond, tol, max_iter=500):
 
 def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                      c_psi=np.pi / 2, w_bdry=None, boundary_mask=None,
-                     tol=1e-9, max_iter=100, implicit=False, kb_factor=None):
+                     tol=1e-9, max_iter=100, implicit=False, kb_factor=None,
+                     frozen=None):
     """Solve one coupled conserved step for (U, W) by a primal active-set loop.
 
     The discrete system is the lumped mass equation
@@ -534,8 +537,22 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       ``kb_factor``, its constant (natural boundary conditions) from the
       inactive rows.
     * otherwise (degenerate mobility, where a floored K_b is too ill
-      conditioned for CG): one sparse LU of the symmetric saddle system in
-      (U_I, W).
+      conditioned for CG, and the ``implicit`` variant): one sparse LU of
+      the symmetric saddle system in (U_I, W).  ``frozen`` (natural
+      boundary conditions only; set by ``cahn_hilliard_step``) marks the
+      nodes all of whose elements have the floored mobility.  Their rows
+      of K_b are the floor times those of the isotropic stiffness, so they
+      only make W there the discrete harmonic extension of W elsewhere,
+      whatever the floor (Elliott & Garcke, SIAM J. Math. Anal. 27, 1996;
+      Barrett, Blowey & Garcke, SIAM J. Numer. Anal. 37, 1999).  The
+      saddle then holds W only on S, the nodes not frozen and I, and
+      drops its coupling to W on O, the frozen nodes outside I (a term of
+      the floor's size).  W_O solves the O rows of the mass equation,
+      K_b,OO W_O = (theta/tau) M_O (u_old - U)_O - K_b,OS W_S, by the
+      banded Cholesky of K_b,OO (:func:`_factor_spd`), kept while O stays
+      the same.  One block Gauss-Seidel sweep, one more solve with each
+      factor, puts the dropped coupling back into the right side of the S
+      rows.  The KKT residual is that of the full system.
 
     With natural boundary conditions the nodal mass of U is conserved by
     construction and the solvability condition |(u_old, 1)^h| < |Omega| is
@@ -567,6 +584,9 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         w_fixed = np.zeros(n)
     if implicit and kb_factor is not None:
         raise ValueError("the Schur-complement path needs the explicit potential")
+    if frozen is not None and (dirichlet or kb_factor is not None):
+        raise ValueError("frozen nodes need the saddle path and natural "
+                         "boundary conditions")
 
     k_b = k_b.tocsr()
     k_aniso = k_aniso.tocsr()
@@ -584,15 +604,41 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         w[wdofs] = solve(-f / scale)
         return w
 
+    extension = None  # the last extension off the support: (O, its factor)
+
     # Each round solver fills U at the inactive nodes of ``u`` (pinned
     # elsewhere) and returns W.
     def saddle_round(u, inactive, s11, rhs1, rhs2):
-        s12 = -c * sp.diags(mass, format="csr")[inactive][:, wdofs]
-        saddle = sp.bmat([[s11, s12], [s12.T, kb_ww]])
-        z = _splu_symmetric(saddle).solve(np.concatenate([rhs1, rhs2]))
-        u[inactive] = z[:inactive.size]
+        nonlocal extension
+        # the saddle keeps the W dofs S; O, the frozen nodes outside the
+        # inactive set, get W from their own mass rows afterwards
+        on, off = wdofs, None
+        if frozen is not None:
+            outside = frozen.copy()
+            outside[inactive] = False
+            if outside.any():
+                on, off = np.flatnonzero(~outside), np.flatnonzero(outside)
+        ni = inactive.size
+        s12 = -c * sp.diags(mass, format="csr")[inactive][:, on]
+        kb_on = kb_ww if off is None else kb_ww[on][:, on]
+        lu = _splu_symmetric(sp.bmat([[s11, s12], [s12.T, kb_on]]))
+        rhs = np.concatenate([rhs1, rhs2 if off is None else rhs2[on]])
+        z = lu.solve(rhs)
         w = w_fixed.copy()
-        w[wdofs] = z[inactive.size:]
+        if off is not None:
+            kb_off = kb_ww[off]
+            if extension is None or not np.array_equal(extension[0], off):
+                extension = None  # released before the next one is factored
+                extension = off, _factor_spd(-kb_off[:, off])
+            kb_os = kb_off[:, on]
+            w[off] = extension[1].solve(kb_os @ z[ni:] - rhs2[off])
+            # one block Gauss-Seidel sweep: the S rows get back their
+            # coupling to W_O, which the saddle dropped
+            rhs[ni:] -= kb_os.T @ w[off]
+            z = lu.solve(rhs)
+            w[off] = extension[1].solve(kb_os @ z[ni:] - rhs2[off])
+        u[inactive] = z[:ni]
+        w[on] = z[ni:]
         return w
 
     cg_iterations = 0

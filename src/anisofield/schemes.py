@@ -51,6 +51,7 @@ __all__ = [
     "Workspace",
     "allen_cahn_step",
     "cahn_hilliard_step",
+    "floored_mobility",
     "implicit_tau_bound",
     "run_simulation",
     "RunResult",
@@ -344,6 +345,20 @@ def allen_cahn_step(state, ws):
     return _state(ws, state.n + 1, u, w, dissipation, stats, prev=state)
 
 
+def floored_mobility(mesh, u_old, block=None):
+    """The stiffness of the degenerate mobility 1 - u^2 of ``u_old``,
+    floored at MOBILITY_FLOOR, and the mask of its frozen nodes: those
+    all of whose elements have the floor at every vertex, so that their
+    rows of K_b are the floor times the isotropic stiffness.  ``block``
+    as in ``assemble_mobility_stiffness``."""
+    k_b = assemble_mobility_stiffness(
+        mesh, u_old, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR), block)
+    floored = 1.0 - u_old * u_old < MOBILITY_FLOOR
+    support = np.zeros(mesh.n_vertices, dtype=bool)
+    support[mesh.elements[~floored[mesh.elements].all(axis=1)]] = True
+    return k_b, ~support
+
+
 def cahn_hilliard_step(state, ws):
     """Advance the conserved scheme by one step, with W prescribed on the
     boundary when ``ws.config`` gives ``w_bdry`` and natural boundary
@@ -354,24 +369,24 @@ def cahn_hilliard_step(state, ws):
     tolerance.  With degenerate mobility the potential W is not unique
     where the mobility vanishes; the assembled mobility is floored at
     MOBILITY_FLOOR and the regularization is recorded in the step
-    statistics.  Constant mobility solves with the run's solver of b0 K
-    (see ``solve_coupled_ch``), except in the ``implicit`` variant.
+    statistics; the saddle solve then keeps W only on the support of the
+    unfloored mobility (see ``floored_mobility``).  Constant mobility
+    solves with the run's solver of b0 K (see ``solve_coupled_ch``),
+    except in the ``implicit`` variant.
     """
     config, mesh = ws.config, ws.mesh
     u_old = state.u
     eps, tau = config.eps, config.tau
     dirichlet = config.w_bdry is not None
     regularized = False
-    kb_factor = None
+    kb_factor = frozen = None
     if config.mobility == "constant":
         k_b = ws.mobility_stiffness
         if not config.implicit:
             kb_factor = ws.mobility_factor
     else:
         regularized = bool(np.any(1.0 - u_old * u_old < MOBILITY_FLOOR))
-        k_b = assemble_mobility_stiffness(
-            mesh, u_old, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR),
-            ws.iso_block)
+        k_b, frozen = floored_mobility(mesh, u_old, ws.iso_block)
     k_aniso = assemble_anisotropic_stiffness(mesh, ws.aniso, u_old,
                                              ws.aniso_blocks, ws.far_field,
                                              state.band)
@@ -380,7 +395,8 @@ def cahn_hilliard_step(state, ws):
         theta=config.theta, tau=tau, eps=eps, alpha=config.alpha,
         c_psi=config.c_psi, w_bdry=config.w_bdry,
         boundary_mask=mesh.boundary_mask if dirichlet else None,
-        tol=config.tol, implicit=config.implicit, kb_factor=kb_factor)
+        tol=config.tol, implicit=config.implicit, kb_factor=kb_factor,
+        frozen=frozen)
     if dirichlet:
         dissipation = tau * float(w @ (k_b @ w))
     else:

@@ -19,6 +19,7 @@ from anisofield import obstacle
 from anisofield.obstacle import (GridTransform, _active_set_polish,
                                  factor_mobility, kkt_violation,
                                  mobility_solver, pattern_coloring)
+from anisofield.schemes import floored_mobility
 from conftest import (enumerate_coupled_solution, projected_gradient_box_qp,
                       shuffled_mesh)
 
@@ -636,6 +637,155 @@ def test_dirichlet_run_with_banded_cholesky_matches_superlu(monkeypatch):
         assert np.abs(a.w - b.w).max() <= 1e-6
 
 
+# -- degenerate mobility: the saddle on the mobility's support ----------
+
+
+def _degenerate_states(steps, subdivisions=32):
+    """Per step of configs/surface_diffusion.cfg at a coarser mesh: the
+    workspace, the state before it, and the inputs of its coupled solve."""
+    text = (Path(__file__).resolve().parents[1] / "configs"
+            / "surface_diffusion.cfg").read_text()
+    setup = parse_config(text.replace("subdivisions = 64",
+                                      f"subdivisions = {subdivisions}"))
+    mesh, cfg = setup.build_mesh(), setup.scheme
+    ws = Workspace(mesh, setup.anisotropy, cfg)
+    state = initial_state(ws, initial_profile(mesh, cfg.eps, setup.geometry))
+    kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps, alpha=cfg.alpha,
+                  c_psi=cfg.c_psi, tol=cfg.tol)
+    for _ in range(steps):
+        k_b, frozen = floored_mobility(mesh, state.u, ws.iso_block)
+        k_aniso = assemble_anisotropic_stiffness(
+            mesh, ws.aniso, state.u, ws.aniso_blocks, ws.far_field,
+            state.band)
+        yield ws, state, (ws.mass, k_b, k_aniso, state.u), frozen, kwargs
+        state = cahn_hilliard_step(state, ws)
+
+
+def test_degenerate_support_matches_the_full_saddle(monkeypatch):
+    # three N=32 steps of surface_diffusion, each solved with W on the
+    # support and with the floored saddle of the whole domain: the same
+    # rounds and final active set, and U and W agree to 8.5e-15 and
+    # 1.4e-12 (|W| up to 21), within the bounds below.  The extension
+    # block is factored once per step, not once per round.
+    extensions = []
+    factor_spd = obstacle._factor_spd
+
+    def counting_factor_spd(mat):
+        extensions.append(mat.shape[0])
+        return factor_spd(mat)
+
+    monkeypatch.setattr(obstacle, "_factor_spd", counting_factor_spd)
+    rounds = factors = 0
+    for ws, state, args, frozen, kwargs in _degenerate_states(3):
+        assert 0 < np.count_nonzero(frozen) < frozen.size
+        u_ref, w_ref, ref = solve_coupled_ch(*args, **kwargs)
+        before = len(extensions)
+        u, w, stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)
+        factors += len(extensions) - before
+        assert ref.converged and stats.converged
+        assert stats.residual <= kwargs["tol"]
+        assert stats.iterations == ref.iterations
+        rounds += stats.iterations
+        np.testing.assert_array_equal(obstacle._bound_pattern(u),
+                                      obstacle._bound_pattern(u_ref))
+        assert np.abs(u - u_ref).max() <= 1e-12
+        assert np.abs(w - w_ref).max() <= 1e-10
+        assert abs(ws.mass @ u - ws.mass @ state.u) <= 1e-12 * ws.mass.sum()
+        # W off the support solves its floored mass rows: the discrete
+        # harmonic extension, as U stays on its bound there
+        k_b = args[1]
+        off = np.flatnonzero(frozen)
+        assert np.all(np.abs(u[off]) == 1.0)
+        assert (np.abs(k_b[off] @ w).max()
+                <= 1e-12 * np.abs(k_b[off]).sum(axis=1).max()
+                * np.abs(w).max())
+    assert 3 <= factors < rounds
+
+
+def test_degenerate_support_matches_dense_enumeration_oracle():
+    # 9 nodes: the quarter x, y <= 0 sits at U = 1, so the corner
+    # (-1/2, -1/2), all of whose elements have the floored mobility, is
+    # frozen; the dense oracle solves the floored system of the whole
+    # domain.  They agree to 5.6e-16 in U and 6.2e-15 in W (|W| up to 5.9)
+    mesh = build_uniform_mesh(2, 0.5, 2)
+    x, y = mesh.vertices.T
+    u_old = np.where((x <= 0.0) & (y <= 0.0), 1.0,
+                     np.random.default_rng(3).uniform(-0.9, 0.6, 9))
+    k_b, frozen = floored_mobility(mesh, u_old)
+    assert np.count_nonzero(frozen) == 1
+    theta, tau, eps, alpha = 1.0, 1e-3, 0.1, 1.0
+    _, _, k_aniso = _coupled_inputs(mesh, u_old)
+    mass = lumped_mass(mesh)
+    u, w, stats = solve_coupled_ch(mass, k_b, k_aniso, u_old, theta=theta,
+                                   tau=tau, eps=eps, alpha=alpha, tol=1e-10,
+                                   frozen=frozen)
+    assert stats.converged
+    u_ref, w_ref = enumerate_coupled_solution(
+        mass, k_b, k_aniso, u_old, theta, tau, eps, alpha, math.pi / 2)
+    assert np.abs(u - u_ref).max() <= 1e-12
+    assert np.abs(w - w_ref).max() <= 1e-10
+
+
+def test_degenerate_inactive_frozen_nodes_join_the_saddle(monkeypatch):
+    # a pure-phase patch 1e-14 inside its bound: floored (1 - U^2 < 1e-12)
+    # and so frozen, but inside the box, so inactive in the first round;
+    # those nodes must join the saddle.  Pinned at the bound in the second
+    # round, their mass rows ask for a flux of 1e-14 through the floored
+    # mobility, so W reaches 81 there; the whole-domain saddle agrees to
+    # 8.6e-15 in U and 1.2e-12 in W
+    ws, state, args, _, kwargs = next(_degenerate_states(1))
+    mesh = ws.mesh
+    u_old = state.u.copy()
+    patch = ((np.abs(u_old) >= 1.0)
+             & (np.abs(mesh.vertices - 0.4).max(axis=1) < 0.08))
+    u_old[patch] *= 1.0 - 1e-14
+    k_b, frozen = floored_mobility(mesh, u_old, ws.iso_block)
+    assert np.all(frozen[patch]) and np.count_nonzero(patch) >= 9
+    args = (args[0], k_b, args[2], u_old)
+    dims = []
+    splu = obstacle._splu_symmetric
+
+    def recording_splu(mat):
+        dims.append(mat.shape[0])
+        return splu(mat)
+
+    monkeypatch.setattr(obstacle, "_splu_symmetric", recording_splu)
+    u, w, stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)
+    inactive = np.abs(u_old) < 1.0
+    assert np.all(inactive[patch])
+    # the first saddle: U on I, W on the support and I
+    assert dims[0] == (np.count_nonzero(inactive)
+                       + np.count_nonzero(~frozen | inactive))
+    u_ref, w_ref, ref = solve_coupled_ch(*args, **kwargs)
+    assert stats.converged and stats.residual <= kwargs["tol"]
+    assert stats.iterations == ref.iterations
+    assert np.abs(u - u_ref).max() <= 1e-12
+    assert np.abs(w - w_ref).max() <= 1e-10
+
+
+def test_degenerate_without_frozen_nodes_is_the_full_saddle():
+    # U inside the box everywhere: nothing is floored, nothing frozen, and
+    # the solve is bit for bit the saddle of the whole domain
+    ws, state, args, _, kwargs = next(_degenerate_states(1, subdivisions=16))
+    u_old = 0.9 * args[3]
+    k_b, frozen = floored_mobility(ws.mesh, u_old, ws.iso_block)
+    assert not frozen.any()
+    args = (args[0], k_b, args[2], u_old)
+    u_ref, w_ref, ref = solve_coupled_ch(*args, **kwargs)
+    u, w, stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)
+    np.testing.assert_array_equal(u, u_ref)
+    np.testing.assert_array_equal(w, w_ref)
+    assert stats == ref
+
+
+def test_frozen_nodes_need_the_natural_saddle_path(mesh2d_small):
+    u_old = initial_profile(mesh2d_small, 0.1, Circle((0.0, 0.0), 0.25))
+    args, kwargs = _schur_case(mesh2d_small, u_old, False)
+    with pytest.raises(ValueError):
+        solve_coupled_ch(*args, frozen=np.zeros(u_old.size, dtype=bool),
+                         **kwargs)
+
+
 # -- one factorization policy ------------------------------------------
 
 
@@ -644,9 +794,10 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     # the natural-boundary Schur preconditioners and the saddle LU all
     # factor through the symmetric minimum-degree ordering in
     # SymmetricMode, and none of them factors an explicit zero of the Kuhn
-    # pattern; the SPD Dirichlet Schur preconditioners take the banded
-    # Cholesky instead, whose ordering sees no explicit zero and whose band
-    # holds exactly the nonzeros of the lower triangle, no wider, and is
+    # pattern; the SPD Dirichlet Schur preconditioners and the degenerate
+    # path's W block off the mobility's support take the banded Cholesky
+    # instead, whose ordering sees no explicit zero and whose band holds
+    # exactly the nonzeros of the lower triangle, no wider, and is
     # factored in place
     calls, spd_inputs, bands = [], [], []
     splu, factor_spd = obstacle.spla.splu, obstacle._factor_spd
@@ -707,6 +858,17 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     counts.append(len(calls))
     assert len(spd_inputs) == len(bands)
     assert 0 < counts[0] < counts[1] < counts[2]
+    # the degenerate saddle on the mobility's support takes the symmetric
+    # LU, and the W block off the support the banded Cholesky
+    spd_before = len(spd_inputs)
+    _, _, args, frozen, kwargs = next(_degenerate_states(1, subdivisions=16))
+    assert frozen.any()
+    stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)[2]
+    assert stats.converged
+    counts.append(len(calls))
+    assert counts[2] < counts[3]
+    assert spd_before < len(spd_inputs) == len(bands)
+    assert len(spd_inputs) - spd_before <= stats.iterations
     for positional, keywords in calls:
         assert positional == ()
         assert keywords.get("permc_spec") == "MMD_AT_PLUS_A"

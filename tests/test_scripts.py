@@ -22,6 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["coupled_schur.py", "rounds", "--steps", "2"],
     ["coupled_schur.py", "precond", "--steps", "1", "--repeats", "1"],
     ["coupled_schur.py", "ordering", "--count", "1", "--repeats", "1"],
+    ["coupled_schur.py", "support", "--steps", "2"],
     ["coupled_schur.py", "transform", "--n2", "16", "--n3", "6",
      "--repeats", "1"],
     ["obstacle_lu.py", "ordering", "--steps", "2"],
@@ -30,7 +31,8 @@ ROOT = Path(__file__).resolve().parents[1]
      "--repeats", "1"],
 ], ids=["flow_clock-identity", "coupled_schur-neumann",
         "coupled_schur-rounds", "coupled_schur-precond",
-        "coupled_schur-ordering", "coupled_schur-transform",
+        "coupled_schur-ordering", "coupled_schur-support",
+        "coupled_schur-transform",
         "obstacle_lu-ordering", "obstacle_lu-newton", "band_assembly"])
 def test_script_runs(argv):
     env = dict(os.environ)

@@ -12,7 +12,8 @@ splits each step's active-set rounds into loose and exact ones;
 ``precond`` compares the sparse LU with the banded Cholesky after a
 reverse Cuthill-McKee ordering on the captured Dirichlet preconditioners;
 ``support`` compares the degenerate saddle on the mobility's support with
-the saddle of the whole domain:
+the saddle of the whole domain, and counts the W-extension factors and
+the steps that reuse the one kept across steps:
 
     PYTHONPATH=src python scripts/coupled_schur.py fig4 --steps 8
     PYTHONPATH=src python scripts/coupled_schur.py rounds --steps 20
@@ -400,18 +401,27 @@ def cmd_ordering(args):
 def cmd_support(args):
     """The degenerate saddle on the mobility's support against the saddle
     of the whole domain (``frozen`` not given), on the same inputs, step by
-    step from the states of the support path."""
+    step from the states of the support path.  The support side keeps the
+    W-extension factor in the workspace's slot, as ``cahn_hilliard_step``
+    does, so a step whose O is that of the step before factors nothing."""
     ws, state = _degenerate_case()
     mesh, cfg = ws.mesh, ws.config
     kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps, alpha=cfg.alpha,
                   c_psi=cfg.c_psi, tol=cfg.tol)
-    factors, binding = [], []
+    factors, binding, requests, reused = [], [], [], []
     frozen = None
 
+    class CountingSlot(obstacle.FactorSlot):
+        def get(self, key, make):
+            requests.append(key.size)
+            return super().get(key, make)
+
+    ws.extension = CountingSlot()
+
     def timed(original):
-        def factor(mat):
+        def factor(mat, **kwargs):
             tic = time.perf_counter()
-            out = original(mat)
+            out = original(mat, **kwargs)
             factors.append((original.__name__, mat.shape[0],
                             time.perf_counter() - tic,
                             out.L.nnz + out.U.nnz if hasattr(out, "L") else 0))
@@ -449,11 +459,15 @@ def cmd_support(args):
             for mask in (None, frozen):
                 factors.clear()
                 binding.clear()
+                requests.clear()
                 u, w, stats = obstacle.solve_coupled_ch(
-                    ws.mass, k_b, k_aniso, state.u, frozen=mask, **kwargs)
+                    ws.mass, k_b, k_aniso, state.u, frozen=mask,
+                    extension=ws.extension, **kwargs)
                 lus = [f for f in factors if f[0] == "_splu_symmetric"]
                 ext = [f[2] for f in factors if f[0] == "_factor_spd"]
                 sides.append((u, w, stats, lus, ext, sum(binding)))
+            if requests and not ext:
+                reused.append(state.n + 1)
             (u0, w0, s0, lu0, _, _), (u1, w1, s1, lu1, ext, bound) = sides
             row = (np.count_nonzero(~frozen), np.count_nonzero(frozen),
                    np.median([f[1] for f in lu0]),
@@ -482,13 +496,15 @@ def cmd_support(args):
     print(f"rounds {t[:, 10].sum():.0f} (full) and {t[:, 11].sum():.0f} "
           f"(support), the same on every step: "
           f"{bool(np.all(t[:, 10] == t[:, 11]))}; "
-          f"{t[:, 9].sum():.0f} extension factors; all converged: "
+          f"{t[:, 9].sum():.0f} extension factors in {len(rows)} steps, "
+          f"{len(reused)} steps reused the kept one; all converged: "
           f"{bool(t[:, 16:].all())}, KKT residual of the support path at "
           f"most {t[:, 15].max():.1e}")
     print(f"max |dU| {t[:, 12].max():.1e}, max |dW| {t[:, 13].max():.1e} "
           f"(|W| up to {np.abs(state.w).max():.1f} at the last step); "
           f"binding rows off the support, over all rounds: "
           f"{t[:, 14].sum():.0f}")
+    print(f"steps that reused the kept extension factor: {reused}")
 
 
 def _median_seconds(func, repeats):

@@ -25,9 +25,11 @@ differ only in the subsolve of each round:
   reuses its preconditioner factor: a banded Cholesky under Dirichlet
   data, a sparse LU of the bordered matrix under natural boundary
   conditions.  With degenerate mobility it solves the saddle system in
-  (U on the inactive set, W) by a sparse LU, with W only on the
-  mobility's support and the inactive set; off them W is the discrete
-  harmonic extension, one banded Cholesky solve.
+  (U on the inactive set, W) by a sparse LU of the principal block of
+  one saddle matrix per step, with W only on the mobility's support and
+  the inactive set; off them W is the discrete harmonic extension, one
+  banded Cholesky solve, whose factor a caller's :class:`FactorSlot`
+  keeps across steps while that set of nodes is the same.
 
 Both are deterministic: fixed inputs give bit-identical results.
 Convergence is measured by the componentwise KKT violation
@@ -35,6 +37,7 @@ Convergence is measured by the componentwise KKT violation
 """
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,11 +138,59 @@ def _zero_free_csc(mat):
     return mat
 
 
+def _principal_block(mat, idx):
+    """The principal block of ``mat`` on the sorted indices ``idx``, as a
+    zero-free CSC matrix: equal, array for array, to
+    ``_zero_free_csc(mat[idx][:, idx])`` for ``mat`` of canonical format.
+
+    One index map over the CSC arrays of ``mat``: the entries of the
+    columns ``idx`` whose rows are in ``idx``, renumbered in order.
+    """
+    mat = mat.tocsc()
+    where = np.full(mat.shape[0], -1, dtype=np.intp)
+    where[idx] = np.arange(idx.size)
+    starts = mat.indptr[idx]
+    counts = mat.indptr[idx + 1] - starts
+    pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
+    pos += np.arange(pos.size)
+    rows = where[mat.indices[pos]]
+    data = mat.data[pos]
+    keep = (rows >= 0) & (data != 0.0)
+    cols = np.repeat(np.arange(idx.size), counts)[keep]
+    indptr = np.zeros(idx.size + 1, dtype=np.intp)
+    np.cumsum(np.bincount(cols, minlength=idx.size), out=indptr[1:])
+    return sp.csc_matrix((data[keep], rows[keep], indptr),
+                         shape=(idx.size, idx.size))
+
+
+def _saddle_matrix(s11, coupling, kb):
+    """CSC of the symmetric 2n x 2n saddle [[s11, D], [D, kb]] with
+    D = diag(``coupling``), built from the CSC arrays of its blocks."""
+    a, k = s11.tocsc(), kb.tocsc()
+    n = coupling.size
+    nodes = np.arange(n)
+    # D's entries close column j and open column n + j
+    diagonal = np.concatenate([a.indptr[1:] + nodes,
+                               a.nnz + n + k.indptr[:-1] + nodes])
+    blocks = np.ones(a.nnz + k.nnz + 2 * n, dtype=bool)
+    blocks[diagonal] = False
+    indices = np.empty(blocks.size, dtype=np.intp)
+    indices[diagonal] = np.concatenate([nodes + n, nodes])
+    indices[blocks] = np.concatenate([a.indices, k.indices + n])
+    data = np.empty(blocks.size)
+    data[diagonal] = np.concatenate([coupling, coupling])
+    data[blocks] = np.concatenate([a.data, k.data])
+    indptr = np.concatenate([a.indptr[:-1] + nodes,
+                             a.nnz + n + k.indptr + np.arange(n + 1)])
+    return sp.csc_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+
+
 def _splu_symmetric(mat):
     """Sparse LU of the zero-free pattern with a symmetric fill-reducing
     ordering that prefers diagonal pivots; every LU of both solvers goes
-    through it, as all their systems are symmetric, except the SPD
-    Dirichlet Schur preconditioner (:func:`_factor_spd`)."""
+    through it, as all their systems are symmetric, except the SPD blocks
+    (:func:`_factor_spd`): the Dirichlet Schur preconditioner and the
+    degenerate path's W extension."""
     return spla.splu(_zero_free_csc(mat), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
@@ -157,7 +208,7 @@ class _BandCholesky:
         return x
 
 
-def _factor_spd(mat):
+def _factor_spd(mat, kept=False):
     """Banded Cholesky of the symmetric positive definite ``mat`` after a
     reverse Cuthill-McKee ordering of its zero-free pattern (Cuthill &
     McKee, 1969; George & Liu, 1981): an object with ``solve(b)``.
@@ -169,6 +220,12 @@ def _factor_spd(mat):
     factored in place, so LAPACK makes no copy of it.  A matrix that is
     not positive definite raises ``np.linalg.LinAlgError``, which ends the
     active-set loop like a singular subproblem.
+
+    A factor ``kept`` across steps gets an anonymous mapping of its own
+    for its band.  In the heap, where glibc's dynamic mmap threshold puts
+    a band of about a MiB, a long-lived one keeps the heap from shrinking
+    under it: it raised the peak resident memory of a 100-step N=64
+    degenerate-mobility run by 5 MiB.
     """
     mat = mat.tocsr(copy=True)
     # sorted, summed and zero-free: the ordering, and so the rounding,
@@ -183,13 +240,33 @@ def _factor_spd(mat):
     cols = where[mat.indices]
     lower = rows >= cols
     rows, cols = rows[lower], cols[lower]
-    band = np.zeros((int((rows - cols).max(initial=0)) + 1, n), order="F")
+    shape = (int((rows - cols).max(initial=0)) + 1, n)
+    if kept:  # zero-filled, like np.zeros
+        band = np.ndarray(shape, order="F",
+                          buffer=mmap.mmap(-1, 8 * shape[0] * n))
+    else:
+        band = np.zeros(shape, order="F")
     band[rows - cols, cols] = mat.data[lower]
     band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"banded Cholesky failed (LAPACK info {info})")
     return _BandCholesky(perm, band)
+
+
+class FactorSlot:
+    """At most one factor, kept with the index set it was made for."""
+
+    def __init__(self):
+        self.key = self.factor = None
+
+    def get(self, key, make):
+        """The kept factor if it was made for the set ``key``; else the
+        kept one is released and ``make()`` made and kept for ``key``."""
+        if self.key is None or not np.array_equal(self.key, key):
+            self.key = self.factor = None
+            self.factor, self.key = make(), key
+        return self.factor
 
 
 # An inexact round's subsolve tolerance, relative to the lowest KKT
@@ -497,7 +574,7 @@ def _projected_cg(apply, b, x, precond, tol, max_iter=500):
 def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                      c_psi=np.pi / 2, w_bdry=None, boundary_mask=None,
                      tol=1e-9, max_iter=100, implicit=False, kb_factor=None,
-                     frozen=None):
+                     frozen=None, extension=None):
     """Solve one coupled conserved step for (U, W) by a primal active-set loop.
 
     The discrete system is the lumped mass equation
@@ -547,10 +624,18 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       Barrett, Blowey & Garcke, SIAM J. Numer. Anal. 37, 1999).  The
       saddle then holds W only on S, the nodes not frozen and I, and
       drops its coupling to W on O, the frozen nodes outside I (a term of
-      the floor's size).  W_O solves the O rows of the mass equation,
+      the floor's size).  Each round factors the principal block on
+      (I, S) of one saddle matrix of every node, built once per call.
+      W_O solves the O rows of the mass equation,
       K_b,OO W_O = (theta/tau) M_O (u_old - U)_O - K_b,OS W_S, by the
-      banded Cholesky of K_b,OO (:func:`_factor_spd`), kept while O stays
-      the same.  One block Gauss-Seidel sweep, one more solve with each
+      banded Cholesky of K_b,OO (:func:`_factor_spd`), kept in the
+      :class:`FactorSlot` ``extension`` while O stays the same: across
+      steps if the caller keeps the slot (``cahn_hilliard_step`` keeps
+      one on its ``Workspace``), else across the rounds of this call.
+      Every element at a node of O has the floored mobility, so each
+      entry of K_b,OO sums the same floored element blocks in the same
+      order and its bits depend on O alone, for a fixed mesh, floor and
+      c tau/theta.  One block Gauss-Seidel sweep, one more solve with each
       factor, puts the dropped coupling back into the right side of the S
       rows.  The KKT residual is that of the full system.
 
@@ -594,7 +679,15 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     rhs_mass = -c * mass[wdofs] * u_old[wdofs]
     if dirichlet:
         rhs_mass += scale * (k_b[wdofs] @ w_fixed)
-    kb_ww = -scale * k_b[wdofs][:, wdofs] if kb_factor is None else None
+    if kb_factor is None:
+        # the saddle of every node, whose rounds take their principal blocks
+        kb = -scale * k_b
+        s11 = eps * k_aniso
+        if implicit:
+            s11 = s11 - sp.diags(mass / eps)
+        saddle = _saddle_matrix(s11, -c * mass, kb)
+        if extension is None:
+            extension = FactorSlot()
 
     def mass_solve(solve, f):
         """W on the W dofs, zero elsewhere, with -scale K_b W = f by
@@ -604,12 +697,9 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         w[wdofs] = solve(-f / scale)
         return w
 
-    extension = None  # the last extension off the support: (O, its factor)
-
     # Each round solver fills U at the inactive nodes of ``u`` (pinned
     # elsewhere) and returns W.
-    def saddle_round(u, inactive, s11, rhs1, rhs2):
-        nonlocal extension
+    def saddle_round(u, inactive, rhs1, rhs2):
         # the saddle keeps the W dofs S; O, the frozen nodes outside the
         # inactive set, get W from their own mass rows afterwards
         on, off = wdofs, None
@@ -619,33 +709,33 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
             if outside.any():
                 on, off = np.flatnonzero(~outside), np.flatnonzero(outside)
         ni = inactive.size
-        s12 = -c * sp.diags(mass, format="csr")[inactive][:, on]
-        kb_on = kb_ww if off is None else kb_ww[on][:, on]
-        lu = _splu_symmetric(sp.bmat([[s11, s12], [s12.T, kb_on]]))
+        lu = _splu_symmetric(_principal_block(
+            saddle, np.concatenate([inactive, n + on])))
         rhs = np.concatenate([rhs1, rhs2 if off is None else rhs2[on]])
         z = lu.solve(rhs)
         w = w_fixed.copy()
+        w[on] = z[ni:]
         if off is not None:
-            kb_off = kb_ww[off]
-            if extension is None or not np.array_equal(extension[0], off):
-                extension = None  # released before the next one is factored
-                extension = off, _factor_spd(-kb_off[:, off])
-            kb_os = kb_off[:, on]
-            w[off] = extension[1].solve(kb_os @ z[ni:] - rhs2[off])
+            # products of the whole K_b restricted afterwards: the terms
+            # they add are zeros, so the sums keep their bits
+            ext = extension.get(
+                off, lambda: _factor_spd(-kb[off][:, off], kept=True))
+            w_o = np.zeros(n)
+            w_o[off] = ext.solve((kb @ w)[off] - rhs2[off])
             # one block Gauss-Seidel sweep: the S rows get back their
             # coupling to W_O, which the saddle dropped
-            rhs[ni:] -= kb_os.T @ w[off]
+            rhs[ni:] -= (kb.T @ w_o)[on]
             z = lu.solve(rhs)
-            w[off] = extension[1].solve(kb_os @ z[ni:] - rhs2[off])
+            w[on] = z[ni:]
+            w[off] = ext.solve((kb @ w)[off] - rhs2[off])
         u[inactive] = z[:ni]
-        w[on] = z[ni:]
         return w
 
     cg_iterations = 0
-    factor = None  # the last preconditioner: (its inactive set, its factor)
+    factor = FactorSlot()  # the last round's preconditioner
 
     def schur_round(u, inactive, s11, rhs1, rhs2, sub_tol, x0):
-        nonlocal cg_iterations, factor
+        nonlocal cg_iterations
         m_i = mass[inactive]
         coupled = np.zeros(n)
 
@@ -655,8 +745,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                 kb_factor, c * mass[wdofs] * coupled[wdofs])[inactive]
 
         b = rhs1 + c * m_i * mass_solve(kb_factor, rhs2)[inactive]
-        if factor is None or not np.array_equal(factor[0], inactive):
-            factor = None  # released before the next one is factored
+
+        def precondition():
             if dirichlet:
                 # s11 plus a lower bound for the diagonal of the coupling
                 # term, nonsingular even when every node is inactive
@@ -664,11 +754,11 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                 shift = np.zeros(inactive.size)
                 shift[interior] = ((c * c / scale) * m_i[interior] ** 2
                                    / kb_diag[inactive[interior]])
-                factor = inactive, _factor_spd(s11 + sp.diags(shift))
-            else:
-                factor = inactive, _splu_symmetric(sp.bmat(
-                    [[s11, m_i[:, None]], [m_i[None, :], None]]))
-        pre = factor[1]
+                return _factor_spd(s11 + sp.diags(shift))
+            return _splu_symmetric(sp.bmat(
+                [[s11, m_i[:, None]], [m_i[None, :], None]]))
+
+        pre = factor.get(inactive, precondition)
         if dirichlet:
             x, iterations = _projected_cg(apply, b, x0,
                                           lambda r: (pre.solve(r), r), sub_tol)
@@ -696,14 +786,12 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         if inactive.size == 0:
             solve = kb_factor or factor_mobility(k_b, mass, boundary_mask)
             return u_pin, w_fixed + mass_solve(solve, rhs2)
-        s11 = eps * k_aniso[inactive][:, inactive]
-        if implicit:
-            s11 = s11 - sp.diags(mass[inactive] / eps)
         rhs1 = mass[inactive] * ((0.0 if implicit else u_old[inactive] / eps)
                                  + c * w_fixed[inactive])
-        rhs1 -= eps * (k_aniso[inactive] @ u_pin)
+        rhs1 -= eps * (k_aniso @ u_pin)[inactive]
         if kb_factor is None:
-            return u_pin, saddle_round(u_pin, inactive, s11, rhs1, rhs2)
+            return u_pin, saddle_round(u_pin, inactive, rhs1, rhs2)
+        s11 = eps * k_aniso[inactive][:, inactive]
         return u_pin, schur_round(u_pin, inactive, s11, rhs1, rhs2, sub_tol,
                                   x[inactive])
 

@@ -33,8 +33,8 @@ from .fem import (assemble_anisotropic_stiffness, assemble_mobility_stiffness,
                   far_field_stiffness, interface_band, isotropic_block,
                   isotropic_stiffness, lumped_mass, stiffness_blocks)
 # nothing in the package calls pattern_coloring; the benchmark tracer wraps it
-from .obstacle import (SolverStats, mobility_solver, pattern_coloring,
-                       solve_coupled_ch, solve_obstacle)
+from .obstacle import (FactorSlot, SolverStats, mobility_solver,
+                       pattern_coloring, solve_coupled_ch, solve_obstacle)
 
 __all__ = [
     "C_PSI",
@@ -249,6 +249,13 @@ class Workspace:
     stiffness b0 K and its solver ``f -> W``: fast transforms on a Kuhn
     grid with W prescribed on the boundary or, in 2d, natural boundary
     conditions, and an LU otherwise (see ``mobility_solver``).
+
+    One slot, ``extension``, follows the state: the factor of the
+    degenerate path's W extension K_b,OO, keyed on O, the frozen nodes
+    outside the inactive set (see ``solve_coupled_ch``).  Keeping it
+    across steps is exact: every element at a node of O has the floored
+    mobility, so K_b,OO depends on O, the mesh, MOBILITY_FLOOR and the
+    config alone, bit for bit.
     """
 
     def __init__(self, mesh, aniso, config):
@@ -256,6 +263,7 @@ class Workspace:
         self.aniso = aniso
         self.config = config
         self.mass = lumped_mass(mesh)
+        self.extension = FactorSlot()
 
     @functools.cached_property
     def iso_block(self):
@@ -396,7 +404,7 @@ def cahn_hilliard_step(state, ws):
         c_psi=config.c_psi, w_bdry=config.w_bdry,
         boundary_mask=mesh.boundary_mask if dirichlet else None,
         tol=config.tol, implicit=config.implicit, kb_factor=kb_factor,
-        frozen=frozen)
+        frozen=frozen, extension=ws.extension)
     if dirichlet:
         dissipation = tau * float(w @ (k_b @ w))
     else:

@@ -548,6 +548,54 @@ def _relative_gap(mat, b):
     return np.abs(x_chol - x_lu).max() / np.abs(x_lu).max()
 
 
+def _symmetric_with_zeros(rng, n):
+    """A random symmetric CSR matrix of canonical format whose pattern
+    holds explicit zeros, as the Kuhn pattern does."""
+    stored = rng.random((n, n)) < 0.4
+    stored |= stored.T
+    values = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.7)
+    values += values.T
+    rows, cols = np.nonzero(stored)
+    indptr = np.concatenate([[0], np.cumsum(stored.sum(axis=1))])
+    return sp.csr_matrix((values[rows, cols], cols, indptr), shape=(n, n))
+
+
+@settings(deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
+       data=st.data())
+def test_principal_block_matches_slicing(n, seed, data):
+    # the gather of a principal block equals slicing and dropping the
+    # zeros, array for array, on any sorted index set: empty, some nodes
+    # or all of them
+    a = _symmetric_with_zeros(np.random.default_rng(seed), n)
+    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    idx = np.flatnonzero(keep)
+    block = obstacle._principal_block(a, idx)
+    ref = obstacle._zero_free_csc(a[idx][:, idx])
+    assert block.format == "csc" and block.shape == ref.shape
+    np.testing.assert_array_equal(block.indptr, ref.indptr)
+    np.testing.assert_array_equal(block.indices, ref.indices)
+    np.testing.assert_array_equal(block.data, ref.data)
+
+
+@settings(deadline=None, database=None, derandomize=True)
+@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
+def test_saddle_matrix_matches_bmat(n, seed):
+    # the saddle built from the CSC arrays of its blocks holds the arrays
+    # of the block matrix's CSC, explicit zeros included
+    rng = np.random.default_rng(seed)
+    s11, kb = _symmetric_with_zeros(rng, n), _symmetric_with_zeros(rng, n)
+    coupling = rng.standard_normal(n)
+    saddle = obstacle._saddle_matrix(s11, coupling, kb)
+    ref = sp.bmat([[s11, sp.diags(coupling)], [sp.diags(coupling), kb]],
+                  format="csc")
+    ref.sort_indices()
+    assert saddle.format == "csc" and saddle.shape == (2 * n, 2 * n)
+    np.testing.assert_array_equal(saddle.indptr, ref.indptr)
+    np.testing.assert_array_equal(saddle.indices, ref.indices)
+    np.testing.assert_array_equal(saddle.data, ref.data)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_factor_spd_matches_splu_on_random_spd(seed):
     # A = B B^T + I for a random sparse B (the product leaves its column
@@ -640,9 +688,9 @@ def test_dirichlet_run_with_banded_cholesky_matches_superlu(monkeypatch):
 # -- degenerate mobility: the saddle on the mobility's support ----------
 
 
-def _degenerate_states(steps, subdivisions=32):
-    """Per step of configs/surface_diffusion.cfg at a coarser mesh: the
-    workspace, the state before it, and the inputs of its coupled solve."""
+def _degenerate_case(subdivisions=32):
+    """configs/surface_diffusion.cfg at a coarser mesh: the workspace, the
+    initial state and the keywords of its coupled solves."""
     text = (Path(__file__).resolve().parents[1] / "configs"
             / "surface_diffusion.cfg").read_text()
     setup = parse_config(text.replace("subdivisions = 64",
@@ -652,12 +700,25 @@ def _degenerate_states(steps, subdivisions=32):
     state = initial_state(ws, initial_profile(mesh, cfg.eps, setup.geometry))
     kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps, alpha=cfg.alpha,
                   c_psi=cfg.c_psi, tol=cfg.tol)
+    return ws, state, kwargs
+
+
+def _degenerate_inputs(ws, state):
+    """The inputs of the coupled solve of the step from ``state``, and
+    the mask of its frozen nodes."""
+    k_b, frozen = floored_mobility(ws.mesh, state.u, ws.iso_block)
+    k_aniso = assemble_anisotropic_stiffness(
+        ws.mesh, ws.aniso, state.u, ws.aniso_blocks, ws.far_field,
+        state.band)
+    return (ws.mass, k_b, k_aniso, state.u), frozen
+
+
+def _degenerate_states(steps, subdivisions=32):
+    """Per step of configs/surface_diffusion.cfg at a coarser mesh: the
+    workspace, the state before it, and the inputs of its coupled solve."""
+    ws, state, kwargs = _degenerate_case(subdivisions)
     for _ in range(steps):
-        k_b, frozen = floored_mobility(mesh, state.u, ws.iso_block)
-        k_aniso = assemble_anisotropic_stiffness(
-            mesh, ws.aniso, state.u, ws.aniso_blocks, ws.far_field,
-            state.band)
-        yield ws, state, (ws.mass, k_b, k_aniso, state.u), frozen, kwargs
+        yield ws, state, *_degenerate_inputs(ws, state), kwargs
         state = cahn_hilliard_step(state, ws)
 
 
@@ -670,9 +731,9 @@ def test_degenerate_support_matches_the_full_saddle(monkeypatch):
     extensions = []
     factor_spd = obstacle._factor_spd
 
-    def counting_factor_spd(mat):
+    def counting_factor_spd(mat, **kwargs):
         extensions.append(mat.shape[0])
-        return factor_spd(mat)
+        return factor_spd(mat, **kwargs)
 
     monkeypatch.setattr(obstacle, "_factor_spd", counting_factor_spd)
     rounds = factors = 0
@@ -700,6 +761,50 @@ def test_degenerate_support_matches_the_full_saddle(monkeypatch):
                 <= 1e-12 * np.abs(k_b[off]).sum(axis=1).max()
                 * np.abs(w).max())
     assert 3 <= factors < rounds
+
+
+def test_degenerate_extension_factor_is_kept_across_steps(monkeypatch):
+    # 24 N=32 steps of surface_diffusion through cahn_hilliard_step,
+    # whose workspace keeps the W-extension factor while O, the frozen
+    # nodes outside the inactive set, stays the same: U and W are those
+    # of solve_coupled_ch without a slot, bit for bit, and the extension
+    # is factored only on the steps whose O differs from the step before
+    # (measured: all but steps 21 and 24, each step with one O over its
+    # rounds)
+    factors, keys = [], []
+    factor_spd, get = obstacle._factor_spd, obstacle.FactorSlot.get
+
+    def counting_factor_spd(mat, **kwargs):
+        factors.append(mat.shape[0])
+        return factor_spd(mat, **kwargs)
+
+    def recording_get(slot, key, make):
+        keys.append(key.copy())
+        return get(slot, key, make)
+
+    monkeypatch.setattr(obstacle, "_factor_spd", counting_factor_spd)
+    monkeypatch.setattr(obstacle.FactorSlot, "get", recording_get)
+    ws, state, kwargs = _degenerate_case()
+    steps, changed, previous = 24, 0, None
+    for _ in range(steps):
+        args, frozen = _degenerate_inputs(ws, state)
+        before = len(factors)
+        u_ref, w_ref, ref = solve_coupled_ch(*args, frozen=frozen, **kwargs)
+        # without a slot, one factor per call, as O is the same over its
+        # rounds
+        assert len(factors) == before + 1
+        keys.clear()
+        before = len(factors)
+        state = cahn_hilliard_step(state, ws)
+        assert state.stats.iterations == ref.iterations
+        np.testing.assert_array_equal(state.u, u_ref)
+        np.testing.assert_array_equal(state.w, w_ref)
+        assert keys and all(np.array_equal(k, keys[0]) for k in keys)
+        new = previous is None or not np.array_equal(keys[0], previous)
+        assert len(factors) - before == int(new)
+        changed += new
+        previous = keys[0]
+    assert 1 <= changed < steps
 
 
 def test_degenerate_support_matches_dense_enumeration_oracle():
@@ -808,9 +913,9 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
         assert np.count_nonzero(mat.data == 0.0) == 0, mat.shape
         return splu(mat, *args, **kwargs)
 
-    def recording_factor_spd(mat):
+    def recording_factor_spd(mat, **kwargs):
         spd_inputs.append(mat.copy())
-        return factor_spd(mat)
+        return factor_spd(mat, **kwargs)
 
     def recording_rcm(graph, **kwargs):
         assert np.count_nonzero(graph.data == 0.0) == 0, graph.shape

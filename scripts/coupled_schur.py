@@ -224,7 +224,7 @@ def _wrapped(name, wrapper):
 
 
 def _preconditioners_to(sink):
-    """Hand every Dirichlet preconditioner that ``obstacle._factor_spd``
+    """Hand every Schur preconditioner that ``obstacle._factor_spd``
     factors to ``sink``."""
     def capture(original):
         def factor(mat):
@@ -337,7 +337,7 @@ def cmd_degenerate(args):
         k_b = floored_mobility(mesh, state.u, ws.iso_block)[0]
         k_aniso = assemble_anisotropic_stiffness(mesh, aniso, state.u)
         kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps,
-                      alpha=cfg.alpha, c_psi=cfg.c_psi, tol=cfg.tol)
+                      alpha=cfg.alpha, tol=cfg.tol)
         counter = PcgCounter()
         with counter:
             # the Schur path with an LU solver f -> W of the floored K_b
@@ -407,7 +407,7 @@ def cmd_support(args):
     ws, state = _degenerate_case()
     mesh, cfg = ws.mesh, ws.config
     kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps, alpha=cfg.alpha,
-                  c_psi=cfg.c_psi, tol=cfg.tol)
+                  tol=cfg.tol)
     factors, binding, requests, reused = [], [], [], []
     frozen = None
 

@@ -22,14 +22,13 @@ differ only in the subsolve of each round:
   the CG of an earlier round may stop at a tolerance scaled to the KKT
   residual so far (an inexact Newton method); the step always ends on a
   round solved to ``tol``/20.  A round on the set of the round before
-  reuses its preconditioner factor: a banded Cholesky under Dirichlet
-  data, a sparse LU of the bordered matrix under natural boundary
-  conditions.  With degenerate mobility it solves the saddle system in
-  (U on the inactive set, W) by a sparse LU of the principal block of
-  one saddle matrix per step, with W only on the mobility's support and
-  the inactive set; off them W is the discrete harmonic extension, one
-  banded Cholesky solve, whose factor a caller's :class:`FactorSlot`
-  keeps across steps while that set of nodes is the same.
+  reuses its preconditioner, a banded Cholesky factor under either
+  boundary condition.  With degenerate mobility it solves the saddle
+  system in (U on the inactive set, W) by a sparse LU of the principal
+  block of one saddle matrix per step, with W only on the mobility's
+  support and the inactive set; off them W is the discrete harmonic
+  extension, one banded Cholesky solve, whose factor a caller's
+  :class:`FactorSlot` keeps across steps while that node set is fixed.
 
 Both are deterministic: fixed inputs give bit-identical results.
 Convergence is measured by the componentwise KKT violation
@@ -130,10 +129,11 @@ def pattern_coloring(matrix):
 
 
 def _zero_free_csc(mat):
-    """A CSC copy of ``mat`` without its explicit zeros (the Kuhn pattern
-    holds the isotropic entries across cell diagonals), which would
-    otherwise enter an LU's ordering and fill."""
-    mat = mat.tocsc(copy=True)
+    """``mat`` as CSC without its explicit zeros (the Kuhn pattern holds
+    the isotropic entries across cell diagonals), which would otherwise
+    enter an LU's ordering and fill.  A CSC ``mat`` loses them in place:
+    every caller passes a temporary."""
+    mat = mat.tocsc()
     mat.eliminate_zeros()
     return mat
 
@@ -189,8 +189,8 @@ def _splu_symmetric(mat):
     """Sparse LU of the zero-free pattern with a symmetric fill-reducing
     ordering that prefers diagonal pivots; every LU of both solvers goes
     through it, as all their systems are symmetric, except the SPD blocks
-    (:func:`_factor_spd`): the Dirichlet Schur preconditioner and the
-    degenerate path's W extension."""
+    (:func:`_factor_spd`): every Schur preconditioner and the degenerate
+    path's W extension.  A CSC ``mat`` loses its zeros in place."""
     return spla.splu(_zero_free_csc(mat), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
@@ -572,9 +572,9 @@ def _projected_cg(apply, b, x, precond, tol, max_iter=500):
 
 
 def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
-                     c_psi=np.pi / 2, w_bdry=None, boundary_mask=None,
-                     tol=1e-9, max_iter=100, implicit=False, kb_factor=None,
-                     frozen=None, extension=None):
+                     w_bdry=None, boundary_mask=None, tol=1e-9, max_iter=100,
+                     implicit=False, kb_factor=None, frozen=None,
+                     extension=None):
     """Solve one coupled conserved step for (U, W) by a primal active-set loop.
 
     The discrete system is the lumped mass equation
@@ -584,11 +584,11 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
 
         eps (K_aniso U) . (chi - U) >= sum_j M_j (c W_j + u_old_j / eps)(chi_j - U_j)
 
-    for all chi in [-1, 1]^n, where c = c_psi / (2 alpha).  Each round of
-    the active-set loop (:func:`_active_set`) solves the equations of one
-    active-set guess; the sets are then updated until the KKT residual (VI
-    violation and mass-equation defect) drops below ``tol``.  A solve that
-    stops short returns its lowest-residual iterate.
+    for all chi in [-1, 1]^n, where c = c_psi / (2 alpha), c_psi = pi/2.
+    Each round of the active-set loop (:func:`_active_set`) solves the
+    equations of one active-set guess; the sets are then updated until the
+    KKT residual (VI violation and mass-equation defect) drops below
+    ``tol``.  A solve that stops short returns its lowest-residual iterate.
 
     Each round's equations are solved one of two ways:
 
@@ -604,15 +604,15 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       (see :func:`_active_set`).  It starts from the last round's clipped
       U on I (``u_old`` in the first round), under natural boundary
       conditions projected onto the mass constraint, which the CG then
-      keeps.  Under Dirichlet data the preconditioner is eps K_aniso,II
-      plus a diagonal shift, which is SPD and factored by banded Cholesky
+      keeps.  The preconditioner P, eps K_aniso,II plus a diagonal shift
+      at the nodes with a W dof, is SPD and factored by banded Cholesky
       (:func:`_factor_spd`); under natural boundary conditions it is
-      eps K_aniso,II bordered by M_I, factored by the sparse LU.  A round
-      on the inactive set of the round before reuses its preconditioner
-      factor; at most one is kept.  W is then recovered from the mass
-      equation with
-      ``kb_factor``, its constant (natural boundary conditions) from the
-      inactive rows.
+      bordered by M_I and applied through the border's Schur complement,
+      with P^-1 M_I kept beside the factor (Benzi, Golub & Liesen, Acta
+      Numer. 14, 2005).  A round on the inactive set of the round before
+      reuses its preconditioner; at most one is kept.  W is then
+      recovered from the mass equation with ``kb_factor``, its constant
+      (natural boundary conditions) from the inactive rows.
     * otherwise (degenerate mobility, where a floored K_b is too ill
       conditioned for CG, and the ``implicit`` variant): one sparse LU of
       the symmetric saddle system in (U_I, W).  ``frozen`` (natural
@@ -652,14 +652,13 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     """
     n = mass.size
     u_old = np.asarray(u_old, dtype=float)
-    c = 0.5 * c_psi / alpha
+    c = 0.25 * np.pi / alpha
     dirichlet = w_bdry is not None
     if dirichlet:
         if boundary_mask is None:
             raise ValueError("dirichlet data requires a boundary mask")
         wdofs = np.flatnonzero(~boundary_mask)
         w_fixed = np.where(boundary_mask, float(w_bdry), 0.0)
-        kb_diag = k_b.diagonal()  # for the preconditioner's shift
     else:
         total = mass.sum()
         if abs(mass @ u_old) >= total:
@@ -688,6 +687,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         saddle = _saddle_matrix(s11, -c * mass, kb)
         if extension is None:
             extension = FactorSlot()
+    else:
+        kb_diag = k_b.diagonal()  # for the Schur preconditioner's shift
 
     def mass_solve(solve, f):
         """W on the W dofs, zero elsewhere, with -scale K_b W = f by
@@ -747,29 +748,29 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         b = rhs1 + c * m_i * mass_solve(kb_factor, rhs2)[inactive]
 
         def precondition():
+            # s11 plus a lower bound for the diagonal of the coupling term
+            # at the nodes with a W dof: SPD even when every node is free
+            has_w = ~boundary_mask[inactive] if dirichlet else slice(None)
+            shift = np.zeros(inactive.size)
+            shift[has_w] = ((c * c / scale) * m_i[has_w] ** 2
+                            / kb_diag[inactive[has_w]])
+            pre = _factor_spd(s11 + sp.diags(shift))
+            return pre, None if dirichlet else pre.solve(m_i)
+
+        pre, pre_m = factor.get(inactive, precondition)
+
+        def precond(r):
+            z = pre.solve(r)
             if dirichlet:
-                # s11 plus a lower bound for the diagonal of the coupling
-                # term, nonsingular even when every node is inactive
-                interior = ~boundary_mask[inactive]
-                shift = np.zeros(inactive.size)
-                shift[interior] = ((c * c / scale) * m_i[interior] ** 2
-                                   / kb_diag[inactive[interior]])
-                return _factor_spd(s11 + sp.diags(shift))
-            return _splu_symmetric(sp.bmat(
-                [[s11, m_i[:, None]], [m_i[None, :], None]]))
+                return z, r
+            # [[P, M_I], [M_I^T, 0]] by its Schur complement: the multiplier
+            lam = (m_i @ z) / (m_i @ pre_m)
+            return z - lam * pre_m, r - lam * m_i
 
-        pre = factor.get(inactive, precondition)
-        if dirichlet:
-            x, iterations = _projected_cg(apply, b, x0,
-                                          lambda r: (pre.solve(r), r), sub_tol)
-        else:
-            def precond(r):
-                sol = pre.solve(np.append(r, 0.0))
-                return sol[:-1], r - m_i * sol[-1]
-
+        if not dirichlet:
             # the nodal mass of U is conserved: M_I . U_I = M . (u_old - u)
             x0 = x0 + m_i * ((mass @ (u_old - u) - m_i @ x0) / (m_i @ m_i))
-            x, iterations = _projected_cg(apply, b, x0, precond, sub_tol)
+        x, iterations = _projected_cg(apply, b, x0, precond, sub_tol)
         cg_iterations += iterations
         u[inactive] = x
         w = w_fixed + mass_solve(kb_factor,

@@ -399,12 +399,11 @@ def cahn_hilliard_step(state, ws):
                                              ws.aniso_blocks, ws.far_field,
                                              state.band)
     u, w, stats = solve_coupled_ch(
-        ws.mass, k_b, k_aniso, u_old,
-        theta=config.theta, tau=tau, eps=eps, alpha=config.alpha,
-        c_psi=config.c_psi, w_bdry=config.w_bdry,
+        ws.mass, k_b, k_aniso, u_old, theta=config.theta, tau=tau, eps=eps,
+        alpha=config.alpha, w_bdry=config.w_bdry, tol=config.tol,
         boundary_mask=mesh.boundary_mask if dirichlet else None,
-        tol=config.tol, implicit=config.implicit, kb_factor=kb_factor,
-        frozen=frozen, extension=ws.extension)
+        implicit=config.implicit, kb_factor=kb_factor, frozen=frozen,
+        extension=ws.extension)
     if dirichlet:
         dissipation = tau * float(w @ (k_b @ w))
     else:

@@ -7,8 +7,9 @@ LU); with degenerate mobility it factors the saddle system of every
 active-set round, with W on the mobility's support only.  Each subcommand
 prints the numbers that DECISIONS.md records, comparing the Schur path
 with the saddle path on the same inputs, or, for ``transform``, the K_b
-LU with the transform solve; ``rounds`` runs the Schur path alone and
-splits each step's active-set rounds into loose and exact ones;
+LU with the transform solve; ``rounds`` runs the Schur path alone,
+splits each step's active-set rounds into loose and exact ones and
+counts its CG iterations and K_b solves;
 ``precond`` compares the sparse LU with the banded Cholesky after a
 reverse Cuthill-McKee ordering on the captured Dirichlet preconditioners;
 ``support`` compares the degenerate saddle on the mobility's support with
@@ -79,25 +80,27 @@ class PcgCounter:
     def __enter__(self):
         original = self.original = obstacle._projected_cg
 
-        def counted(apply, b, x, precond, tol, max_iter=500):
+        def counted(apply, r, x, v, precond, tol, max_iter=500):
             calls = [0]
 
-            def counting_apply(v):
+            def counting_apply(d):
                 calls[0] += 1
-                return apply(v)
+                return apply(d)
 
             self.tols.append(tol)
             pre = precond
             if self.drop_residual_update:
                 pre = lambda r: (precond(r)[0], r)  # noqa: E731
             try:
-                return original(counting_apply, b, x, pre, tol, max_iter)
+                out = original(counting_apply, r, x, v, pre, tol, max_iter)
             except RuntimeError:
+                # a failed solve returns no count; it applied S once per
+                # iteration it ran
                 self.failures += 1
+                self.iterations.append(calls[0])
                 raise
-            finally:
-                # the first apply is the initial residual
-                self.iterations.append(calls[0] - 1)
+            self.iterations.append(out[2])
+            return out
 
         obstacle._projected_cg = counted
         return self
@@ -234,31 +237,48 @@ def _preconditioners_to(sink):
     return _wrapped("_factor_spd", capture)
 
 
+class SolveCounter:
+    """A solver ``f -> W`` that counts its solves."""
+
+    def __init__(self, solve):
+        self.solve, self.calls = solve, 0
+
+    def __call__(self, f):
+        self.calls += 1
+        return self.solve(f)
+
+
 def cmd_rounds(args):
-    """Loose and exact active-set rounds of the Schur path, step by step."""
+    """Loose and exact active-set rounds of the Schur path, step by step,
+    with the CG iterations and the K_b solves of each step."""
     mesh, aniso, cfg, u0 = _fig4_case()
     ws = Workspace(mesh, aniso, cfg)
     print(f"K_b solver: {_describe(ws.mobility_factor)}")
+    solves = ws.mobility_factor = SolveCounter(ws.mobility_factor)
     state = initial_state(ws, u0)
     factored = []
-    print("step  rounds (loose, exact)  CG iterations  factors  KKT residual")
-    totals = np.zeros(5, dtype=int)
+    print("step  rounds (loose, exact)  CG iterations  K_b solves  factors  "
+          "KKT residual")
+    totals = np.zeros(6, dtype=int)
     with _preconditioners_to(factored.append):
         for _ in range(args.steps):
             factored.clear()
+            solves.calls = 0
             with PcgCounter() as counter:
                 state = cahn_hilliard_step(state, ws)
             # a loose round runs its CG above tol/20; the rest are exact
             loose = sum(t > cfg.tol / 20.0 for t in counter.tols)
             row = (state.stats.iterations, loose,
                    state.stats.iterations - loose, state.stats.cg_iterations,
-                   len(factored))
+                   solves.calls, len(factored))
             totals += row
             print(f"{state.n:4d}  {row[0]:3d} ({row[1]:2d}, {row[2]:2d})  "
-                  f"{row[3]:13d}  {row[4]:7d}  {state.stats.residual:.1e}"
+                  f"{row[3]:13d}  {row[4]:10d}  {row[5]:7d}  "
+                  f"{state.stats.residual:.1e}"
                   f"{'' if state.stats.converged else '  not converged'}")
     print(f"total {totals[0]} rounds ({totals[1]} loose, {totals[2]} exact), "
-          f"{totals[3]} CG iterations, {totals[4]} preconditioner factors")
+          f"{totals[3]} CG iterations, {totals[4]} K_b solves, "
+          f"{totals[5]} preconditioner factors")
     print(f"final E_gamma_h {state.report.e_gamma_h!r}, mass "
           f"{state.report.mass!r}")
 

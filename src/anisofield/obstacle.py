@@ -539,32 +539,37 @@ def mobility_solver(k_b, mass, dim, boundary_mask=None):
     return factor_mobility(k_b, mass, boundary_mask)
 
 
-def _projected_cg(apply, b, x, precond, tol, max_iter=500):
-    """Preconditioned CG for ``apply(x) = b`` from ``x``.
+def _projected_cg(apply, r, x, v, precond, tol, max_iter=500):
+    """Preconditioned CG for ``S x = b`` from ``x``, given its residual
+    ``r = b - S x``.
 
-    ``precond(r)`` returns the preconditioned residual and the residual
-    to carry on.  For a constrained problem it solves the bordered
-    preconditioner, whose solution satisfies the constraint, and carries
-    on the residual minus the constraint normal times the multiplier
-    (Gould, Hribar & Nocedal, SIAM J. Sci. Comput. 23, 2001); the iterates
-    then stay on the constraint of ``x``.  Stops when the max-norm of the
-    residual is at most ``tol`` and returns the solution and the number of
-    iterations; raises ``RuntimeError`` on a nonpositive curvature or
-    after ``max_iter`` iterations.
+    ``apply(d)`` returns ``S d`` and ``L d`` for a linear map L.  The CG
+    carries ``v + L (x_k - x)`` beside its iterate x_k, one update per
+    iteration, so a linear image of the solution costs no application of
+    its own (Saad, *Iterative Methods for Sparse Linear Systems*, 2003,
+    sections 6.7 and 9.2).  ``precond(r)`` returns the preconditioned
+    residual and the residual to carry on.  For a constrained problem it
+    solves the bordered preconditioner, whose solution satisfies the
+    constraint, and carries on the residual minus the constraint normal
+    times the multiplier (Gould, Hribar & Nocedal, SIAM J. Sci. Comput.
+    23, 2001); the iterates then stay on the constraint of ``x``.  Stops
+    when the max-norm of the residual is at most ``tol`` and returns
+    ``(x, v, iterations)``; raises ``RuntimeError`` on a nonpositive
+    curvature or after ``max_iter`` iterations.
     """
-    r = b - apply(x)
     z, r = precond(r)
     d = z
     rz = r @ z
     for iterations in range(max_iter):
         if np.abs(r).max() <= tol:
-            return x, iterations
-        sd = apply(d)
+            return x, v, iterations
+        sd, vd = apply(d)
         curvature = d @ sd
         if not curvature > 0.0:
             raise RuntimeError("Schur complement is not positive definite")
         step = rz / curvature
         x = x + step * d
+        v = v + step * vd
         z, r = precond(r - step * sd)
         rz, rz_old = r @ z, rz
         d = z + (rz / rz_old) * d
@@ -597,22 +602,28 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       :func:`factor_mobility`): W is eliminated, and U on the
       inactive set I solves the SPD Schur complement
       eps K_aniso,II + (c^2 tau/theta) M_I [K_b^-1]_II M_I by
-      preconditioned CG, one solve with ``kb_factor`` per iteration.  The
-      CG runs to a max-norm residual of max(``tol``/20, 1e-2 times the
-      lowest KKT residual so far); the first round, a round after a
-      residual rise and the round that ends the step run to ``tol``/20
-      (see :func:`_active_set`).  It starts from the last round's clipped
-      U on I (``u_old`` in the first round), under natural boundary
-      conditions projected onto the mass constraint, which the CG then
-      keeps.  The preconditioner P, eps K_aniso,II plus a diagonal shift
-      at the nodes with a W dof, is SPD and factored by banded Cholesky
-      (:func:`_factor_spd`); under natural boundary conditions it is
-      bordered by M_I and applied through the border's Schur complement,
-      with P^-1 M_I kept beside the factor (Benzi, Golub & Liesen, Acta
-      Numer. 14, 2005).  A round on the inactive set of the round before
-      reuses its preconditioner; at most one is kept.  W is then
-      recovered from the mass equation with ``kb_factor``, its constant
-      (natural boundary conditions) from the inactive rows.
+      preconditioned CG.  The CG runs to a max-norm residual of
+      max(``tol``/20, 1e-2 times the lowest KKT residual so far); the
+      first round, a round after a residual rise and the round that ends
+      the step run to ``tol``/20 (see :func:`_active_set`).  It starts
+      from the last round's clipped U on I (``u_old`` in the first
+      round), under natural boundary conditions projected onto the mass
+      constraint, which the CG then keeps.  The preconditioner P,
+      eps K_aniso,II plus a diagonal shift at the nodes with a W dof, is
+      SPD and factored by banded Cholesky (:func:`_factor_spd`); under
+      natural boundary conditions it is bordered by M_I and applied
+      through the border's Schur complement, with P^-1 M_I kept beside
+      the factor (Benzi, Golub & Liesen, Acta Numer. 14, 2005).  A round
+      on the inactive set of the round before reuses its preconditioner;
+      at most one is kept.  W, linear in U through the mass equation, is
+      carried beside U by the CG (:func:`_projected_cg`): one solve with
+      ``kb_factor`` gives W of the start, and the solve of each
+      iteration, which applies the Schur complement, gives W's update.
+      A round so makes 1 + k solves for k CG iterations (1 with an empty
+      inactive set), and a step at most its ``cg_iterations`` plus its
+      rounds (a round that ends the loop on a set solved before makes
+      none).  Under natural boundary conditions W's constant is then fit
+      to the inactive rows.
     * otherwise (degenerate mobility, where a floored K_b is too ill
       conditioned for CG, and the ``implicit`` variant): one sparse LU of
       the symmetric saddle system in (U_I, W).  ``frozen`` (natural
@@ -740,12 +751,13 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         m_i = mass[inactive]
         coupled = np.zeros(n)
 
-        def apply(x):
+        def apply(x, f=0.0):
+            """``s11 x - c M_I W_I`` and W - ``w_fixed``, W from the mass
+            equation for U_I = ``x`` with the rest of its right side in
+            ``f``, by one ``kb_factor`` solve: with ``f`` = 0, S x."""
             coupled[inactive] = x
-            return s11 @ x - c * m_i * mass_solve(
-                kb_factor, c * mass[wdofs] * coupled[wdofs])[inactive]
-
-        b = rhs1 + c * m_i * mass_solve(kb_factor, rhs2)[inactive]
+            w = mass_solve(kb_factor, f + c * mass[wdofs] * coupled[wdofs])
+            return s11 @ x - c * m_i * w[inactive], w
 
         def precondition():
             # s11 plus a lower bound for the diagonal of the coupling term
@@ -770,11 +782,13 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
         if not dirichlet:
             # the nodal mass of U is conserved: M_I . U_I = M . (u_old - u)
             x0 = x0 + m_i * ((mass @ (u_old - u) - m_i @ x0) / (m_i @ m_i))
-        x, iterations = _projected_cg(apply, b, x0, precond, sub_tol)
+        # the start's residual and W, which the CG carries on
+        s_x0, w = apply(x0, rhs2)
+        x, w, iterations = _projected_cg(apply, rhs1 - s_x0, x0, w, precond,
+                                         sub_tol)
         cg_iterations += iterations
         u[inactive] = x
-        w = w_fixed + mass_solve(kb_factor,
-                                 rhs_mass + c * mass[wdofs] * u[wdofs])
+        w += w_fixed
         if not dirichlet:
             # W's constant: the least-squares fit to the inactive VI rows
             r = s11 @ x - rhs1 - c * m_i * w[inactive]

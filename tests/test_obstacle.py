@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -432,14 +433,9 @@ def test_coupled_schur_matches_saddle_path(dirichlet, center, tau, u_gap,
             assert abs(mass @ u - mass @ u_old) <= 1e-14
 
 
-def test_coupled_schur_fig4_first_step():
-    # fig4's first step at N=32: from U = 1 under the supercooled boundary
-    # potential every round after the first raises the KKT residual above
-    # the first round's 7.7e-4, so the tolerance must follow the lowest
-    # residual so far.  Scaled by the last residual and started cold, the
-    # CG rounds cycle to the round budget.  |W| = 65 here, and the paths
-    # agree to 2.9e-10 in U and 2.3e-8 in W (3.3e-8 with every round
-    # solved to tol/20), so W is bounded relative to its size.
+def _fig4_first_step_case():
+    """fig4's first step at N=32: U = 1 under the supercooled boundary
+    potential -65, with Dirichlet data for W."""
     mesh = build_uniform_mesh(2, 0.5, 32)
     eps = 1.0 / (16.0 * math.pi)
     u_old = np.ones(mesh.n_vertices)
@@ -449,12 +445,24 @@ def test_coupled_schur_fig4_first_step():
         mesh, make_regularized_l1(2, 0.01), u_old)
     kwargs = dict(theta=1.0, tau=1e-5, eps=eps, alpha=1.0, tol=1e-9,
                   w_bdry=-65.0, boundary_mask=mesh.boundary_mask)
-    u_ref, w_ref, ref = solve_coupled_ch(mass, k_b, k_aniso, u_old, **kwargs)
+    return mesh, (mass, k_b, k_aniso, u_old), kwargs
+
+
+def test_coupled_schur_fig4_first_step():
+    # fig4's first step at N=32: from U = 1 under the supercooled boundary
+    # potential every round after the first raises the KKT residual above
+    # the first round's 7.7e-4, so the tolerance must follow the lowest
+    # residual so far.  Scaled by the last residual and started cold, the
+    # CG rounds cycle to the round budget.  |W| = 65 here, and the paths
+    # agree to 2.9e-10 in U and 2.3e-8 in W (3.3e-8 with every round
+    # solved to tol/20), so W is bounded relative to its size.
+    mesh, args, kwargs = _fig4_first_step_case()
+    mass, k_b = args[:2]
+    u_ref, w_ref, ref = solve_coupled_ch(*args, **kwargs)
     assert ref.converged
     for make_factor in FACTORS:
         u, w, stats = solve_coupled_ch(
-            mass, k_b, k_aniso, u_old,
-            kb_factor=make_factor(k_b, mass, mesh, mesh.boundary_mask),
+            *args, kb_factor=make_factor(k_b, mass, mesh, mesh.boundary_mask),
             **kwargs)
         assert stats.converged and stats.residual <= 1e-9
         assert stats.cg_iterations > 0
@@ -487,9 +495,9 @@ def test_coupled_schur_loose_rounds_end_exact(dirichlet, center, monkeypatch):
                                       obstacle._active_set,
                                       obstacle.spla.splu, obstacle._factor_spd)
 
-        def recording_cg(apply, b, x, precond, tol):
+        def recording_cg(apply, r, x, v, precond, tol):
             tols.append(tol)
-            return cg(apply, b, x, precond, tol)
+            return cg(apply, r, x, v, precond, tol)
 
         def recording_loop(x, subsolve, *rest, **kw):
             def recording_subsolve(act, inactive, *more):
@@ -519,6 +527,92 @@ def test_coupled_schur_loose_rounds_end_exact(dirichlet, center, monkeypatch):
         assert min(tols) == tols[0] == tols[-1] == 1e-9 / 20.0
         assert lus == []
         assert len(choleskys) == len(set(inactive_sets)) < len(inactive_sets)
+
+
+class _CountingSolver:
+    """A solver ``f -> W`` that counts its solves."""
+
+    def __init__(self, solve):
+        self.solve, self.calls = solve, 0
+
+    def __call__(self, f):
+        self.calls += 1
+        return self.solve(f)
+
+
+@pytest.mark.parametrize("dirichlet,center",
+                         [(False, (0.0, 0.0)), (True, (0.1, 0.0))],
+                         ids=["natural", "dirichlet"])
+def test_coupled_schur_one_kb_solve_per_cg_iteration(dirichlet, center,
+                                                     monkeypatch):
+    # a round with inactive nodes solves with K_b once for the CG's start
+    # and once per CG iteration, which carries W beside U; a round with
+    # none solves once for W
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    eps = 1.0 / (16.0 * math.pi)
+    u_old = initial_profile(mesh, eps, Circle(center, 0.3))
+    for make_factor in FACTORS:
+        args, kwargs = _schur_case(mesh, u_old, dirichlet,
+                                   make_factor=make_factor)
+        solver = kwargs["kb_factor"] = _CountingSolver(kwargs["kb_factor"])
+        rounds = {"inactive": 0, "empty": 0}
+        loop = obstacle._active_set
+
+        def recording_loop(x, subsolve, *rest, **kw):
+            def recording_subsolve(act, inactive, *more):
+                out = subsolve(act, inactive, *more)
+                rounds["inactive" if inactive.size else "empty"] += 1
+                return out
+
+            return loop(x, recording_subsolve, *rest, **kw)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(obstacle, "_active_set", recording_loop)
+            _, _, stats = solve_coupled_ch(*args, **kwargs)
+        assert stats.converged and stats.cg_iterations > 0
+        assert rounds["inactive"] > 1
+        assert solver.calls == (stats.cg_iterations + rounds["inactive"]
+                                + rounds["empty"])
+
+
+@pytest.mark.parametrize("dirichlet", [False, True],
+                         ids=["natural-circle", "fig4-first-step"])
+def test_coupled_schur_carried_w_solves_the_mass_equation(dirichlet):
+    # the W the CG carries against W solved afresh from the returned U by
+    # a sparse direct solve of K_b W = (theta/tau) M (u_old - U) on the W
+    # dofs, with the boundary data under Dirichlet conditions and the
+    # mass-weighted mean of the returned W under natural ones.  The gaps
+    # are at most 1.4e-14 |W| on fig4's first step (the transform,
+    # |W| = 65) and 1.6e-15 |W| on the natural circle, as with W from a
+    # fresh kb_factor solve of the final U (1.5e-14 and 1.2e-15); the
+    # bound leaves a margin of about 7
+    if dirichlet:
+        mesh, args, kwargs = _fig4_first_step_case()
+        mask = mesh.boundary_mask
+    else:
+        mesh = build_uniform_mesh(2, 0.5, 16)
+        u_old = initial_profile(mesh, 1.0 / (16.0 * math.pi),
+                                Circle((0.1, 0.0), 0.3))
+        args, kwargs = _schur_case(mesh, u_old, False)
+        kwargs.pop("kb_factor")
+        mask = None
+    mass, k_b, _, u_old = args
+    for make_factor in FACTORS:
+        u, w, stats = solve_coupled_ch(
+            *args, kb_factor=make_factor(k_b, mass, mesh, mask), **kwargs)
+        assert stats.converged and stats.cg_iterations > 0
+        f = (kwargs["theta"] / kwargs["tau"]) * mass * (u_old - u)
+        if dirichlet:
+            inner = np.flatnonzero(~mask)
+            fresh = np.full(mass.size, kwargs["w_bdry"])
+            fresh[inner] = spla.spsolve(
+                k_b[inner][:, inner].tocsc(),
+                f[inner] - k_b[inner][:, mask] @ fresh[mask])
+        else:
+            bordered = sp.bmat([[k_b, mass[:, None]],
+                                [mass[None, :], None]]).tocsc()
+            fresh = spla.spsolve(bordered, np.append(f, mass @ w))[:-1]
+        assert np.abs(fresh - w).max() <= 1e-13 * np.abs(w).max()
 
 
 @pytest.mark.parametrize("dirichlet", [False, True], ids=["natural", "dirichlet"])

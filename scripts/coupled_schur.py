@@ -11,7 +11,9 @@ LU with the transform solve; ``rounds`` runs the Schur path alone,
 splits each step's active-set rounds into loose and exact ones and
 counts its CG iterations and K_b solves;
 ``precond`` compares the sparse LU with the banded Cholesky after a
-reverse Cuthill-McKee ordering on the captured Dirichlet preconditioners;
+reverse Cuthill-McKee ordering on the captured Dirichlet preconditioners,
+and ``ordering`` the sparse LU with the banded LU on the captured
+degenerate saddles;
 ``support`` compares the degenerate saddle on the mobility's support with
 the saddle of the whole domain, and counts the W-extension factors and
 the steps that reuse the one kept across steps:
@@ -67,6 +69,14 @@ def _default_lu(mat):
     ``obstacle._splu_symmetric`` factors, so the two differ in the
     ordering only."""
     return spla.splu(obstacle._zero_free_csc(mat))
+
+
+def _fill(factor):
+    """Entries a factor stores: L and U of a SuperLU factor, the band of a
+    banded one."""
+    if hasattr(factor, "L"):
+        return factor.L.nnz + factor.U.nnz
+    return factor.band.size
 
 
 class PcgCounter:
@@ -184,14 +194,11 @@ def _describe(solver):
 def cmd_fig4(args):
     case = _fig4_case()
     _compare(case, args.steps)
-    # the saddle path as before the symmetric ordering
-    original = obstacle._splu_symmetric
-    obstacle._splu_symmetric = _default_lu
-    try:
+    # the saddle path with SuperLU's default ordering in place of the
+    # banded LU of every saddle
+    with _wrapped("_factor_band_lu", lambda original: _default_lu):
         default = _march(case, args.steps, schur=False)
-    finally:
-        obstacle._splu_symmetric = original
-    print(f"saddle path with the default LU ordering: median step "
+    print(f"saddle path with the default SuperLU ordering: median step "
           f"{np.median([a[4] for a in default]):.3f} s, KKT residual "
           f"{min(a[3] for a in default):.1e} to "
           f"{max(a[3] for a in default):.1e}")
@@ -373,21 +380,19 @@ def cmd_degenerate(args):
 
 
 def cmd_ordering(args):
-    """Default LU against the symmetric ordering on captured saddles, both
-    factoring the pattern without its explicit zeros."""
+    """The symmetric-ordering sparse LU against the banded LU after a
+    reverse Cuthill-McKee ordering on captured degenerate saddles."""
     ws, state = _degenerate_case()
     saddles = []
 
     def capture(original):
-        # every round of these steps has inactive nodes, so every LU is
-        # the saddle of a round
         def factor(mat):
             if len(saddles) < args.count:
-                saddles.append(mat.tocsc())
+                saddles.append(mat)
             return original(mat)
         return factor
 
-    with _wrapped("_splu_symmetric", capture):
+    with _wrapped("_factor_band_lu", capture):
         for _ in range(args.steps):
             if len(saddles) >= args.count:
                 break
@@ -395,33 +400,35 @@ def cmd_ordering(args):
     if not saddles:
         raise SystemExit(f"no saddle factored in {args.steps} step(s)")
     rng = np.random.default_rng(0)
-    rows = []
+    factors = {"sparse LU (MMD_AT_PLUS_A)": obstacle._splu_symmetric,
+               "RCM + banded LU": obstacle._factor_band_lu}
+    rows = {label: [] for label in factors}
     for mat in saddles:
         b = rng.standard_normal(mat.shape[0])
-        row = []
-        for factor in (_default_lu, obstacle._splu_symmetric):
-            times = []
-            for _ in range(args.repeats):
-                tic = time.perf_counter()
-                lu = factor(mat)
-                times.append(time.perf_counter() - tic)
+        for label, factor in factors.items():
+            t_factor = _median_seconds(lambda: factor(mat), args.repeats)
+            lu = factor(mat)
             x = lu.solve(b)
-            row.append((np.median(times), lu.L.nnz + lu.U.nnz,
-                        np.linalg.norm(mat @ x - b) / np.linalg.norm(b)))
-        rows.append(row)
-    for label, k in (("default (COLAMD)", 0), ("symmetric (MMD_AT_PLUS_A)", 1)):
-        print(f"{label:26s}: mean LU {1e3 * np.mean([r[k][0] for r in rows]):.1f}"
-              f" ms, mean fill {np.mean([r[k][1] for r in rows]) / 1e6:.2f}M, "
-              f"worst relative residual {max(r[k][2] for r in rows):.1e}")
-    print(f"{len(rows)} saddles of dim {min(m.shape[0] for m in saddles)}-"
-          f"{max(m.shape[0] for m in saddles)}, {args.repeats} factorizations "
-          f"each")
+            rows[label].append((t_factor, _fill(lu), np.linalg.norm(
+                mat @ x - b) / np.linalg.norm(b)))
+    dims = [m.shape[0] for m in saddles]
+    widths = [_rcm_bandwidth(m) for m in saddles]
+    print(f"{len(saddles)} saddles: dim {min(dims)}-{max(dims)}, RCM "
+          f"half-bandwidth median {np.median(widths):.0f} / max "
+          f"{max(widths)}; median of {args.repeats} factorizations each")
+    for label, timings in rows.items():
+        t = np.array(timings)
+        print(f"{label:26s}: factor median {1e3 * np.median(t[:, 0]):.2f} ms "
+              f"(total {t[:, 0].sum():.3f} s), stored entries median "
+              f"{np.median(t[:, 1]) / 1e3:.1f}k, worst relative residual "
+              f"{t[:, 2].max():.1e}")
 
 
 def cmd_support(args):
     """The degenerate saddle on the mobility's support against the saddle
     of the whole domain (``frozen`` not given), on the same inputs, step by
-    step from the states of the support path.  The support side keeps the
+    step from the states of the support path, with the entries of each
+    saddle's banded LU and its time.  The support side keeps the
     W-extension factor in the workspace's slot, as ``cahn_hilliard_step``
     does, so a step whose O is that of the step before factors nothing."""
     ws, state = _degenerate_case()
@@ -443,8 +450,7 @@ def cmd_support(args):
             tic = time.perf_counter()
             out = original(mat, **kwargs)
             factors.append((original.__name__, mat.shape[0],
-                            time.perf_counter() - tic,
-                            out.L.nnz + out.U.nnz if hasattr(out, "L") else 0))
+                            time.perf_counter() - tic, _fill(out)))
             return out
         return factor
 
@@ -461,12 +467,12 @@ def cmd_support(args):
             return original(x, subsolve, recording_kkt, *rest, **kw)
         return loop
 
-    print("step  support  frozen  saddle dim (full, S)  fill (full, S)  "
+    print("step  support  frozen  saddle dim (full, S)  band (full, S)  "
           "LU ms (full, S)  extension ms  rounds (full, S)  max |dU|  "
           "max |dW|  binding rows")
     rows = []
     with contextlib.ExitStack() as stack:
-        for name, wrapper in (("_splu_symmetric", timed),
+        for name, wrapper in (("_factor_band_lu", timed),
                               ("_factor_spd", timed),
                               ("_active_set", counted)):
             stack.enter_context(_wrapped(name, wrapper))
@@ -483,7 +489,7 @@ def cmd_support(args):
                 u, w, stats = obstacle.solve_coupled_ch(
                     ws.mass, k_b, k_aniso, state.u, frozen=mask,
                     extension=ws.extension, **kwargs)
-                lus = [f for f in factors if f[0] == "_splu_symmetric"]
+                lus = [f for f in factors if f[0] == "_factor_band_lu"]
                 ext = [f[2] for f in factors if f[0] == "_factor_spd"]
                 sides.append((u, w, stats, lus, ext, sum(binding)))
             if requests and not ext:
@@ -510,7 +516,7 @@ def cmd_support(args):
     t = np.array(rows, dtype=float)
     med = np.median(t, axis=0)
     print(f"medians: support {med[0]:.0f}, frozen {med[1]:.0f}; saddle dim "
-          f"{med[2]:.0f} -> {med[3]:.0f}, fill {med[4]:.0f} -> {med[5]:.0f}, "
+          f"{med[2]:.0f} -> {med[3]:.0f}, band {med[4]:.0f} -> {med[5]:.0f}, "
           f"LU {med[6]:.2f} -> {med[7]:.2f} ms; extension factor "
           f"{np.nanmedian(t[:, 8]):.2f} ms")
     print(f"rounds {t[:, 10].sum():.0f} (full) and {t[:, 11].sum():.0f} "

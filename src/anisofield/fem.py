@@ -146,14 +146,18 @@ def assemble_anisotropic_stiffness(mesh, aniso, u_prev, blocks=None,
     return _csr(mesh, far_field + _scatter(mesh, local, band))
 
 
-def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None):
+def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None,
+                                far_field=None, band=None):
     """Stiffness weighted by the interpolated mobility of the previous state.
 
     K_ij = sum_sigma w_sigma |sigma| grad_j . grad_i where w_sigma is the
     vertex mean of mobility(u_prev) over the element, i.e. the exact value
     of (1/|sigma|) * integral of the P1 interpolant of the mobility.
     Mobility values must be nonnegative at every vertex.  ``block`` is
-    ``isotropic_block(mesh)``, built here when not given.
+    ``isotropic_block(mesh)``, built here when not given.  With
+    ``far_field``, the CSR data of a stiffness in the mesh's pattern, and
+    the element indices ``band``, only the band's elements are scattered,
+    and the result is ``far_field`` plus their part.
     """
     u_prev = np.asarray(u_prev, dtype=float)
     vals = np.asarray(mobility(u_prev), dtype=float)
@@ -163,6 +167,8 @@ def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None):
         raise ValueError("mobility is negative at some vertex")
     if block is None:
         block = isotropic_block(mesh)
-    local = block[mesh.element_class]
-    local *= vals[mesh.elements].mean(axis=1)[:, None, None]
-    return _csr(mesh, _scatter(mesh, local))
+    elements = slice(None) if band is None else band
+    local = block[mesh.element_class[elements]]
+    local *= vals[mesh.elements[elements]].mean(axis=1)[:, None, None]
+    data = _scatter(mesh, local, elements)
+    return _csr(mesh, data if far_field is None else far_field + data)

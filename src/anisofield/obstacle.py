@@ -24,7 +24,7 @@ differ only in the subsolve of each round:
   round solved to ``tol``/20.  A round on the set of the round before
   reuses its preconditioner, a banded Cholesky factor under either
   boundary condition.  With degenerate mobility it solves the saddle
-  system in (U on the inactive set, W) by a sparse LU of the principal
+  system in (U on the inactive set, W) by a banded LU of the principal
   block of one saddle matrix per step, with W only on the mobility's
   support and the inactive set; off them W is the discrete harmonic
   extension, one banded Cholesky solve, whose factor a caller's
@@ -43,7 +43,7 @@ import numpy as np
 import scipy.fft
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dpbtrf, dpbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 __all__ = [
@@ -187,45 +187,39 @@ def _saddle_matrix(s11, coupling, kb):
 
 def _splu_symmetric(mat):
     """Sparse LU of the zero-free pattern with a symmetric fill-reducing
-    ordering that prefers diagonal pivots; every LU of both solvers goes
-    through it, as all their systems are symmetric, except the SPD blocks
-    (:func:`_factor_spd`): every Schur preconditioner and the degenerate
-    path's W extension.  A CSC ``mat`` loses its zeros in place."""
+    ordering that prefers diagonal pivots: the LUs of the obstacle
+    solver's polish rounds and projected-Newton fallback, and of
+    :func:`factor_mobility`.  The Schur preconditioners and the degenerate
+    path's W extension take the banded Cholesky (:func:`_factor_spd`),
+    and every saddle the banded LU (:func:`_factor_band_lu`).  A CSC
+    ``mat`` loses its zeros in place."""
     return spla.splu(_zero_free_csc(mat), permc_spec="MMD_AT_PLUS_A",
                      diag_pivot_thresh=0.1, options={"SymmetricMode": True})
 
 
-class _BandCholesky:
-    """Banded Cholesky factor of a symmetrically permuted SPD matrix."""
+class _BandFactor:
+    """A factor, held in LAPACK's ``band`` storage, of a symmetrically
+    permuted matrix: ``solve(b)`` permutes ``b``, solves with the band and
+    permutes back."""
 
-    def __init__(self, perm, band):
-        self.perm, self.band = perm, band
+    def __init__(self, perm, band, solve):
+        self.perm, self.band, self._solve = perm, band, solve
 
     def solve(self, b):
         x = np.empty(b.size)
-        x[self.perm] = dpbtrs(self.band, b[self.perm], lower=1,
-                              overwrite_b=1)[0]
+        x[self.perm] = self._solve(b[self.perm])
         return x
 
 
-def _factor_spd(mat, kept=False):
-    """Banded Cholesky of the symmetric positive definite ``mat`` after a
-    reverse Cuthill-McKee ordering of its zero-free pattern (Cuthill &
-    McKee, 1969; George & Liu, 1981): an object with ``solve(b)``.
+def _rcm_entries(mat):
+    """The entries of the symmetric ``mat`` renumbered by a reverse
+    Cuthill-McKee ordering of its zero-free pattern (Cuthill & McKee,
+    1969; George & Liu, 1981): ``(perm, rows, cols, data)``, read straight
+    from the CSR arrays through the ordering's inverse.
 
     The inactive sets of the active-set loop are thin rings around the
-    interface, so the ordered bandwidth b is small and LAPACK's ``dpbtrf``
-    factors in O(n b^2).  The lower band is filled straight from the CSR
-    arrays through the ordering's inverse, allocated Fortran-ordered and
-    factored in place, so LAPACK makes no copy of it.  A matrix that is
-    not positive definite raises ``np.linalg.LinAlgError``, which ends the
-    active-set loop like a singular subproblem.
-
-    A factor ``kept`` across steps gets an anonymous mapping of its own
-    for its band.  In the heap, where glibc's dynamic mmap threshold puts
-    a band of about a MiB, a long-lived one keeps the heap from shrinking
-    under it: it raised the peak resident memory of a 100-step N=64
-    degenerate-mobility run by 5 MiB.
+    interface, so the ordered bandwidth b is small and a band factor
+    costs O(n b^2).
     """
     mat = mat.tocsr(copy=True)
     # sorted, summed and zero-free: the ordering, and so the rounding,
@@ -237,21 +231,66 @@ def _factor_spd(mat, kept=False):
     where = np.empty(n, dtype=np.intp)  # the position of each node in perm
     where[perm] = np.arange(n)
     rows = where[np.repeat(np.arange(n), np.diff(mat.indptr))]
-    cols = where[mat.indices]
+    return perm, rows, where[mat.indices], mat.data
+
+
+def _factor_spd(mat, kept=False):
+    """Banded Cholesky of the symmetric positive definite ``mat`` in the
+    ordering of :func:`_rcm_entries`: a :class:`_BandFactor`.
+
+    The lower band is allocated Fortran-ordered and factored in place by
+    LAPACK's ``dpbtrf``, so LAPACK makes no copy of it.  A matrix that is
+    not positive definite raises ``np.linalg.LinAlgError``, which ends the
+    active-set loop like a singular subproblem.
+
+    A factor ``kept`` across steps gets an anonymous mapping of its own
+    for its band.  In the heap, where glibc's dynamic mmap threshold puts
+    a band of about a MiB, a long-lived one keeps the heap from shrinking
+    under it: it raised the peak resident memory of a 100-step N=64
+    degenerate-mobility run by 5 MiB.
+    """
+    perm, rows, cols, data = _rcm_entries(mat)
     lower = rows >= cols
     rows, cols = rows[lower], cols[lower]
+    n = perm.size
     shape = (int((rows - cols).max(initial=0)) + 1, n)
     if kept:  # zero-filled, like np.zeros
         band = np.ndarray(shape, order="F",
                           buffer=mmap.mmap(-1, 8 * shape[0] * n))
     else:
         band = np.zeros(shape, order="F")
-    band[rows - cols, cols] = mat.data[lower]
+    band[rows - cols, cols] = data[lower]
     band, info = dpbtrf(band, lower=1, overwrite_ab=1)
     if info != 0:
         raise np.linalg.LinAlgError(
             f"banded Cholesky failed (LAPACK info {info})")
-    return _BandCholesky(perm, band)
+    return _BandFactor(perm, band, lambda b: dpbtrs(band, b, lower=1,
+                                                    overwrite_b=1)[0])
+
+
+def _factor_band_lu(mat):
+    """Banded LU with partial pivoting of the symmetric ``mat`` in the
+    ordering of :func:`_rcm_entries`: a :class:`_BandFactor`.
+
+    Every saddle of the coupled step's saddle path goes through it.  With
+    the explicit potential the saddle is symmetric quasi-definite (Vanderbei,
+    SIAM J. Optim. 5, 1995), and row interchanges keep the factor stable
+    for the indefinite blocks of the ``implicit`` variant too.  LAPACK's
+    ``dgbtrf`` factors the band in place; its top b rows hold the fill of
+    the interchanges.  An exactly singular factor raises
+    ``np.linalg.LinAlgError``, which ends the active-set loop like a
+    singular subproblem.
+    """
+    perm, rows, cols, data = _rcm_entries(mat)
+    width = int(np.abs(rows - cols).max(initial=0))
+    band = np.zeros((3 * width + 1, perm.size), order="F")
+    band[2 * width + rows - cols, cols] = data
+    band, pivots, info = dgbtrf(band, width, width, overwrite_ab=1)
+    if info != 0:
+        raise np.linalg.LinAlgError(
+            f"banded LU failed (LAPACK info {info})")
+    return _BandFactor(perm, band, lambda b: dgbtrs(
+        band, width, width, b, pivots, overwrite_b=1)[0])
 
 
 class FactorSlot:
@@ -625,10 +664,11 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       none).  Under natural boundary conditions W's constant is then fit
       to the inactive rows.
     * otherwise (degenerate mobility, where a floored K_b is too ill
-      conditioned for CG, and the ``implicit`` variant): one sparse LU of
-      the symmetric saddle system in (U_I, W).  ``frozen`` (natural
-      boundary conditions only; set by ``cahn_hilliard_step``) marks the
-      nodes all of whose elements have the floored mobility.  Their rows
+      conditioned for CG, and the ``implicit`` variant): one banded LU
+      (:func:`_factor_band_lu`) of the symmetric saddle system in
+      (U_I, W) per round.  ``frozen`` (natural boundary conditions only;
+      set by ``cahn_hilliard_step``) marks the nodes all of whose
+      elements have the floored mobility.  Their rows
       of K_b are the floor times those of the isotropic stiffness, so they
       only make W there the discrete harmonic extension of W elsewhere,
       whatever the floor (Elliott & Garcke, SIAM J. Math. Anal. 27, 1996;
@@ -721,7 +761,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
             if outside.any():
                 on, off = np.flatnonzero(~outside), np.flatnonzero(outside)
         ni = inactive.size
-        lu = _splu_symmetric(_principal_block(
+        lu = _factor_band_lu(_principal_block(
             saddle, np.concatenate([inactive, n + on])))
         rhs = np.concatenate([rhs1, rhs2 if off is None else rhs2[on]])
         z = lu.solve(rhs)

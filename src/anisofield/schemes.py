@@ -245,10 +245,12 @@ class Workspace:
     the mass vector, built here, and, built on first use, the isotropic
     and ``aniso``'s element blocks (one per element class), the
     far-field stiffness L sum_l K_l (the anisotropic stiffness wherever
-    U^old is flat, see ``far_field_stiffness``), the constant mobility
-    stiffness b0 K and its solver ``f -> W``: fast transforms on a Kuhn
-    grid with W prescribed on the boundary or, in 2d, natural boundary
-    conditions, and an LU otherwise (see ``mobility_solver``).
+    U^old is flat, see ``far_field_stiffness``), its analogue for the
+    degenerate mobility, the floored stiffness of a pure phase (see
+    ``floored_mobility``), the constant mobility stiffness b0 K and its
+    solver ``f -> W``: fast transforms on a Kuhn grid with W prescribed
+    on the boundary or, in 2d, natural boundary conditions, and an LU
+    otherwise (see ``mobility_solver``).
 
     One slot, ``extension``, follows the state: the factor of the
     degenerate path's W extension K_b,OO, keyed on O, the frozen nodes
@@ -279,6 +281,12 @@ class Workspace:
     def far_field(self):
         """CSR data of the B(0) stiffness L sum_l K_l."""
         return far_field_stiffness(self.mesh, self.aniso, self.aniso_blocks)
+
+    @functools.cached_property
+    def floor_stiffness(self):
+        """CSR data of the floored mobility stiffness of a pure phase."""
+        return floored_mobility(self.mesh, np.ones(self.mesh.n_vertices),
+                                self.iso_block)[0].data
 
     @functools.cached_property
     def mobility_stiffness(self):
@@ -353,17 +361,33 @@ def allen_cahn_step(state, ws):
     return _state(ws, state.n + 1, u, w, dissipation, stats, prev=state)
 
 
-def floored_mobility(mesh, u_old, block=None):
+def _floored(v):
+    """The degenerate mobility 1 - v^2, floored at MOBILITY_FLOOR."""
+    return np.maximum(1.0 - v * v, MOBILITY_FLOOR)
+
+
+def floored_mobility(mesh, u_old, block=None, far_field=None):
     """The stiffness of the degenerate mobility 1 - u^2 of ``u_old``,
     floored at MOBILITY_FLOOR, and the mask of its frozen nodes: those
     all of whose elements have the floor at every vertex, so that their
-    rows of K_b are the floor times the isotropic stiffness.  ``block``
-    as in ``assemble_mobility_stiffness``."""
-    k_b = assemble_mobility_stiffness(
-        mesh, u_old, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR), block)
+    rows of K_b are the floor times the isotropic stiffness.
+
+    ``far_field`` is the CSR data of the floored stiffness of a pure
+    phase, the floor on every element (``Workspace.floor_stiffness``),
+    built here when not given.  Only the elements with an unfloored
+    vertex are scattered, with their weight above the floor, so the rows
+    of K_b at frozen nodes are those of ``far_field``, bit for bit.
+    ``block`` as in ``assemble_mobility_stiffness``."""
     floored = 1.0 - u_old * u_old < MOBILITY_FLOOR
+    band = np.flatnonzero(~floored[mesh.elements].all(axis=1))
+    if far_field is None:
+        far_field = assemble_mobility_stiffness(
+            mesh, np.ones(mesh.n_vertices), _floored, block).data
+    k_b = assemble_mobility_stiffness(
+        mesh, u_old, lambda v: _floored(v) - MOBILITY_FLOOR, block,
+        far_field, band)
     support = np.zeros(mesh.n_vertices, dtype=bool)
-    support[mesh.elements[~floored[mesh.elements].all(axis=1)]] = True
+    support[mesh.elements[band]] = True
     return k_b, ~support
 
 
@@ -394,7 +418,8 @@ def cahn_hilliard_step(state, ws):
             kb_factor = ws.mobility_factor
     else:
         regularized = bool(np.any(1.0 - u_old * u_old < MOBILITY_FLOOR))
-        k_b, frozen = floored_mobility(mesh, u_old, ws.iso_block)
+        k_b, frozen = floored_mobility(mesh, u_old, ws.iso_block,
+                                       ws.floor_stiffness)
     k_aniso = assemble_anisotropic_stiffness(mesh, ws.aniso, u_old,
                                              ws.aniso_blocks, ws.far_field,
                                              state.band)

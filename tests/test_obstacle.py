@@ -1,5 +1,6 @@
 """Constrained solvers against hand values and brute-force oracles."""
 
+import json
 import math
 from pathlib import Path
 
@@ -11,16 +12,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from anisofield import (Circle, SchemeConfig, Uniform, Workspace,
-                        assemble_anisotropic_stiffness, build_uniform_mesh,
-                        cahn_hilliard_step, initial_profile, initial_state,
-                        isotropic, isotropic_stiffness, lumped_mass,
+                        assemble_anisotropic_stiffness,
+                        assemble_mobility_stiffness, build_uniform_mesh,
+                        cahn_hilliard_step, implicit_tau_bound,
+                        initial_profile, initial_state, isotropic,
+                        isotropic_stiffness, lumped_mass,
                         make_regularized_l1, parse_config, run_simulation,
                         solve_coupled_ch, solve_obstacle)
 from anisofield import obstacle
 from anisofield.obstacle import (GridTransform, _active_set_polish,
                                  factor_mobility, kkt_violation,
                                  mobility_solver, pattern_coloring)
-from anisofield.schemes import floored_mobility
+from anisofield.schemes import MOBILITY_FLOOR, floored_mobility
 from conftest import (enumerate_coupled_solution, projected_gradient_box_qp,
                       shuffled_mesh)
 
@@ -714,23 +717,25 @@ def test_saddle_matrix_matches_bmat(n, seed):
     np.testing.assert_array_equal(saddle.data, ref.data)
 
 
-def test_saddle_blocks_reach_superlu_uncopied(monkeypatch):
-    # a principal block of the saddle is zero-free CSC already, and the
-    # LU helper drops zeros in place: each block that a degenerate round
-    # cuts reaches SuperLU as the same object, not a copy
+def test_saddle_blocks_reach_the_band_lu_uncopied(monkeypatch):
+    # a principal block of the saddle is zero-free CSC already: each block
+    # that a degenerate round cuts reaches the banded LU as the same
+    # object, not a copy, and holds no explicit zero
     blocks, factored = [], []
-    principal_block, splu = obstacle._principal_block, obstacle.spla.splu
+    principal_block = obstacle._principal_block
+    band_lu = obstacle._factor_band_lu
 
     def recording_block(mat, idx):
         blocks.append(principal_block(mat, idx))
         return blocks[-1]
 
-    def recording_splu(mat, *args, **kwargs):
+    def recording_band_lu(mat):
+        assert np.count_nonzero(mat.data == 0.0) == 0, mat.shape
         factored.append(mat)
-        return splu(mat, *args, **kwargs)
+        return band_lu(mat)
 
     monkeypatch.setattr(obstacle, "_principal_block", recording_block)
-    monkeypatch.setattr(obstacle.spla, "splu", recording_splu)
+    monkeypatch.setattr(obstacle, "_factor_band_lu", recording_band_lu)
     _, _, args, frozen, kwargs = next(_degenerate_states(1, subdivisions=16))
     assert solve_coupled_ch(*args, frozen=frozen, **kwargs)[2].converged
     assert blocks
@@ -826,6 +831,119 @@ def test_dirichlet_run_with_banded_cholesky_matches_superlu(monkeypatch):
         assert np.abs(a.w - b.w).max() <= 1e-6
 
 
+# -- banded LU of the saddle --------------------------------------------
+
+
+def _band_lu_gap(mat, b):
+    """Relative max-norm gap of the banded LU and the sparse LU, and the
+    banded LU's backward error."""
+    x_lu = obstacle._splu_symmetric(mat).solve(b)
+    x_band = obstacle._factor_band_lu(mat).solve(b)
+    backward = (np.abs(mat @ x_band - b).max()
+                / (abs(mat).sum(axis=1).max() * np.abs(x_band).max()))
+    return np.abs(x_band - x_lu).max() / np.abs(x_lu).max(), backward
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_band_lu_matches_splu_on_random_quasi_definite(seed):
+    # [[A, C], [C^T, -B]] with A, B SPD: symmetric quasi-definite, as the
+    # saddle of the explicit potential is, and the same matrix stored with
+    # explicit zeros at random slots: the ordering and band follow the
+    # zero-free pattern alone, so the storage changes no bit of the
+    # solution
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 200))
+
+    def spd():
+        b_mat = sp.random(n, n, density=min(1.0, 4.0 / n), random_state=rng)
+        return b_mat @ b_mat.T + sp.eye(n)
+
+    c_mat = sp.random(n, n, density=min(1.0, 2.0 / n), random_state=rng)
+    mat = sp.bmat([[spd(), c_mat], [c_mat.T, -spd()]], format="csr")
+    rhs = rng.standard_normal(2 * n)
+    gap, backward = _band_lu_gap(mat, rhs)
+    assert gap <= 1e-12 and backward <= 1e-15
+    rows, cols = rng.integers(0, 2 * n, size=(2, 6 * n))
+    coo = mat.tocoo()
+    padded = sp.csr_matrix((np.concatenate([coo.data, np.zeros(12 * n)]),
+                            (np.concatenate([coo.row, rows, cols]),
+                             np.concatenate([coo.col, cols, rows]))),
+                           shape=mat.shape)
+    assert np.count_nonzero(padded.data == 0.0) > 0
+    np.testing.assert_array_equal(
+        obstacle._factor_band_lu(padded).solve(rhs),
+        obstacle._factor_band_lu(mat).solve(rhs))
+
+
+@pytest.mark.parametrize("dirichlet", [True, False])
+def test_band_lu_matches_splu_on_indefinite_implicit_saddles(dirichlet,
+                                                             monkeypatch):
+    # the whole-domain saddles of the implicit variant far beyond its
+    # bound (N = 16, criterion 5's negative control): their U block
+    # eps K_II - M_I/eps is indefinite, so only the row interchanges keep
+    # the factor stable.  Measured: backward errors 4e-18 to 4e-16, gaps
+    # 2e-16 to 3e-15 (Dirichlet, condition up to 8e2) and 5e-12 to 2e-11
+    # (natural boundary conditions, condition 1e5 to 4e5): the gap is the
+    # condition times the rounding, in both
+    saddles = []
+    principal_block = obstacle._principal_block
+
+    def capture(mat, idx):
+        saddles.append((principal_block(mat, idx),
+                        np.count_nonzero(idx < mat.shape[0] // 2)))
+        return saddles[-1][0]
+
+    monkeypatch.setattr(obstacle, "_principal_block", capture)
+    params = dict(w_bdry=-1.0) if dirichlet else {}
+    tau = 1e4 * implicit_tau_bound(1.0 / (16.0 * math.pi), b0=2.0)
+    cfg = SchemeConfig("cahn_hilliard_dirichlet" if dirichlet
+                       else "cahn_hilliard_neumann", eps_inv=16.0 * math.pi,
+                       tau=tau, t_end=tau, b0=2.0, implicit=True, **params)
+    run_simulation(cfg, build_uniform_mesh(2, 0.5, 16),
+                   make_regularized_l1(2, 0.3), Circle((0.0, 0.0), 0.3),
+                   strict=False)
+    monkeypatch.undo()
+    mat, ni = saddles[0]
+    assert np.linalg.eigvalsh(mat[:ni, :ni].toarray()).min() < 0.0
+    rng = np.random.default_rng(0)
+    for mat, _ in saddles[:4]:
+        gap, backward = _band_lu_gap(mat, rng.standard_normal(mat.shape[0]))
+        assert backward <= 1e-15
+        assert gap <= 1e-14 * np.linalg.cond(mat.toarray())
+
+
+def test_band_lu_raises_on_a_singular_matrix():
+    mat = sp.csr_matrix(np.array([[1.0, 2.0, 0.0],
+                                  [2.0, 4.0, 0.0],
+                                  [0.0, 0.0, -1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        obstacle._factor_band_lu(mat)
+
+
+def test_singular_saddle_ends_a_nonstrict_run_with_a_dump(tmp_path,
+                                                          monkeypatch):
+    # every saddle that LAPACK sees is exactly singular (its band zeroed):
+    # the banded LU raises LinAlgError, the active-set loop ends on it as
+    # on any singular subproblem, and the run ends failed, with a failure
+    # dump and a manifest, not with a traceback
+    dgbtrf = obstacle.dgbtrf
+    monkeypatch.setattr(obstacle, "dgbtrf", lambda band, *args, **kwargs:
+                        dgbtrf(0.0 * band, *args, **kwargs))
+    text = (Path(__file__).resolve().parents[1] / "configs"
+            / "surface_diffusion.cfg").read_text().replace(
+                "subdivisions = 64", "subdivisions = 16")
+    setup = parse_config(text)
+    result = run_simulation(setup.scheme, setup.build_mesh(),
+                            setup.anisotropy, setup.geometry,
+                            out_dir=tmp_path, strict=False, config_text=text)
+    assert result.failed and result.final_state.n == 1
+    assert not result.final_state.stats.converged
+    assert [Path(p).name for p in result.snapshot_paths] == [
+        "failure_000001.vtk"]
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+
+
 # -- degenerate mobility: the saddle on the mobility's support ----------
 
 
@@ -847,7 +965,8 @@ def _degenerate_case(subdivisions=32):
 def _degenerate_inputs(ws, state):
     """The inputs of the coupled solve of the step from ``state``, and
     the mask of its frozen nodes."""
-    k_b, frozen = floored_mobility(ws.mesh, state.u, ws.iso_block)
+    k_b, frozen = floored_mobility(ws.mesh, state.u, ws.iso_block,
+                                   ws.floor_stiffness)
     k_aniso = assemble_anisotropic_stiffness(
         ws.mesh, ws.aniso, state.u, ws.aniso_blocks, ws.far_field,
         state.band)
@@ -948,6 +1067,34 @@ def test_degenerate_extension_factor_is_kept_across_steps(monkeypatch):
     assert 1 <= changed < steps
 
 
+def test_floored_mobility_keeps_the_frozen_rows_bit_for_bit():
+    # the workspace's floored far field plus the elements with an
+    # unfloored vertex, against the assembly of every element with the
+    # floored mobility, over 12 N=32 steps of surface_diffusion: the rows
+    # at frozen nodes, which hold K_b,OO and so the kept extension factor,
+    # agree bit for bit, and the rest to rounding
+    ws, state, _ = _degenerate_case()
+    mesh = ws.mesh
+    rows = np.repeat(np.arange(mesh.n_vertices),
+                     np.diff(mesh.slot_map.indptr))
+    for _ in range(12):
+        k_b, frozen = floored_mobility(mesh, state.u, ws.iso_block,
+                                       ws.floor_stiffness)
+        ref = assemble_mobility_stiffness(
+            mesh, state.u, lambda v: np.maximum(1.0 - v * v, MOBILITY_FLOOR),
+            ws.iso_block)
+        floored = 1.0 - state.u ** 2 < MOBILITY_FLOOR
+        support = np.zeros(mesh.n_vertices, dtype=bool)
+        support[mesh.elements[~floored[mesh.elements].all(axis=1)]] = True
+        np.testing.assert_array_equal(frozen, ~support)
+        assert 0 < np.count_nonzero(frozen) < frozen.size
+        at_frozen = frozen[rows]
+        np.testing.assert_array_equal(k_b.data[at_frozen], ref.data[at_frozen])
+        assert (np.abs(k_b.data - ref.data).max()
+                <= 1e-15 * np.abs(ref.data).max())
+        state = cahn_hilliard_step(state, ws)
+
+
 def test_degenerate_support_matches_dense_enumeration_oracle():
     # 9 nodes: the quarter x, y <= 0 sits at U = 1, so the corner
     # (-1/2, -1/2), all of whose elements have the floored mobility, is
@@ -989,13 +1136,13 @@ def test_degenerate_inactive_frozen_nodes_join_the_saddle(monkeypatch):
     assert np.all(frozen[patch]) and np.count_nonzero(patch) >= 9
     args = (args[0], k_b, args[2], u_old)
     dims = []
-    splu = obstacle._splu_symmetric
+    band_lu = obstacle._factor_band_lu
 
-    def recording_splu(mat):
+    def recording_band_lu(mat):
         dims.append(mat.shape[0])
-        return splu(mat)
+        return band_lu(mat)
 
-    monkeypatch.setattr(obstacle, "_splu_symmetric", recording_splu)
+    monkeypatch.setattr(obstacle, "_factor_band_lu", recording_band_lu)
     u, w, stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)
     inactive = np.abs(u_old) < 1.0
     assert np.all(inactive[patch])
@@ -1036,18 +1183,21 @@ def test_frozen_nodes_need_the_natural_saddle_path(mesh2d_small):
 
 
 def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
-    # the obstacle loop, its projected-Newton fallback, the mobility factor
-    # and the saddle LU all factor through the symmetric minimum-degree
+    # the obstacle loop, its projected-Newton fallback and the mobility
+    # factor all factor through SuperLU with the symmetric minimum-degree
     # ordering in SymmetricMode, and none of them factors an explicit zero
     # of the Kuhn pattern; the SPD Schur preconditioners, under either
     # boundary condition, and the degenerate path's W block off the
-    # mobility's support take the banded Cholesky instead, whose ordering
-    # sees no explicit zero and whose band holds exactly the nonzeros of
-    # the lower triangle, no wider, and is factored in place: a Schur
-    # round makes no LU
-    calls, spd_inputs, bands = [], [], []
+    # mobility's support take the banded Cholesky instead, and every
+    # saddle of the degenerate path the banded LU.  Their ordering sees no
+    # explicit zero, and each band holds exactly the nonzeros of the lower
+    # triangle (Cholesky) or of the whole block (LU), no wider, and is
+    # factored in place: neither a Schur round nor a saddle round makes a
+    # SuperLU factor
+    calls, spd_inputs, bands, lu_inputs, lu_bands = [], [], [], [], []
     splu, factor_spd = obstacle.spla.splu, obstacle._factor_spd
     rcm, dpbtrf = obstacle.reverse_cuthill_mckee, obstacle.dpbtrf
+    band_lu, dgbtrf = obstacle._factor_band_lu, obstacle.dgbtrf
 
     def recording_splu(mat, *args, **kwargs):
         calls.append((args, kwargs))
@@ -1069,10 +1219,22 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
         assert band.flags.f_contiguous and np.shares_memory(factor, band)
         return factor, info
 
+    def recording_band_lu(mat):
+        lu_inputs.append(mat.copy())
+        return band_lu(mat)
+
+    def recording_dgbtrf(band, kl, ku, **kwargs):
+        lu_bands.append((band.copy(), kl))
+        factor, pivots, info = dgbtrf(band, kl, ku, **kwargs)
+        assert band.flags.f_contiguous and np.shares_memory(factor, band)
+        return factor, pivots, info
+
     monkeypatch.setattr(obstacle.spla, "splu", recording_splu)
     monkeypatch.setattr(obstacle, "_factor_spd", recording_factor_spd)
     monkeypatch.setattr(obstacle, "reverse_cuthill_mckee", recording_rcm)
     monkeypatch.setattr(obstacle, "dpbtrf", recording_dpbtrf)
+    monkeypatch.setattr(obstacle, "_factor_band_lu", recording_band_lu)
+    monkeypatch.setattr(obstacle, "dgbtrf", recording_dgbtrf)
     counts = []
     # rng seed 0: the loop cycles, so the fallback runs too
     a_mat, rhs = _cycling_system(0)
@@ -1098,8 +1260,10 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     assert 0 < len(spd_inputs) == len(bands) <= stats.iterations
     kwargs.pop("kb_factor")
     assert solve_coupled_ch(*args, **kwargs)[2].converged
-    # so does every preconditioner of natural boundary conditions, whose
-    # mass border needs no LU
+    # without it, the Dirichlet saddle path makes no SuperLU factor either
+    assert len(calls) == lus_before and lu_inputs
+    # every preconditioner of natural boundary conditions takes the banded
+    # Cholesky too, as its mass border needs no LU
     args, kwargs = _schur_case(mesh, u_old, False)
     lus_before, spd_before = len(calls), len(spd_inputs)
     stats = solve_coupled_ch(*args, **kwargs)[2]
@@ -1109,21 +1273,31 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     assert len(spd_inputs) - spd_before <= stats.iterations
     counts.append(len(calls))
     assert 0 < counts[0] < counts[1] < counts[2]
-    # the degenerate saddle on the mobility's support takes the symmetric
+    # the degenerate saddle on the mobility's support takes the banded
     # LU, and the W block off the support the banded Cholesky
-    spd_before = len(spd_inputs)
+    spd_before, lu_before = len(spd_inputs), len(lu_inputs)
     _, _, args, frozen, kwargs = next(_degenerate_states(1, subdivisions=16))
     assert frozen.any()
     stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)[2]
     assert stats.converged
     counts.append(len(calls))
-    assert counts[2] < counts[3]
+    assert counts[2] == counts[3]
     assert spd_before < len(spd_inputs) == len(bands)
     assert len(spd_inputs) - spd_before <= stats.iterations
+    assert lu_before < len(lu_inputs) == len(lu_bands)
+    assert len(lu_inputs) - lu_before <= stats.iterations
     for positional, keywords in calls:
         assert positional == ()
         assert keywords.get("permc_spec") == "MMD_AT_PLUS_A"
         assert keywords.get("options", {}).get("SymmetricMode") is True
     for mat, band in zip(spd_inputs, bands):
         assert np.count_nonzero(band) == np.count_nonzero(sp.tril(mat).data)
+        assert np.count_nonzero(band[-1]) > 0
+    for mat, (band, width) in zip(lu_inputs, lu_bands):
+        # the top rows of LAPACK's band storage hold the fill of the row
+        # interchanges; the block's entries fill the rows below, out to
+        # its outermost diagonals
+        assert np.count_nonzero(band) == np.count_nonzero(mat.data)
+        assert np.count_nonzero(band[:width]) == 0
+        assert np.count_nonzero(band[width]) > 0
         assert np.count_nonzero(band[-1]) > 0

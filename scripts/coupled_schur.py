@@ -50,7 +50,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import reverse_cuthill_mckee
 
 import anisofield.obstacle as obstacle
 from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
@@ -68,7 +67,9 @@ def _default_lu(mat):
     """SuperLU's default (COLAMD) LU of the zero-free pattern that
     ``obstacle._splu_symmetric`` factors, so the two differ in the
     ordering only."""
-    return spla.splu(obstacle._zero_free_csc(mat))
+    mat = mat.tocsc()
+    mat.eliminate_zeros()
+    return spla.splu(mat)
 
 
 def _fill(factor):
@@ -291,13 +292,10 @@ def cmd_rounds(args):
 
 
 def _rcm_bandwidth(mat):
-    """Lower bandwidth of the zero-free ``mat`` after reverse Cuthill-McKee."""
-    mat = obstacle._zero_free_csc(mat).tocsr()
-    where = np.empty(mat.shape[0], dtype=np.intp)
-    where[reverse_cuthill_mckee(mat, symmetric_mode=True)] = np.arange(
-        mat.shape[0])
-    coo = mat.tocoo()
-    return int(np.abs(where[coo.row] - where[coo.col]).max())
+    """Lower bandwidth of the zero-free ``mat`` after reverse Cuthill-McKee,
+    in the ordering the band factors use."""
+    _, rows, cols, _ = obstacle._rcm_entries(mat)
+    return int(np.abs(rows - cols).max())
 
 
 def cmd_precond(args):

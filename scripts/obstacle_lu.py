@@ -69,10 +69,17 @@ def _run(path, steps):
     return u, rounds, unconverged, np.array(lus), states[-1][2]
 
 
+def _default_lu(mat):
+    """SuperLU's default (COLAMD) LU of the zero-free pattern that
+    ``obstacle._splu_symmetric`` factors."""
+    mat = mat.tocsc()
+    mat.eliminate_zeros()
+    return spla.splu(mat)
+
+
 def cmd_ordering(args):
     original = obstacle._splu_symmetric
-    obstacle._splu_symmetric = lambda mat: spla.splu(
-        obstacle._zero_free_csc(mat))
+    obstacle._splu_symmetric = _default_lu
     try:
         default = _run(args.config, args.steps)
     finally:

@@ -24,10 +24,10 @@ differ only in the subsolve of each round:
   round solved to ``tol``/20.  A round on the set of the round before
   reuses its preconditioner, a banded Cholesky factor under either
   boundary condition.  With degenerate mobility it solves the saddle
-  system in (U on the inactive set, W) by a banded LU of the principal
-  block of one saddle matrix per step, with W only on the mobility's
-  support and the inactive set; off them W is the discrete harmonic
-  extension, one banded Cholesky solve, whose factor a caller's
+  system in (U on the inactive set, W) by a banded LU of a principal
+  block sliced out of one CSR saddle matrix per step, with W only on the
+  mobility's support and the inactive set; off them W is the discrete
+  harmonic extension, one banded Cholesky solve, whose factor a caller's
   :class:`FactorSlot` keeps across steps while that node set is fixed.
 
 Both are deterministic: fixed inputs give bit-identical results.
@@ -128,48 +128,13 @@ def pattern_coloring(matrix):
     return [np.flatnonzero(colors == c) for c in range(colors.max() + 1)]
 
 
-def _zero_free_csc(mat):
-    """``mat`` as CSC without its explicit zeros (the Kuhn pattern holds
-    the isotropic entries across cell diagonals), which would otherwise
-    enter an LU's ordering and fill.  A CSC ``mat`` loses them in place:
-    every caller passes a temporary."""
-    mat = mat.tocsc()
-    mat.eliminate_zeros()
-    return mat
-
-
-def _principal_block(mat, idx):
-    """The principal block of ``mat`` on the sorted indices ``idx``, as a
-    zero-free CSC matrix: equal, array for array, to
-    ``_zero_free_csc(mat[idx][:, idx])`` for ``mat`` of canonical format.
-
-    One index map over the CSC arrays of ``mat``: the entries of the
-    columns ``idx`` whose rows are in ``idx``, renumbered in order.
-    """
-    mat = mat.tocsc()
-    where = np.full(mat.shape[0], -1, dtype=np.intp)
-    where[idx] = np.arange(idx.size)
-    starts = mat.indptr[idx]
-    counts = mat.indptr[idx + 1] - starts
-    pos = np.repeat(starts - np.cumsum(counts) + counts, counts)
-    pos += np.arange(pos.size)
-    rows = where[mat.indices[pos]]
-    data = mat.data[pos]
-    keep = (rows >= 0) & (data != 0.0)
-    cols = np.repeat(np.arange(idx.size), counts)[keep]
-    indptr = np.zeros(idx.size + 1, dtype=np.intp)
-    np.cumsum(np.bincount(cols, minlength=idx.size), out=indptr[1:])
-    return sp.csc_matrix((data[keep], rows[keep], indptr),
-                         shape=(idx.size, idx.size))
-
-
 def _saddle_matrix(s11, coupling, kb):
-    """CSC of the symmetric 2n x 2n saddle [[s11, D], [D, kb]] with
-    D = diag(``coupling``), built from the CSC arrays of its blocks."""
-    a, k = s11.tocsc(), kb.tocsc()
+    """CSR of the symmetric 2n x 2n saddle [[s11, D], [D, kb]] with
+    D = diag(``coupling``), built from the CSR arrays of its blocks."""
+    a, k = s11.tocsr(), kb.tocsr()
     n = coupling.size
     nodes = np.arange(n)
-    # D's entries close column j and open column n + j
+    # D's entries close row j and open row n + j
     diagonal = np.concatenate([a.indptr[1:] + nodes,
                                a.nnz + n + k.indptr[:-1] + nodes])
     blocks = np.ones(a.nnz + k.nnz + 2 * n, dtype=bool)
@@ -182,19 +147,21 @@ def _saddle_matrix(s11, coupling, kb):
     data[blocks] = np.concatenate([a.data, k.data])
     indptr = np.concatenate([a.indptr[:-1] + nodes,
                              a.nnz + n + k.indptr + np.arange(n + 1)])
-    return sp.csc_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
+    return sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
 
 
 def _splu_symmetric(mat):
-    """Sparse LU of the zero-free pattern with a symmetric fill-reducing
-    ordering that prefers diagonal pivots: the LUs of the obstacle
-    solver's polish rounds and projected-Newton fallback, and of
-    :func:`factor_mobility`.  The Schur preconditioners and the degenerate
-    path's W extension take the banded Cholesky (:func:`_factor_spd`),
-    and every saddle the banded LU (:func:`_factor_band_lu`).  A CSC
-    ``mat`` loses its zeros in place."""
-    return spla.splu(_zero_free_csc(mat), permc_spec="MMD_AT_PLUS_A",
-                     diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    """Sparse LU with a symmetric fill-reducing ordering that prefers
+    diagonal pivots: the LUs of the obstacle solver's polish rounds and
+    projected-Newton fallback, and of :func:`factor_mobility`.  The Schur
+    preconditioners and the W extension take :func:`_factor_spd`, every
+    saddle :func:`_factor_band_lu`.  The Kuhn pattern's explicit zeros
+    (isotropic entries across cell diagonals) would enter the ordering and
+    fill, so they are dropped; a CSC ``mat`` loses them in place."""
+    mat = mat.tocsc()
+    mat.eliminate_zeros()
+    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True})
 
 
 class _BandFactor:
@@ -675,8 +642,9 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
       Barrett, Blowey & Garcke, SIAM J. Numer. Anal. 37, 1999).  The
       saddle then holds W only on S, the nodes not frozen and I, and
       drops its coupling to W on O, the frozen nodes outside I (a term of
-      the floor's size).  Each round factors the principal block on
-      (I, S) of one saddle matrix of every node, built once per call.
+      the floor's size).  Each round slices the principal block on
+      (I, S) out of one CSR saddle matrix of every node, built once per
+      call; the banded LU drops the block's explicit zeros.
       W_O solves the O rows of the mass equation,
       K_b,OO W_O = (theta/tau) M_O (u_old - U)_O - K_b,OS W_S, by the
       banded Cholesky of K_b,OO (:func:`_factor_spd`), kept in the
@@ -730,7 +698,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     if dirichlet:
         rhs_mass += scale * (k_b[wdofs] @ w_fixed)
     if kb_factor is None:
-        # the saddle of every node, whose rounds take their principal blocks
+        # the saddle of every node, whose rounds slice their principal blocks
         kb = -scale * k_b
         s11 = eps * k_aniso
         if implicit:
@@ -761,8 +729,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
             if outside.any():
                 on, off = np.flatnonzero(~outside), np.flatnonzero(outside)
         ni = inactive.size
-        lu = _factor_band_lu(_principal_block(
-            saddle, np.concatenate([inactive, n + on])))
+        idx = np.concatenate([inactive, n + on])
+        lu = _factor_band_lu(saddle[idx][:, idx])
         rhs = np.concatenate([rhs1, rhs2 if off is None else rhs2[on]])
         z = lu.solve(rhs)
         w = w_fixed.copy()

@@ -682,64 +682,31 @@ def _symmetric_with_zeros(rng, n):
 
 
 @settings(deadline=None, database=None, derandomize=True)
-@given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1),
-       data=st.data())
-def test_principal_block_matches_slicing(n, seed, data):
-    # the gather of a principal block equals slicing and dropping the
-    # zeros, array for array, on any sorted index set: empty, some nodes
-    # or all of them
-    a = _symmetric_with_zeros(np.random.default_rng(seed), n)
-    keep = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    idx = np.flatnonzero(keep)
-    block = obstacle._principal_block(a, idx)
-    ref = obstacle._zero_free_csc(a[idx][:, idx])
-    assert block.format == "csc" and block.shape == ref.shape
-    np.testing.assert_array_equal(block.indptr, ref.indptr)
-    np.testing.assert_array_equal(block.indices, ref.indices)
-    np.testing.assert_array_equal(block.data, ref.data)
-
-
-@settings(deadline=None, database=None, derandomize=True)
 @given(n=st.integers(1, 16), seed=st.integers(0, 2**32 - 1))
 def test_saddle_matrix_matches_bmat(n, seed):
-    # the saddle built from the CSC arrays of its blocks holds the arrays
-    # of the block matrix's CSC, explicit zeros included
+    # the saddle built from the CSR arrays of its blocks holds the arrays
+    # of the block matrix's CSR, explicit zeros included; blocks that
+    # arrive as COO with duplicate entries are summed first
     rng = np.random.default_rng(seed)
     s11, kb = _symmetric_with_zeros(rng, n), _symmetric_with_zeros(rng, n)
     coupling = rng.standard_normal(n)
-    saddle = obstacle._saddle_matrix(s11, coupling, kb)
     ref = sp.bmat([[s11, sp.diags(coupling)], [sp.diags(coupling), kb]],
-                  format="csc")
+                  format="csr")
     ref.sort_indices()
-    assert saddle.format == "csc" and saddle.shape == (2 * n, 2 * n)
-    np.testing.assert_array_equal(saddle.indptr, ref.indptr)
-    np.testing.assert_array_equal(saddle.indices, ref.indices)
-    np.testing.assert_array_equal(saddle.data, ref.data)
 
+    def split(mat):
+        """``mat`` as COO with each entry stored as two halves."""
+        coo = mat.tocoo()
+        return sp.coo_matrix((np.concatenate([coo.data / 2, coo.data / 2]),
+                              (np.tile(coo.row, 2), np.tile(coo.col, 2))),
+                             shape=mat.shape)
 
-def test_saddle_blocks_reach_the_band_lu_uncopied(monkeypatch):
-    # a principal block of the saddle is zero-free CSC already: each block
-    # that a degenerate round cuts reaches the banded LU as the same
-    # object, not a copy, and holds no explicit zero
-    blocks, factored = [], []
-    principal_block = obstacle._principal_block
-    band_lu = obstacle._factor_band_lu
-
-    def recording_block(mat, idx):
-        blocks.append(principal_block(mat, idx))
-        return blocks[-1]
-
-    def recording_band_lu(mat):
-        assert np.count_nonzero(mat.data == 0.0) == 0, mat.shape
-        factored.append(mat)
-        return band_lu(mat)
-
-    monkeypatch.setattr(obstacle, "_principal_block", recording_block)
-    monkeypatch.setattr(obstacle, "_factor_band_lu", recording_band_lu)
-    _, _, args, frozen, kwargs = next(_degenerate_states(1, subdivisions=16))
-    assert solve_coupled_ch(*args, frozen=frozen, **kwargs)[2].converged
-    assert blocks
-    assert {id(block) for block in blocks} <= {id(mat) for mat in factored}
+    for blocks in ((s11, kb), (split(s11), split(kb))):
+        saddle = obstacle._saddle_matrix(blocks[0], coupling, blocks[1])
+        assert saddle.format == "csr" and saddle.shape == (2 * n, 2 * n)
+        np.testing.assert_array_equal(saddle.indptr, ref.indptr)
+        np.testing.assert_array_equal(saddle.indices, ref.indices)
+        np.testing.assert_array_equal(saddle.data, ref.data)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -886,27 +853,30 @@ def test_band_lu_matches_splu_on_indefinite_implicit_saddles(dirichlet,
     # (natural boundary conditions, condition 1e5 to 4e5): the gap is the
     # condition times the rounding, in both
     saddles = []
-    principal_block = obstacle._principal_block
+    band_lu = obstacle._factor_band_lu
 
-    def capture(mat, idx):
-        saddles.append((principal_block(mat, idx),
-                        np.count_nonzero(idx < mat.shape[0] // 2)))
-        return saddles[-1][0]
+    def capture(mat):
+        saddles.append(mat)
+        return band_lu(mat)
 
-    monkeypatch.setattr(obstacle, "_principal_block", capture)
+    monkeypatch.setattr(obstacle, "_factor_band_lu", capture)
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    # no frozen nodes: every saddle holds W on all the W dofs
+    w_dofs = (np.count_nonzero(~mesh.boundary_mask) if dirichlet
+              else mesh.n_vertices)
     params = dict(w_bdry=-1.0) if dirichlet else {}
     tau = 1e4 * implicit_tau_bound(1.0 / (16.0 * math.pi), b0=2.0)
     cfg = SchemeConfig("cahn_hilliard_dirichlet" if dirichlet
                        else "cahn_hilliard_neumann", eps_inv=16.0 * math.pi,
                        tau=tau, t_end=tau, b0=2.0, implicit=True, **params)
-    run_simulation(cfg, build_uniform_mesh(2, 0.5, 16),
-                   make_regularized_l1(2, 0.3), Circle((0.0, 0.0), 0.3),
-                   strict=False)
+    run_simulation(cfg, mesh, make_regularized_l1(2, 0.3),
+                   Circle((0.0, 0.0), 0.3), strict=False)
     monkeypatch.undo()
-    mat, ni = saddles[0]
+    mat = saddles[0]
+    ni = mat.shape[0] - w_dofs
     assert np.linalg.eigvalsh(mat[:ni, :ni].toarray()).min() < 0.0
     rng = np.random.default_rng(0)
-    for mat, _ in saddles[:4]:
+    for mat in saddles[:4]:
         gap, backward = _band_lu_gap(mat, rng.standard_normal(mat.shape[0]))
         assert backward <= 1e-15
         assert gap <= 1e-14 * np.linalg.cond(mat.toarray())

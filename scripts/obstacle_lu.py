@@ -1,22 +1,25 @@
-"""Numbers behind the LUs of the obstacle solve.
+"""Numbers behind the factors of the obstacle solve.
 
-Every LU of ``solve_obstacle`` goes through ``obstacle._splu_symmetric``
-(a symmetric minimum-degree ordering in SuperLU's SymmetricMode).  Each
-subcommand prints the numbers that DECISIONS.md records:
+Every factor of ``solve_obstacle`` (the inactive blocks of the
+active-set loop and the free blocks of its projected-Newton fallback)
+goes through ``obstacle._factor_spd``, a banded Cholesky in a reverse
+Cuthill-McKee ordering.  Each subcommand prints the numbers that
+DECISIONS.md records:
 
-    PYTHONPATH=src python scripts/obstacle_lu.py ordering --steps 100
+    PYTHONPATH=src python scripts/obstacle_lu.py band --steps 100
     PYTHONPATH=src python scripts/obstacle_lu.py newton --steps 100
     PYTHONPATH=src python scripts/obstacle_lu.py fallback
 
-``ordering`` runs an Allen-Cahn configuration (configs/fig1.cfg unless
-``--config`` names another) once with SuperLU's default COLAMD ordering
-in place of the helper (both factor the pattern without its explicit
-zeros) and once as shipped, and compares the LUs, the active-set rounds
-of every step and U.  ``newton`` runs it once with
-projected Newton alone (from U^old, at most 100 rounds) as the obstacle
-solver and compares with the shipped loop-first solve.  ``fallback``
-solves the random dense SPD systems A = R^T R + shift I of DECISIONS.md
-at tol = 1e-10.  BLAS runs on one thread, as in the benchmark.
+``band`` runs an Allen-Cahn configuration (configs/fig1.cfg unless
+``--config`` names another) once as shipped and once with
+``obstacle._splu_symmetric`` (SuperLU with a symmetric minimum-degree
+ordering) in its place, and compares the factors (the band's size
+against SuperLU's fill), the active-set rounds of every step and U.
+``newton`` runs it once with projected Newton alone (from U^old, at
+most 100 rounds) as the obstacle solver and compares with the shipped
+loop-first solve.  ``fallback`` solves the random dense SPD systems
+A = R^T R + shift I of DECISIONS.md at tol = 1e-10.  BLAS runs on one
+thread, as in the benchmark.
 """
 
 import os
@@ -31,7 +34,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 import anisofield.obstacle as obstacle
 import anisofield.schemes as schemes
@@ -40,61 +42,59 @@ from anisofield import parse_config, run_simulation, solve_obstacle
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(path, steps):
-    """U of every state, rounds of every step, and (dim, fill, seconds)
-    of every LU of a run of ``steps`` steps of the configuration."""
+def _size(factor):
+    """The entries a factor stores: the band, or SuperLU's L and U."""
+    if isinstance(factor, obstacle._BandFactor):
+        return factor.band.size
+    return factor.L.nnz + factor.U.nnz
+
+
+def _run(path, steps, factorize=None):
+    """U of every state, rounds of every step, and (dim, size, seconds)
+    of every factor of a run of ``steps`` steps of the configuration,
+    with ``factorize``, if given, in place of ``obstacle._factor_spd``."""
     setup = parse_config(Path(path).read_text())
     cfg = dataclasses.replace(setup.scheme, t_end=steps * setup.scheme.tau)
-    lus, original = [], spla.splu
+    original = obstacle._factor_spd
+    factorize = factorize or original
+    factors = []
 
-    def timed(mat, *a, **kw):
+    def timed(mat, **kwargs):
         tic = time.perf_counter()
-        lu = original(mat, *a, **kw)
-        lus.append((mat.shape[0], lu.L.nnz + lu.U.nnz,
-                    time.perf_counter() - tic))
-        return lu
+        factor = factorize(mat, **kwargs)
+        factors.append((mat.shape[0], _size(factor),
+                        time.perf_counter() - tic))
+        return factor
 
     states = []
-    spla.splu = timed
+    obstacle._factor_spd = timed
     try:
         run_simulation(cfg, setup.build_mesh(), setup.anisotropy,
                        setup.geometry, strict=False,
                        on_step=lambda s: states.append(
                            (s.u, s.stats, s.report.e_gamma_h)))
     finally:
-        spla.splu = original
+        obstacle._factor_spd = original
     u = np.array([s[0] for s in states])
     rounds = np.array([s[1].iterations for s in states[1:]])
     unconverged = sum(not s[1].converged for s in states[1:])
-    return u, rounds, unconverged, np.array(lus), states[-1][2]
+    factors = np.array(factors).reshape(-1, 3)
+    return u, rounds, unconverged, factors, states[-1][2]
 
 
-def _default_lu(mat):
-    """SuperLU's default (COLAMD) LU of the zero-free pattern that
-    ``obstacle._splu_symmetric`` factors."""
-    mat = mat.tocsc()
-    mat.eliminate_zeros()
-    return spla.splu(mat)
-
-
-def cmd_ordering(args):
-    original = obstacle._splu_symmetric
-    obstacle._splu_symmetric = _default_lu
-    try:
-        default = _run(args.config, args.steps)
-    finally:
-        obstacle._splu_symmetric = original
-    symmetric = _run(args.config, args.steps)
-    for label, (_, rounds, _, lus, energy) in (
-            ("default (COLAMD)", default),
-            ("symmetric (MMD_AT_PLUS_A)", symmetric)):
-        print(f"{label:26s}: {len(lus)} LUs of mean dim {lus[:, 0].mean():.0f},"
-              f" mean fill {lus[:, 1].mean():.0f}, mean LU "
-              f"{1e3 * lus[:, 2].mean():.2f} ms, {rounds.sum()} rounds, "
-              f"final E_gamma_h {energy!r}")
+def cmd_band(args):
+    superlu = _run(args.config, args.steps, obstacle._splu_symmetric)
+    band = _run(args.config, args.steps)
+    for label, (_, rounds, _, factors, energy) in (
+            ("SuperLU (MMD_AT_PLUS_A)", superlu),
+            ("banded Cholesky (RCM)", band)):
+        dim, size, seconds = factors.mean(axis=0)
+        print(f"{label:23s}: {len(factors)} factors of mean dim {dim:.0f},"
+              f" mean size {size:.0f}, mean factor {1e3 * seconds:.2f} ms, "
+              f"{rounds.sum()} rounds, final E_gamma_h {energy!r}")
     print(f"same rounds on every step: "
-          f"{np.array_equal(default[1], symmetric[1])}, max |dU| "
-          f"{np.abs(default[0] - symmetric[0]).max():.1e}")
+          f"{np.array_equal(superlu[1], band[1])}, max |dU| "
+          f"{np.abs(superlu[0] - band[0]).max():.1e}")
 
 
 def cmd_newton(args):
@@ -111,10 +111,10 @@ def cmd_newton(args):
         newton = _run(args.config, args.steps)
     finally:
         schemes.solve_obstacle = original
-    for label, (_, _, unconverged, lus, _) in (("loop first", loop),
-                                               ("projected Newton", newton)):
-        print(f"{label:16s}: {len(lus)} LUs, {unconverged} of {args.steps} "
-              f"solves unconverged")
+    for label, (_, _, unconverged, factors, _) in (
+            ("loop first", loop), ("projected Newton", newton)):
+        print(f"{label:16s}: {len(factors)} factors, {unconverged} of "
+              f"{args.steps} solves unconverged")
     print(f"max |dU| over all states {np.abs(loop[0] - newton[0]).max():.1e}")
 
 
@@ -139,7 +139,7 @@ def cmd_fallback(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (("ordering", cmd_ordering), ("newton", cmd_newton)):
+    for name, func in (("band", cmd_band), ("newton", cmd_newton)):
         p = sub.add_parser(name)
         p.add_argument("--config", default=str(ROOT / "configs" / "fig1.cfg"))
         p.add_argument("--steps", type=int, default=100)

@@ -6,9 +6,9 @@ differ only in the subsolve of each round:
 * :func:`solve_obstacle` handles the symmetric obstacle problem
   (A x - b) . (chi - x) >= 0 for all chi in [-1, 1]^n with A SPD.  The
   loop starts from the bound pattern of the warm start and solves the
-  inactive equations by a sparse LU each round, which drives the KKT
-  residual to solver precision regardless of the conditioning of A.  If
-  it stops short (it can cycle), Bertsekas' projected Newton method,
+  inactive equations by a banded Cholesky each round, which drives the
+  KKT residual to solver precision regardless of the conditioning of A.
+  If it stops short (it can cycle), Bertsekas' projected Newton method,
   which decreases the energy every round, finishes from its best iterate.
 
 * :func:`solve_coupled_ch` handles the coupled saddle-point step of the
@@ -152,12 +152,12 @@ def _saddle_matrix(s11, coupling, kb):
 
 def _splu_symmetric(mat):
     """Sparse LU with a symmetric fill-reducing ordering that prefers
-    diagonal pivots: the LUs of the obstacle solver's polish rounds and
-    projected-Newton fallback, and of :func:`factor_mobility`.  The Schur
-    preconditioners and the W extension take :func:`_factor_spd`, every
-    saddle :func:`_factor_band_lu`.  The Kuhn pattern's explicit zeros
-    (isotropic entries across cell diagonals) would enter the ordering and
-    fill, so they are dropped; a CSC ``mat`` loses them in place."""
+    diagonal pivots: the LU of :func:`factor_mobility`.  The obstacle
+    solver's blocks, the Schur preconditioners and the W extension take
+    :func:`_factor_spd`, every saddle :func:`_factor_band_lu`.  The Kuhn
+    pattern's explicit zeros (isotropic entries across cell diagonals)
+    would enter the ordering and fill, so they are dropped; a CSC ``mat``
+    loses them in place."""
     mat = mat.tocsc()
     mat.eliminate_zeros()
     return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
@@ -208,7 +208,8 @@ def _factor_spd(mat, kept=False):
     The lower band is allocated Fortran-ordered and factored in place by
     LAPACK's ``dpbtrf``, so LAPACK makes no copy of it.  A matrix that is
     not positive definite raises ``np.linalg.LinAlgError``, which ends the
-    active-set loop like a singular subproblem.
+    active-set loop, and its projected-Newton fallback, like a singular
+    subproblem.
 
     A factor ``kept`` across steps gets an anonymous mapping of its own
     for its band.  In the heap, where glibc's dynamic mmap threshold puts
@@ -341,14 +342,14 @@ def _active_set(x, subsolve, kkt, tol, max_rounds, exact_tol=None):
 
 
 def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
-    """Active-set obstacle solve from the bound pattern of ``x``, one LU
-    of the inactive block per round: ``(x, residual, rounds, converged)``."""
+    """Active-set obstacle solve from the bound pattern of ``x``, one
+    banded Cholesky factor (:func:`_factor_spd`) of the inactive block per
+    round: ``(x, residual, rounds, converged)``."""
     def subsolve(act, inactive, *_):  # exact: the tolerance is ignored
         x_new = act.astype(float)
         if inactive.size:
             pinned = a_mat @ x_new
-            x_new[inactive] = _splu_symmetric(
-                a_mat[inactive][:, inactive]).solve(
+            x_new[inactive] = _factor_spd(a_mat[inactive][:, inactive]).solve(
                 rhs[inactive] - pinned[inactive])
         return x_new, None
 
@@ -365,11 +366,11 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
     """Bertsekas' projected Newton method from the feasible ``x``.
 
     Each round takes the Newton step of the nodes not held on a bound by
-    an outward gradient (one LU of their block) and halves it until the
-    projected point passes the Armijo test.  A singular block, an ascent
-    direction (indefinite A), a predicted decrease -g_F . d_F of at most
-    the rounding level eps |g| |x| (a tolerance below rounding) or a
-    failed search ends it unconverged.
+    an outward gradient (one banded Cholesky factor of their block) and
+    halves it until the projected point passes the Armijo test.  A block
+    that is not positive definite, an ascent direction, a predicted
+    decrease -g_F . d_F of at most the rounding level eps |g| |x| (a
+    tolerance below rounding) or a failed search ends it unconverged.
     Returns ``(x, residual, rounds, converged)``.
     """
     g = a_mat @ x - rhs
@@ -379,8 +380,8 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
                                 | ((x <= -1.0) & (g > 0.0))))
         d = np.zeros_like(x)
         try:
-            d[free] = -_splu_symmetric(a_mat[free][:, free]).solve(g[free])
-        except RuntimeError:
+            d[free] = -_factor_spd(a_mat[free][:, free]).solve(g[free])
+        except (RuntimeError, np.linalg.LinAlgError):
             break
         slope = float(g[free] @ d[free])
         # an ascent direction, or a predicted decrease below the rounding

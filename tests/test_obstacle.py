@@ -113,6 +113,19 @@ def test_nonconvergence_is_flagged():
     assert sol.residual <= 1e-10
 
 
+def test_indefinite_free_block_ends_both_solvers_unconverged():
+    # a positive diagonal passes the input check, but the free block of
+    # the start, the whole matrix, is indefinite: its banded Cholesky
+    # raises, which ends the active-set loop and then the projected-Newton
+    # fallback, each in its first round, unconverged and without raising
+    a_mat = sp.csr_matrix([[1.0, 2.0], [2.0, 1.0]])
+    sol = solve_obstacle(a_mat, np.array([1.0, 1.0]))
+    assert not sol.converged
+    assert sol.iterations == 2
+    np.testing.assert_array_equal(sol.solution, [0.0, 0.0])
+    assert sol.residual == 1.0
+
+
 def test_active_set_stops_on_a_revisited_set():
     # on this system the direct active-set loop cycles from the all-free
     # start; the shared loop must leave at the first revisit, not run on
@@ -1153,17 +1166,17 @@ def test_frozen_nodes_need_the_natural_saddle_path(mesh2d_small):
 
 
 def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
-    # the obstacle loop, its projected-Newton fallback and the mobility
-    # factor all factor through SuperLU with the symmetric minimum-degree
-    # ordering in SymmetricMode, and none of them factors an explicit zero
-    # of the Kuhn pattern; the SPD Schur preconditioners, under either
-    # boundary condition, and the degenerate path's W block off the
-    # mobility's support take the banded Cholesky instead, and every
-    # saddle of the degenerate path the banded LU.  Their ordering sees no
-    # explicit zero, and each band holds exactly the nonzeros of the lower
-    # triangle (Cholesky) or of the whole block (LU), no wider, and is
-    # factored in place: neither a Schur round nor a saddle round makes a
-    # SuperLU factor
+    # only the mobility factor goes to SuperLU, with the symmetric
+    # minimum-degree ordering in SymmetricMode and without the explicit
+    # zeros of the Kuhn pattern.  Every other block takes a band factor:
+    # the obstacle loop's inactive blocks and its projected-Newton
+    # fallback's free blocks, the SPD Schur preconditioners under either
+    # boundary condition and the degenerate path's W block off the
+    # mobility's support the banded Cholesky, every saddle of the
+    # degenerate path the banded LU.  Their ordering sees no explicit
+    # zero, and each band holds exactly the nonzeros of the lower triangle
+    # (Cholesky) or of the whole block (LU), no wider, and is factored in
+    # place
     calls, spd_inputs, bands, lu_inputs, lu_bands = [], [], [], [], []
     splu, factor_spd = obstacle.spla.splu, obstacle._factor_spd
     rcm, dpbtrf = obstacle.reverse_cuthill_mckee, obstacle.dpbtrf
@@ -1205,29 +1218,37 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     monkeypatch.setattr(obstacle, "dpbtrf", recording_dpbtrf)
     monkeypatch.setattr(obstacle, "_factor_band_lu", recording_band_lu)
     monkeypatch.setattr(obstacle, "dgbtrf", recording_dgbtrf)
-    counts = []
     # rng seed 0: the loop cycles, so the fallback runs too
     a_mat, rhs = _cycling_system(0)
     a_mat = sp.csr_matrix(a_mat)
     _, _, rounds, ok = _active_set_polish(a_mat, rhs, np.zeros(rhs.size), 1e-10)
+    # the last round meets a set solved before and factors nothing
+    assert not ok and len(spd_inputs) == rounds - 1
     sol = solve_obstacle(a_mat, rhs, tol=1e-10)
-    assert not ok and sol.converged and sol.iterations > rounds
-    counts.append(len(calls))
+    assert sol.converged and sol.iterations > rounds
+    # the same loop again, then one free block per projected-Newton round
+    assert len(spd_inputs) == 2 * (rounds - 1) + sol.iterations - rounds
     cfg = SchemeConfig("allen_cahn", eps_inv=16.0 * math.pi, tau=1e-4,
                        t_end=3e-4)
     mesh = build_uniform_mesh(2, 0.5, 16)
-    run_simulation(cfg, mesh, make_regularized_l1(2, 0.01),
-                   Circle((0.0, 0.0), 0.3))
-    counts.append(len(calls))
-    assert spd_inputs == []
+    spd_before = len(spd_inputs)
+    result = run_simulation(cfg, mesh, make_regularized_l1(2, 0.01),
+                            Circle((0.0, 0.0), 0.3))
+    # one inactive block per active-set round, and no SuperLU factor
+    assert len(spd_inputs) - spd_before == sum(
+        r.solver_iters for r in result.records) > 0
+    assert calls == [] and len(spd_inputs) == len(bands)
     u_old = initial_profile(mesh, cfg.eps, Circle((0.1, 0.0), 0.3))
     args, kwargs = _schur_case(mesh, u_old, True)
     lus_before = len(calls)  # _schur_case factors K_b through splu
+    assert lus_before > 0
+    spd_before = len(spd_inputs)
     stats = solve_coupled_ch(*args, **kwargs)[2]
     assert stats.converged
     # every Dirichlet preconditioner goes through the banded Cholesky
     assert len(calls) == lus_before
-    assert 0 < len(spd_inputs) == len(bands) <= stats.iterations
+    assert 0 < len(spd_inputs) - spd_before <= stats.iterations
+    assert len(spd_inputs) == len(bands)
     kwargs.pop("kb_factor")
     assert solve_coupled_ch(*args, **kwargs)[2].converged
     # without it, the Dirichlet saddle path makes no SuperLU factor either
@@ -1241,8 +1262,6 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     assert len(calls) == lus_before
     assert spd_before < len(spd_inputs) == len(bands)
     assert len(spd_inputs) - spd_before <= stats.iterations
-    counts.append(len(calls))
-    assert 0 < counts[0] < counts[1] < counts[2]
     # the degenerate saddle on the mobility's support takes the banded
     # LU, and the W block off the support the banded Cholesky
     spd_before, lu_before = len(spd_inputs), len(lu_inputs)
@@ -1250,8 +1269,7 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     assert frozen.any()
     stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)[2]
     assert stats.converged
-    counts.append(len(calls))
-    assert counts[2] == counts[3]
+    assert len(calls) == lus_before
     assert spd_before < len(spd_inputs) == len(bands)
     assert len(spd_inputs) - spd_before <= stats.iterations
     assert lu_before < len(lu_inputs) == len(lu_bands)

@@ -3,7 +3,7 @@
 Each script is run as a subprocess on its smallest setting.  Left out:
 ``coupled_schur.py fig4 --steps 1`` (about 6 s at N = 128), the
 flow-clock ``circle`` and ``wulff`` runs (minutes) and
-``obstacle_lu.py fallback`` (about 12 s).
+``obstacle_lu.py fallback`` (about 6 s).
 """
 
 import os
@@ -25,7 +25,7 @@ ROOT = Path(__file__).resolve().parents[1]
     ["coupled_schur.py", "support", "--steps", "2"],
     ["coupled_schur.py", "transform", "--n2", "16", "--n3", "6",
      "--repeats", "1"],
-    ["obstacle_lu.py", "ordering", "--steps", "2"],
+    ["obstacle_lu.py", "band", "--steps", "2"],
     ["obstacle_lu.py", "newton", "--steps", "2"],
     ["band_assembly.py", "--subdivisions", "16", "--steps", "2",
      "--repeats", "1"],
@@ -33,7 +33,7 @@ ROOT = Path(__file__).resolve().parents[1]
         "coupled_schur-rounds", "coupled_schur-precond",
         "coupled_schur-ordering", "coupled_schur-support",
         "coupled_schur-transform",
-        "obstacle_lu-ordering", "obstacle_lu-newton", "band_assembly"])
+        "obstacle_lu-band", "obstacle_lu-newton", "band_assembly"])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -98,7 +98,7 @@ def cmd_band(args):
 
 
 def cmd_newton(args):
-    def newton_alone(a_mat, rhs, x0=None, tol=1e-9):
+    def newton_alone(a_mat, rhs, x0=None, tol=1e-9, factor=None):
         a_mat = a_mat.tocsr()
         x, res, rounds, ok = obstacle._projected_newton(
             a_mat, rhs, np.clip(x0, -1.0, 1.0), tol, max_rounds=100)

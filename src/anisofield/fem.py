@@ -20,7 +20,9 @@ an element whose vertex values are all equal the linearization takes its
 B(0) = L sum_l G_l branch.  So the B(0) stiffness of the whole mesh, L
 sum_l K_l, is built once per run (``far_field_stiffness``), and each step
 adds only the correction sum_l (c_l - L) T_l of the band elements found
-by ``interface_band``.
+by ``interface_band``.  A density of one term has c_1 = gamma/gamma_1 = 1
+= L everywhere, so its correction is zero and its anisotropic stiffness
+is the far field on every step.
 """
 
 import numpy as np
@@ -128,17 +130,20 @@ def assemble_anisotropic_stiffness(mesh, aniso, u_prev, blocks=None,
     evaluated once per element at the constant P1 gradient of ``u_prev``.
     Elements whose vertex values are all equal get the B(0) branch: their
     part is the ``far_field`` stiffness L sum_l K_l, and only the band
-    elements of ``interface_band`` add sum_l (c_l - L) T_l to it.  The
-    result is symmetric positive semidefinite with kernel spanned by
-    constants.  ``blocks`` are ``stiffness_blocks(mesh, aniso.matrices)``,
-    ``far_field`` is ``far_field_stiffness(mesh, aniso, blocks)`` and
-    ``band`` is ``interface_band(mesh, u_prev)``, each built here when
-    not given.
+    elements of ``interface_band`` add sum_l (c_l - L) T_l to it.  With
+    one term that correction is zero, and the result is a copy of the far
+    field, the same bits on every step.  The result is symmetric positive
+    semidefinite with kernel spanned by constants.  ``blocks`` are
+    ``stiffness_blocks(mesh, aniso.matrices)``, ``far_field`` is
+    ``far_field_stiffness(mesh, aniso, blocks)`` and ``band`` is
+    ``interface_band(mesh, u_prev)``, each built here when not given.
     """
     if blocks is None:
         blocks = stiffness_blocks(mesh, aniso.matrices)
     if far_field is None:
         far_field = far_field_stiffness(mesh, aniso, blocks)
+    if aniso.n_terms == 1:  # a fresh copy: callers scale it in place
+        return _csr(mesh, far_field.copy())
     band, grads = interface_band(mesh, u_prev) if band is None else band
     coeffs = aniso.b_coefficients(grads) - aniso.n_terms
     local = np.einsum("le,leij->eij", coeffs,

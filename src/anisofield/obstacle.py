@@ -8,6 +8,8 @@ differ only in the subsolve of each round:
   loop starts from the bound pattern of the warm start and solves the
   inactive equations by a banded Cholesky each round, which drives the
   KKT residual to solver precision regardless of the conditioning of A.
+  A caller whose A never changes keeps the last factor in a
+  :class:`FactorSlot` across calls.
   If it stops short (it can cycle), Bertsekas' projected Newton method,
   which decreases the energy every round, finishes from its best iterate.
 
@@ -341,16 +343,22 @@ def _active_set(x, subsolve, kkt, tol, max_rounds, exact_tol=None):
     return best_x, best_extra, best_res, rounds, False
 
 
-def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50):
+def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50, factor=None):
     """Active-set obstacle solve from the bound pattern of ``x``, one
     banded Cholesky factor (:func:`_factor_spd`) of the inactive block per
-    round: ``(x, residual, rounds, converged)``."""
+    round: ``(x, residual, rounds, converged)``.  With the
+    :class:`FactorSlot` ``factor`` a round on the inactive set of the
+    factor kept there reuses it, and any other round keeps its own."""
+    def block_factor(inactive, **kept):
+        return _factor_spd(a_mat[inactive][:, inactive], **kept)
+
     def subsolve(act, inactive, *_):  # exact: the tolerance is ignored
         x_new = act.astype(float)
         if inactive.size:
             pinned = a_mat @ x_new
-            x_new[inactive] = _factor_spd(a_mat[inactive][:, inactive]).solve(
-                rhs[inactive] - pinned[inactive])
+            lu = block_factor(inactive) if factor is None else factor.get(
+                inactive, lambda: block_factor(inactive, kept=True))
+            x_new[inactive] = lu.solve(rhs[inactive] - pinned[inactive])
         return x_new, None
 
     def kkt(x_clip, _):
@@ -403,7 +411,7 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
     return x, residual, rounds, False
 
 
-def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
+def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, factor=None):
     """Solve the obstacle problem (A x - rhs) . (chi - x) >= 0 on [-1, 1]^n.
 
     Parameters
@@ -416,6 +424,12 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
         Warm start, projected onto the box.
     tol : float
         Absolute bound on the maximum KKT violation.
+    factor : FactorSlot, optional
+        A cache, not a setting: it keeps the active-set loop's last
+        factor, keyed on its inactive set, across calls.  Pass one only
+        with the same ``a_mat``, bit for bit, on every call
+        (``allen_cahn_step`` keeps one on its ``Workspace`` for a density
+        of one term); the results are then those of a call without it.
 
     The active-set loop runs first, from the bound pattern of ``x0``.
     Only if it stops short does projected Newton continue from its best
@@ -428,7 +442,8 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9):
     if np.any(a_mat.diagonal() <= 0.0):
         raise ValueError("system matrix has a nonpositive diagonal entry")
     x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
-    x, residual, iterations, ok = _active_set_polish(a_mat, rhs, x, tol)
+    x, residual, iterations, ok = _active_set_polish(a_mat, rhs, x, tol,
+                                                     factor=factor)
     if not ok:
         x, residual, rounds, ok = _projected_newton(a_mat, rhs, x, tol)
         iterations += rounds

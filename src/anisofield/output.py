@@ -177,6 +177,25 @@ def snapshot_path(out_dir, step, prefix="snapshot"):
     return os.path.join(out_dir, f"{prefix}_{step:06d}.vtk")
 
 
+def _blas_of(module):
+    """Name and version of the BLAS that ``module`` was built with."""
+    try:
+        blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # a build without the dict form
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
+def _blas_setting():
+    """The BLAS of numpy and of scipy, the BLAS thread variables (None
+    when unset) and ``os.cpu_count()``.  Threaded BLAS reductions round
+    differently from one thread, so the bits of a run depend on this."""
+    return {"numpy": _blas_of(np), "scipy": _blas_of(scipy),
+            **{var: os.environ.get(var) for var in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+            "cpu_count": os.cpu_count()}
+
+
 @dataclass
 class RunManifest:
     """Reproducibility record: the resolved config, how the run ended
@@ -185,9 +204,10 @@ class RunManifest:
     largest KKT residual of the steps taken (None before the first), the
     number of steps flagged for an energy increase, the CG iterations of
     the Schur-complement solves of all steps (0 off that path), the
-    versions of the package, Python, numpy and scipy and the flow time
-    n ``flow_tau`` of the last state, which the run sets.  The manifest
-    determines the run; its fields are the keys of ``manifest.json``."""
+    versions of the package, Python, numpy and scipy, the BLAS setting
+    (see ``_blas_setting``) and the flow time n ``flow_tau`` of the last
+    state, which the run sets.  The manifest determines the run; its
+    fields are the keys of ``manifest.json``."""
 
     run_id: str
     status: str
@@ -200,6 +220,7 @@ class RunManifest:
     cg_iterations: int
     created: str
     versions: dict
+    blas: dict
     flow_time: Optional[float] = None
 
     @classmethod
@@ -212,7 +233,8 @@ class RunManifest:
                    time.strftime("%Y-%m-%dT%H:%M:%S"),
                    {"anisofield": __version__,
                     "python": platform.python_version(),
-                    "numpy": np.__version__, "scipy": scipy.__version__})
+                    "numpy": np.__version__, "scipy": scipy.__version__},
+                   _blas_setting())
 
     def write(self, path):
         with open(path, "w", encoding="utf-8") as fh:

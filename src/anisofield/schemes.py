@@ -252,12 +252,19 @@ class Workspace:
     on the boundary or, in 2d, natural boundary conditions, and an LU
     otherwise (see ``mobility_solver``).
 
-    One slot, ``extension``, follows the state: the factor of the
-    degenerate path's W extension K_b,OO, keyed on O, the frozen nodes
-    outside the inactive set (see ``solve_coupled_ch``).  Keeping it
-    across steps is exact: every element at a node of O has the floored
-    mobility, so K_b,OO depends on O, the mesh, MOBILITY_FLOOR and the
-    config alone, bit for bit.
+    Two slots follow the state, each a factor keyed on the node set it
+    was made for, and keeping either across steps is exact:
+
+    * ``extension``, the factor of the degenerate path's W extension
+      K_b,OO, keyed on O, the frozen nodes outside the inactive set (see
+      ``solve_coupled_ch``).  Every element at a node of O has the
+      floored mobility, so K_b,OO depends on O, the mesh,
+      MOBILITY_FLOOR and the config alone, bit for bit.
+    * ``obstacle_factor``, the factor of the Allen-Cahn obstacle
+      problem's inactive block, keyed on the inactive set (see
+      ``solve_obstacle``), used only for a density of one term.  Its
+      c_1 = gamma/gamma_1 = 1 everywhere, so the matrix
+      eps K_1 + (eps/tau) M is the same, bit for bit, on every step.
     """
 
     def __init__(self, mesh, aniso, config):
@@ -266,6 +273,7 @@ class Workspace:
         self.config = config
         self.mass = lumped_mass(mesh)
         self.extension = FactorSlot()
+        self.obstacle_factor = FactorSlot()
 
     @functools.cached_property
     def iso_block(self):
@@ -340,6 +348,9 @@ def allen_cahn_step(state, ws):
     tau' = tau / (1 + tau/eps^2): same matrix, same right side.  Step n
     therefore approximates the flow at time n tau', while ``state.t``
     counts n tau.
+
+    For a density of one term the matrix never changes, so the obstacle
+    solve keeps its last factor across steps in ``ws.obstacle_factor``.
     """
     config = ws.config
     u_old = state.u
@@ -352,7 +363,8 @@ def allen_cahn_step(state, ws):
     a_mat.data *= eps
     a_mat.data[ws.mesh.slot_map.diagonal] += shift * ws.mass
     rhs = ws.mass * (shift + 1.0 / eps) * u_old
-    sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol)
+    kept = ws.obstacle_factor if ws.aniso.n_terms == 1 else None
+    sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol, factor=kept)
     u = sol.solution
     w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * (u - u_old)
     delta = u - u_old

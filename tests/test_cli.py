@@ -48,6 +48,13 @@ def test_run_emits_artifacts(tmp_path, capsys):
     assert manifest["status"] == "completed"
     assert set(manifest["versions"]) == {"anisofield", "python", "numpy",
                                          "scipy"}
+    blas = manifest["blas"]
+    assert set(blas) == {"numpy", "scipy", "OPENBLAS_NUM_THREADS",
+                         "OMP_NUM_THREADS", "MKL_NUM_THREADS", "cpu_count"}
+    assert blas["numpy"]["name"] and blas["scipy"]["version"]
+    assert blas["OPENBLAS_NUM_THREADS"] == os.environ.get(
+        "OPENBLAS_NUM_THREADS")
+    assert blas["cpu_count"] == os.cpu_count()
     snapshots = sorted(p for p in os.listdir(out) if p.endswith(".vtk"))
     assert snapshots == ["snapshot_000002.vtk", "snapshot_000004.vtk",
                          "snapshot_000005.vtk"]

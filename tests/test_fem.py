@@ -129,10 +129,13 @@ def _assert_matches_reference(k, ref, rtol=1e-13):
 
 
 @pytest.mark.parametrize("dim,n", [(2, 12), (3, 4)])
-@pytest.mark.parametrize("density", ["spd3", "l1reg", "iso"])
+@pytest.mark.parametrize("density", ["spd3", "spd1", "l1reg", "iso"])
 def test_anisotropic_stiffness_matches_reference_assembly(dim, n, density):
+    # "spd1", a single weight matrix that is not the identity, takes the
+    # one-term shortcut: the far field, with no band correction
     mesh = build_uniform_mesh(dim, 0.5, n)
     aniso = {"spd3": random_spd_density(dim, n_terms=3),
+             "spd1": random_spd_density(dim, n_terms=1),
              "l1reg": make_regularized_l1(dim, 0.01),
              "iso": isotropic(dim)}[density]
     u = _plateau_field(mesh, 6)

@@ -29,11 +29,13 @@ ROOT = Path(__file__).resolve().parents[1]
     ["obstacle_lu.py", "newton", "--steps", "2"],
     ["band_assembly.py", "--subdivisions", "16", "--steps", "2",
      "--repeats", "1"],
+    ["fingerprint.py", "--subdivisions", "16", "--steps", "2"],
 ], ids=["flow_clock-identity", "coupled_schur-neumann",
         "coupled_schur-rounds", "coupled_schur-precond",
         "coupled_schur-ordering", "coupled_schur-support",
         "coupled_schur-transform",
-        "obstacle_lu-band", "obstacle_lu-newton", "band_assembly"])
+        "obstacle_lu-band", "obstacle_lu-newton", "band_assembly",
+        "fingerprint"])
 def test_script_runs(argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -100,7 +100,7 @@ def cmd_band(args):
 def cmd_newton(args):
     def newton_alone(a_mat, rhs, x0=None, tol=1e-9, factor=None):
         a_mat = a_mat.tocsr()
-        x, res, rounds, ok = obstacle._projected_newton(
+        x, res, rounds, ok, _ = obstacle._projected_newton(
             a_mat, rhs, np.clip(x0, -1.0, 1.0), tol, max_rounds=100)
         return obstacle.ViSolution(x, np.zeros_like(x), rounds, res, ok)
 

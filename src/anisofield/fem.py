@@ -20,9 +20,11 @@ an element whose vertex values are all equal the linearization takes its
 B(0) = L sum_l G_l branch.  So the B(0) stiffness of the whole mesh, L
 sum_l K_l, is built once per run (``far_field_stiffness``), and each step
 adds only the correction sum_l (c_l - L) T_l of the band elements found
-by ``interface_band``.  A density of one term has c_1 = gamma/gamma_1 = 1
-= L everywhere, so its correction is zero and its anisotropic stiffness
-is the far field on every step.
+by ``interface_band``, which reads the field's values by local vertex
+(``SimplicialMesh.local_vertices``) rather than element by element.  A
+density of one term has c_1 = gamma/gamma_1 = 1 = L everywhere, so its
+correction is zero and its anisotropic stiffness is the far field on
+every step.
 """
 
 import numpy as np
@@ -99,17 +101,20 @@ def interface_band(mesh, u):
     An element is in the band unless its vertex values are all equal,
     which is decided by comparing the values, not the gradient: on some
     meshes a constant field has a P1 gradient of rounding size, which
-    would send the linearization down its q != 0 branch.  Returns
-    ``(band, grads)`` with the element indices and the (n_band, d)
-    gradients.
+    would send the linearization down its q != 0 branch.  The values are
+    read by local vertex, through the contiguous rows of
+    ``mesh.local_vertices``, and the gradients are computed on the band
+    alone.  Returns ``(band, grads)`` with the element indices and the
+    (n_band, d) gradients.
     """
     u = np.asarray(u, dtype=float)
     if u.shape != (mesh.n_vertices,):
         raise ValueError("nodal value array does not match vertex count")
-    first = u[mesh.elements[:, 0]]
-    flat = first == u[mesh.elements[:, 1]]
-    for k in range(2, mesh.dim + 1):
-        flat &= first == u[mesh.elements[:, k]]
+    rows = mesh.local_vertices
+    first = u[rows[0]]
+    flat = first == u[rows[1]]
+    for row in rows[2:]:
+        flat &= first == u[row]
     band = np.flatnonzero(~flat)
     return band, mesh.element_gradients(u, band)
 

@@ -94,6 +94,10 @@ class SimplicialMesh:
     slot_map : SlotMap
         CSR pattern and element-entry slots of the P1 matrices, built on
         first use.
+    local_vertices : (dim + 1, n_elements) int array
+        A contiguous copy of ``elements.T``, built on first use: row a
+        holds every element's a-th vertex, so the values of a nodal
+        field on the elements are one gather, ``u[local_vertices]``.
     """
 
     def __init__(self, dim, half_width, subdivisions, vertices, elements,
@@ -131,7 +135,7 @@ class SimplicialMesh:
                     self.element_class, self.class_volume,
                     self.class_gradients):
             arr.setflags(write=False)
-        self._slot_map = None
+        self._slot_map = self._local_vertices = None
 
     @property
     def n_vertices(self):
@@ -162,17 +166,26 @@ class SimplicialMesh:
             self._slot_map = _build_slot_map(self.elements, self.n_vertices)
         return self._slot_map
 
+    @property
+    def local_vertices(self):
+        """The read-only ``(dim + 1, n_elements)`` copy of ``elements.T``,
+        built on first use."""
+        if self._local_vertices is None:
+            self._local_vertices = np.ascontiguousarray(self.elements.T)
+            self._local_vertices.setflags(write=False)
+        return self._local_vertices
+
     def element_gradients(self, nodal_values, subset=None):
         """Gradients of the P1 interpolant, shape (ne, d), on all elements
         or, when given, on the elements indexed by ``subset`` in its order."""
         values = np.asarray(nodal_values, dtype=float)
         if values.shape != (self.n_vertices,):
             raise ValueError("nodal value array does not match vertex count")
-        classes, elements = self.element_class, self.elements
+        classes, local = self.element_class, self.local_vertices
         if subset is not None:
-            classes, elements = classes[subset], elements[subset]
-        return np.einsum("eid,ei->ed", self.class_gradients[classes],
-                         values[elements])
+            classes, local = classes[subset], local[:, subset]
+        return np.einsum("eid,ie->ed", self.class_gradients[classes],
+                         values[local])
 
 
 def _grid_vertices(half_width, n, dim):

@@ -307,11 +307,13 @@ def _active_set(x, subsolve, kkt, tol, max_rounds, exact_tol=None):
     The loop stops on a set solved exactly before, a singular subproblem
     or after ``max_rounds``, with its lowest-residual iterate (``x`` and
     None if no round finished).  Returns
-    ``(x, extra, residual, rounds, converged)``.
+    ``(x, extra, residual, rounds, converged, r)``, with ``r`` the VI
+    residual vector ``kkt`` gave for that iterate (None if no round
+    finished).
     """
     act = _bound_pattern(x)
     solved = {}  # active set -> whether it was solved exactly
-    best_x, best_extra, best_res = x, None, np.inf
+    best_x, best_extra, best_res, best_r = x, None, np.inf, None
     rose = True  # the first round has no residual to scale by
     rounds = 0
     for rounds in range(1, max_rounds + 1):
@@ -330,9 +332,9 @@ def _active_set(x, subsolve, kkt, tol, max_rounds, exact_tol=None):
         r, res = kkt(x, extra)
         rose = not res < best_res
         if not rose:
-            best_x, best_extra, best_res = x, extra, res
+            best_x, best_extra, best_res, best_r = x, extra, res, r
         if res <= tol and exact:
-            return x, extra, res, rounds, True
+            return x, extra, res, rounds, True, r
         new_act = np.zeros(x.size, dtype=np.int8)
         new_act[(act == 0) & (x_new > 1.0)] = 1
         new_act[(act == 0) & (x_new < -1.0)] = -1
@@ -340,34 +342,36 @@ def _active_set(x, subsolve, kkt, tol, max_rounds, exact_tol=None):
         new_act[(act == -1) & (r > 0.0)] = -1
         if exact or (res > tol and not solved.get(new_act.tobytes())):
             act = new_act
-    return best_x, best_extra, best_res, rounds, False
+    return best_x, best_extra, best_res, rounds, False, best_r
 
 
 def _active_set_polish(a_mat, rhs, x, tol, max_rounds=50, factor=None):
     """Active-set obstacle solve from the bound pattern of ``x``, one
     banded Cholesky factor (:func:`_factor_spd`) of the inactive block per
-    round: ``(x, residual, rounds, converged)``.  With the
-    :class:`FactorSlot` ``factor`` a round on the inactive set of the
-    factor kept there reuses it, and any other round keeps its own."""
-    def block_factor(inactive, **kept):
-        return _factor_spd(a_mat[inactive][:, inactive], **kept)
-
+    round: ``(x, residual, rounds, converged, r)``, ``r`` = A x - rhs of
+    the returned ``x`` (None if no round finished).  Each round slices the
+    inactive rows of A once, for the product with the pinned values and
+    for the block.  With the :class:`FactorSlot` ``factor`` a round on the
+    inactive set of the factor kept there reuses it, and any other round
+    keeps its own."""
     def subsolve(act, inactive, *_):  # exact: the tolerance is ignored
         x_new = act.astype(float)
         if inactive.size:
-            pinned = a_mat @ x_new
-            lu = block_factor(inactive) if factor is None else factor.get(
-                inactive, lambda: block_factor(inactive, kept=True))
-            x_new[inactive] = lu.solve(rhs[inactive] - pinned[inactive])
+            rows = a_mat[inactive]
+            pinned = rows @ x_new
+            lu = _factor_spd(rows[:, inactive]) if factor is None else (
+                factor.get(inactive,
+                           lambda: _factor_spd(rows[:, inactive], kept=True)))
+            x_new[inactive] = lu.solve(rhs[inactive] - pinned)
         return x_new, None
 
     def kkt(x_clip, _):
         r = a_mat @ x_clip - rhs
         return r, float(kkt_violation(r, x_clip).max())
 
-    x, _, residual, rounds, ok = _active_set(x, subsolve, kkt, tol,
-                                             max_rounds)
-    return x, residual, rounds, ok
+    x, _, residual, rounds, ok, r = _active_set(x, subsolve, kkt, tol,
+                                                max_rounds)
+    return x, residual, rounds, ok, r
 
 
 def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
@@ -379,7 +383,8 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
     that is not positive definite, an ascent direction, a predicted
     decrease -g_F . d_F of at most the rounding level eps |g| |x| (a
     tolerance below rounding) or a failed search ends it unconverged.
-    Returns ``(x, residual, rounds, converged)``.
+    Returns ``(x, residual, rounds, converged, g)``, ``g`` = A x - rhs of
+    the returned ``x``.
     """
     g = a_mat @ x - rhs
     residual = float(kkt_violation(g, x).max())
@@ -407,8 +412,8 @@ def _projected_newton(a_mat, rhs, x, tol, max_rounds=50):
         g = a_mat @ x - rhs
         residual = float(kkt_violation(g, x).max())
         if residual <= tol:
-            return x, residual, rounds, True
-    return x, residual, rounds, False
+            return x, residual, rounds, True, g
+    return x, residual, rounds, False, g
 
 
 def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, factor=None):
@@ -434,7 +439,11 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, factor=None):
     The active-set loop runs first, from the bound pattern of ``x0``.
     Only if it stops short does projected Newton continue from its best
     iterate.  Returns a :class:`ViSolution`; non-convergence of both is
-    flagged on the result, with the last iterate returned.
+    flagged on the result, with the last iterate returned.  Its
+    multiplier is read off the residual A x - rhs that the solver which
+    returned x computed last, the same bits as a fresh product: the KKT
+    check of the loop's round, or projected Newton's last gradient
+    (computed by the fallback itself if no round of the loop finished).
     """
     a_mat = a_mat.tocsr()
     n = a_mat.shape[0]
@@ -442,12 +451,11 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, factor=None):
     if np.any(a_mat.diagonal() <= 0.0):
         raise ValueError("system matrix has a nonpositive diagonal entry")
     x = np.zeros(n) if x0 is None else np.clip(np.asarray(x0, dtype=float), -1.0, 1.0)
-    x, residual, iterations, ok = _active_set_polish(a_mat, rhs, x, tol,
-                                                     factor=factor)
+    x, residual, iterations, ok, r = _active_set_polish(a_mat, rhs, x, tol,
+                                                        factor=factor)
     if not ok:
-        x, residual, rounds, ok = _projected_newton(a_mat, rhs, x, tol)
+        x, residual, rounds, ok, r = _projected_newton(a_mat, rhs, x, tol)
         iterations += rounds
-    r = a_mat @ x - rhs
     mult = np.where(x >= 1.0, -r, np.where(x <= -1.0, r, 0.0))
     return ViSolution(x, mult, iterations, residual, ok)
 
@@ -710,7 +718,8 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     k_b = k_b.tocsr()
     k_aniso = k_aniso.tocsr()
     scale = c * tau / theta
-    rhs_mass = -c * mass[wdofs] * u_old[wdofs]
+    c_mass = c * mass[wdofs]  # the coupling of U to the mass equation
+    rhs_mass = -c_mass * u_old[wdofs]
     if dirichlet:
         rhs_mass += scale * (k_b[wdofs] @ w_fixed)
     if kb_factor is None:
@@ -725,12 +734,11 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     else:
         kb_diag = k_b.diagonal()  # for the Schur preconditioner's shift
 
-    def mass_solve(solve, f):
-        """W on the W dofs, zero elsewhere, with -scale K_b W = f by
-        ``solve`` (see :func:`factor_mobility`); under natural boundary
-        conditions of zero mass-weighted mean, sum(f) projected out."""
+    def on_every_node(w_dofs):
+        """W of every node: ``w_dofs`` on the W dofs, ``w_fixed`` elsewhere."""
         w = np.zeros(n)
-        w[wdofs] = solve(-f / scale)
+        w[wdofs] = w_dofs
+        w += w_fixed
         return w
 
     # Each round solver fills U at the inactive nodes of ``u`` (pinned
@@ -773,20 +781,28 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     def schur_round(u, inactive, s11, rhs1, rhs2, sub_tol, x0):
         nonlocal cg_iterations
         m_i = mass[inactive]
-        coupled = np.zeros(n)
+        # the inactive nodes with a W dof, and their positions among the W
+        # dofs: W at the others is w_fixed, which the CG does not carry
+        has_w = ~boundary_mask[inactive] if dirichlet else slice(None)
+        at = np.searchsorted(wdofs, inactive[has_w])
+        c_m = c * m_i[has_w]
+        coupled = np.zeros(wdofs.size)
 
         def apply(x, f=0.0):
-            """``s11 x - c M_I W_I`` and W - ``w_fixed``, W from the mass
+            """``s11 x - c M_I W_I`` and W on the W dofs, W from the mass
             equation for U_I = ``x`` with the rest of its right side in
-            ``f``, by one ``kb_factor`` solve: with ``f`` = 0, S x."""
-            coupled[inactive] = x
-            w = mass_solve(kb_factor, f + c * mass[wdofs] * coupled[wdofs])
-            return s11 @ x - c * m_i * w[inactive], w
+            ``f``, by one ``kb_factor`` solve: with ``f`` = 0, S x.  (A
+            term c M_j W_j of a node without a W dof is +0.0, so it is
+            left out.)"""
+            coupled[at] = x[has_w]
+            w = kb_factor(-(f + c_mass * coupled) / scale)
+            s_x = s11 @ x
+            s_x[has_w] -= c_m * w[at]
+            return s_x, w
 
         def precondition():
             # s11 plus a lower bound for the diagonal of the coupling term
             # at the nodes with a W dof: SPD even when every node is free
-            has_w = ~boundary_mask[inactive] if dirichlet else slice(None)
             shift = np.zeros(inactive.size)
             shift[has_w] = ((c * c / scale) * m_i[has_w] ** 2
                             / kb_diag[inactive[has_w]])
@@ -812,7 +828,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                                          sub_tol)
         cg_iterations += iterations
         u[inactive] = x
-        w += w_fixed
+        w = on_every_node(w)
         if not dirichlet:
             # W's constant: the least-squares fit to the inactive VI rows
             r = s11 @ x - rhs1 - c * m_i * w[inactive]
@@ -821,16 +837,23 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
 
     def subsolve(act, inactive, sub_tol, x):
         u_pin = act.astype(float)
-        rhs2 = rhs_mass + c * mass[wdofs] * u_pin[wdofs]
+        rhs2 = rhs_mass + c_mass * u_pin[wdofs]
         if inactive.size == 0:
+            # -scale K_b W = rhs2 on the W dofs (see factor_mobility)
             solve = kb_factor or factor_mobility(k_b, mass, boundary_mask)
-            return u_pin, w_fixed + mass_solve(solve, rhs2)
+            return u_pin, on_every_node(solve(-rhs2 / scale))
         rhs1 = mass[inactive] * ((0.0 if implicit else u_old[inactive] / eps)
                                  + c * w_fixed[inactive])
-        rhs1 -= eps * (k_aniso @ u_pin)[inactive]
         if kb_factor is None:
+            # the saddle keeps the whole product: slicing costs more
+            rhs1 -= eps * (k_aniso @ u_pin)[inactive]
             return u_pin, saddle_round(u_pin, inactive, rhs1, rhs2)
-        s11 = eps * k_aniso[inactive][:, inactive]
+        rows = k_aniso[inactive]
+        rhs1 -= eps * (rows @ u_pin)
+        s11 = eps * rows[:, inactive]
+        # not held through the CG: on a round with every node free the
+        # rows are a copy of k_aniso (2 MiB more peak memory on fig4)
+        del rows
         return u_pin, schur_round(u_pin, inactive, s11, rhs1, rhs2, sub_tol,
                                   x[inactive])
 
@@ -842,7 +865,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
                             np.abs(mass_defect[wdofs]).max()))
 
     # the Schur rounds may be loose; the saddle LU is always exact
-    u, w, residual, rounds, converged = _active_set(
+    u, w, residual, rounds, converged, _ = _active_set(
         u_old.copy(), subsolve, kkt, tol, max_iter,
         exact_tol=None if kb_factor is None else tol / 20.0)
     if w is None:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import anisofield.mesh
-from anisofield.fem import isotropic_block, stiffness_blocks
+from anisofield.fem import interface_band, isotropic_block, stiffness_blocks
 from anisofield import (AnisotropyDensity, SimplicialMesh,
                         assemble_anisotropic_stiffness,
                         assemble_mobility_stiffness, build_uniform_mesh,
@@ -233,6 +233,12 @@ def test_band_assembly_and_energy_match_full_element_sums(dim, n, density,
     grads = mesh.element_gradients(u)
     # so the oracle's B(grad u) takes the B(0) branch on every flat element
     assert not grads[flat].any()
+    # the band read by local vertex: the same elements and the same bits
+    np.testing.assert_array_equal(mesh.local_vertices, mesh.elements.T)
+    assert not mesh.local_vertices.flags.writeable
+    band, band_grads = interface_band(mesh, u)
+    np.testing.assert_array_equal(band, np.flatnonzero(~flat))
+    np.testing.assert_array_equal(band_grads, grads[band])
     k = assemble_anisotropic_stiffness(mesh, aniso, u)
     _assert_matches_reference(
         k, reference_stiffness(mesh, aniso.b_matrix(grads)), rtol=1e-14)

@@ -63,6 +63,12 @@ def test_matches_projected_gradient_oracle():
         assert np.abs(sol.solution - oracle).max() <= 1e-8
 
 
+def _fresh_multiplier(a_mat, rhs, x):
+    """The multiplier of ``x`` from a fresh product A x - rhs."""
+    r = a_mat @ x - rhs
+    return np.where(x >= 1.0, -r, np.where(x <= -1.0, r, 0.0))
+
+
 def _cycling_system(seed):
     """Dense SPD system A = R^T R + 0.01 I, n in [2, 30], of the rng seed."""
     rng = np.random.default_rng(seed)
@@ -80,6 +86,11 @@ def test_deterministic_bit_identical(mesh2d_small):
     s2 = solve_obstacle(a_mat, rhs, x0=u)
     np.testing.assert_array_equal(s1.solution, s2.solution)
     assert s1.iterations == s2.iterations
+    # a converged active-set exit: the multiplier is read off the loop's
+    # last KKT residual, the same bits as a fresh product
+    assert s1.converged and _active_set_polish(a_mat, rhs, u, 1e-9)[3]
+    np.testing.assert_array_equal(
+        s1.multiplier, _fresh_multiplier(a_mat, rhs, s1.solution))
     # the rng-2 system, on which the loop cycles after 10 rounds, so the
     # projected-Newton fallback runs too
     a_mat, rhs = _cycling_system(2)
@@ -87,6 +98,10 @@ def test_deterministic_bit_identical(mesh2d_small):
     s2 = solve_obstacle(sp.csr_matrix(a_mat), rhs, tol=1e-10)
     assert s1.iterations == s2.iterations > 10
     np.testing.assert_array_equal(s1.solution, s2.solution)
+    # the projected-Newton exit: the multiplier is its last gradient
+    np.testing.assert_array_equal(
+        s1.multiplier, _fresh_multiplier(sp.csr_matrix(a_mat), rhs,
+                                         s1.solution))
 
 
 def test_rejects_nonpositive_diagonal():
@@ -124,6 +139,12 @@ def test_indefinite_free_block_ends_both_solvers_unconverged():
     assert sol.iterations == 2
     np.testing.assert_array_equal(sol.solution, [0.0, 0.0])
     assert sol.residual == 1.0
+    # no round of the loop finished: the fallback's own product gives it
+    assert _active_set_polish(a_mat, np.array([1.0, 1.0]),
+                              np.zeros(2), 1e-9)[4] is None
+    np.testing.assert_array_equal(
+        sol.multiplier, _fresh_multiplier(a_mat, np.array([1.0, 1.0]),
+                                          sol.solution))
 
 
 def test_active_set_stops_on_a_revisited_set():
@@ -132,11 +153,14 @@ def test_active_set_stops_on_a_revisited_set():
     # to its round budget, and the fallback must still reach the solution
     a_mat, rhs = _cycling_system(2)
     a_mat, n = sp.csr_matrix(a_mat), rhs.size
-    x, residual, rounds, ok = _active_set_polish(a_mat, rhs, np.zeros(n), 1e-10)
+    x, residual, rounds, ok, r = _active_set_polish(a_mat, rhs, np.zeros(n),
+                                                    1e-10)
     assert not ok
     assert rounds == 10 < 50
     assert residual > 1e-10
     assert np.abs(x).max() <= 1.0
+    # the residual handed back is that of the returned best iterate
+    np.testing.assert_array_equal(r, a_mat @ x - rhs)
     sol = solve_obstacle(a_mat, rhs, tol=1e-10)
     assert sol.converged
     assert sol.residual <= 1e-10
@@ -1221,7 +1245,8 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     # rng seed 0: the loop cycles, so the fallback runs too
     a_mat, rhs = _cycling_system(0)
     a_mat = sp.csr_matrix(a_mat)
-    _, _, rounds, ok = _active_set_polish(a_mat, rhs, np.zeros(rhs.size), 1e-10)
+    _, _, rounds, ok, _ = _active_set_polish(a_mat, rhs, np.zeros(rhs.size),
+                                             1e-10)
     # the last round meets a set solved before and factors nothing
     assert not ok and len(spd_inputs) == rounds - 1
     sol = solve_obstacle(a_mat, rhs, tol=1e-10)

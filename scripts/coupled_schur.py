@@ -5,36 +5,28 @@ inactive-set Schur complement by preconditioned CG, with one solver of
 K_b per run (a fast transform on a Kuhn grid where it is exact, else an
 LU); with degenerate mobility it factors the saddle system of every
 active-set round, with W on the mobility's support only.  Each subcommand
-prints the numbers that DECISIONS.md records, comparing the Schur path
-with the saddle path on the same inputs, or, for ``transform``, the K_b
-LU with the transform solve; ``rounds`` runs the Schur path alone,
-splits each step's active-set rounds into loose and exact ones and
-counts its CG iterations and K_b solves;
-``precond`` compares the sparse LU with the banded Cholesky after a
-reverse Cuthill-McKee ordering on the captured Dirichlet preconditioners,
-and ``ordering`` the sparse LU with the banded LU on the captured
-degenerate saddles;
-``support`` compares the degenerate saddle on the mobility's support with
-the saddle of the whole domain, and counts the W-extension factors and
-the steps that reuse the one kept across steps:
+prints the numbers that DECISIONS.md records or an open ROADMAP item
+needs:
 
-    PYTHONPATH=src python scripts/coupled_schur.py fig4 --steps 8
     PYTHONPATH=src python scripts/coupled_schur.py rounds --steps 20
-    PYTHONPATH=src python scripts/coupled_schur.py precond --steps 20
     PYTHONPATH=src python scripts/coupled_schur.py neumann --steps 30
-    PYTHONPATH=src python scripts/coupled_schur.py degenerate --steps 10
-    PYTHONPATH=src python scripts/coupled_schur.py update --steps 3
     PYTHONPATH=src python scripts/coupled_schur.py support --steps 100
     PYTHONPATH=src python scripts/coupled_schur.py ordering --count 8
     PYTHONPATH=src python scripts/coupled_schur.py transform --n2 128 --n3 24
 
-``fig4``, ``rounds`` and ``precond`` run configs/fig4.cfg (Dirichlet,
-N = 128);
-``neumann`` the setting of acceptance criterion 9 (natural boundary
-conditions, constant mobility, N = 64); ``degenerate``, ``support`` and
-``ordering`` configs/surface_diffusion.cfg (degenerate mobility, N = 64);
-``transform`` b0 K (b0 = 2) on 2d and 3d Kuhn grids under both boundary
-conditions.  BLAS runs on one thread, as in the benchmark.
+``rounds`` runs the Schur path of configs/fig4.cfg (Dirichlet, N = 128),
+splits each step's active-set rounds into loose and exact ones and
+counts its CG iterations, K_b solves and preconditioner factors;
+``neumann`` compares the Schur path with the saddle path on the setting
+of acceptance criterion 9 (natural boundary conditions, constant
+mobility, N = 64); ``support`` compares the degenerate saddle of
+configs/surface_diffusion.cfg on the mobility's support with the saddle
+of the whole domain, and counts the W-extension factors and the steps
+that reuse the one kept across steps; ``ordering`` compares the sparse
+LU with the banded LU on the saddles captured from that run;
+``transform`` the K_b LU with the transform solve of b0 K (b0 = 2) on
+2d and 3d Kuhn grids under both boundary conditions.  BLAS runs on one
+thread, as in the benchmark.
 """
 
 import os
@@ -49,7 +41,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 import anisofield.obstacle as obstacle
 from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
@@ -61,15 +52,6 @@ from anisofield.schemes import floored_mobility
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS_INV = 16.0 * math.pi
-
-
-def _default_lu(mat):
-    """SuperLU's default (COLAMD) LU of the zero-free pattern that
-    ``obstacle._splu_symmetric`` factors, so the two differ in the
-    ordering only."""
-    mat = mat.tocsc()
-    mat.eliminate_zeros()
-    return spla.splu(mat)
 
 
 def _fill(factor):
@@ -84,9 +66,8 @@ class PcgCounter:
     """Counts the CG iterations of every Schur solve, and its failures,
     and records its tolerance."""
 
-    def __init__(self, drop_residual_update=False):
+    def __init__(self):
         self.iterations, self.tols, self.failures = [], [], 0
-        self.drop_residual_update = drop_residual_update
 
     def __enter__(self):
         original = self.original = obstacle._projected_cg
@@ -99,11 +80,9 @@ class PcgCounter:
                 return apply(d)
 
             self.tols.append(tol)
-            pre = precond
-            if self.drop_residual_update:
-                pre = lambda r: (precond(r)[0], r)  # noqa: E731
             try:
-                out = original(counting_apply, r, x, v, pre, tol, max_iter)
+                out = original(counting_apply, r, x, v, precond, tol,
+                               max_iter)
             except RuntimeError:
                 # a failed solve returns no count; it applied S once per
                 # iteration it ran
@@ -190,20 +169,6 @@ def _describe(solver):
     if isinstance(solver, obstacle.GridTransform):
         return repr(solver)
     return "LU (factor_mobility)"
-
-
-def cmd_fig4(args):
-    case = _fig4_case()
-    _compare(case, args.steps)
-    # the saddle path with SuperLU's default ordering in place of the
-    # banded LU of every saddle
-    with _wrapped("_factor_band_lu", lambda original: _default_lu):
-        default = _march(case, args.steps, schur=False)
-    print(f"saddle path with the default SuperLU ordering: median step "
-          f"{np.median([a[4] for a in default]):.3f} s, KKT residual "
-          f"{min(a[3] for a in default):.1e} to "
-          f"{max(a[3] for a in default):.1e}")
-    print(f"K_b solver: {_describe(Workspace(*case[:3]).mobility_factor)}")
 
 
 def cmd_neumann(args):
@@ -296,85 +261,6 @@ def _rcm_bandwidth(mat):
     in the ordering the band factors use."""
     _, rows, cols, _ = obstacle._rcm_entries(mat)
     return int(np.abs(rows - cols).max())
-
-
-def cmd_precond(args):
-    """Sparse LU against RCM + banded Cholesky on the Dirichlet
-    preconditioners of the first steps of fig4."""
-    mesh, aniso, cfg, u0 = _fig4_case()
-    ws = Workspace(mesh, aniso, cfg)
-    state = initial_state(ws, u0)
-    blocks = []
-    with _preconditioners_to(blocks.append):
-        for _ in range(args.steps):
-            state = cahn_hilliard_step(state, ws)
-    rng = np.random.default_rng(0)
-    factors = {"sparse LU (MMD_AT_PLUS_A)": obstacle._splu_symmetric,
-               "RCM + banded Cholesky": obstacle._factor_spd}
-    stats = {label: [] for label in factors}
-    gap = 0.0
-    for mat in blocks:
-        b = rng.standard_normal(mat.shape[0])
-        solutions = []
-        for label, factor in factors.items():
-            t_factor = _median_seconds(lambda: factor(mat), args.repeats)
-            solver = factor(mat)
-            t_solve = _median_seconds(lambda: solver.solve(b), args.repeats)
-            x = solver.solve(b)
-            solutions.append(x)
-            stats[label].append((t_factor, t_solve, np.linalg.norm(
-                mat @ x - b) / np.linalg.norm(b)))
-        gap = max(gap, np.abs(solutions[1] - solutions[0]).max()
-                  / np.abs(solutions[0]).max())
-    dims = [m.shape[0] for m in blocks]
-    bands = [_rcm_bandwidth(m) for m in blocks]
-    print(f"{len(blocks)} preconditioners of {args.steps} step(s): dim median "
-          f"{np.median(dims):.0f} (max {max(dims)}), RCM bandwidth median "
-          f"{np.median(bands):.0f} / max {max(bands)}")
-    for label, timings in stats.items():
-        t = np.array(timings)
-        print(f"{label:26s}: factor median {1e3 * np.median(t[:, 0]):.2f} ms "
-              f"(total {t[:, 0].sum():.3f} s), solve median "
-              f"{1e3 * np.median(t[:, 1]):.2f} ms, worst relative residual "
-              f"{t[:, 2].max():.1e}")
-    print(f"max relative difference of the solutions {gap:.1e}; median of "
-          f"{args.repeats} timings each")
-
-
-def cmd_update(args):
-    """Projected CG without the residual update of Gould, Hribar & Nocedal."""
-    case = _neumann_case()
-    for drop in (False, True):
-        counter = PcgCounter(drop_residual_update=drop)
-        out = _march(case, args.steps, schur=True, counter=counter)
-        print(f"residual update {'off' if drop else 'on '}: "
-              f"{len(counter.iterations)} CG solves, iterations "
-              f"{counter.iterations}, {counter.failures} failed; "
-              f"KKT residual per step "
-              f"{', '.join(f'{o[3]:.1e}' for o in out)}")
-
-
-def cmd_degenerate(args):
-    """The Schur path on degenerate-mobility steps, from the saddle states."""
-    ws, state = _degenerate_case()
-    mesh, aniso, cfg = ws.mesh, ws.aniso, ws.config
-    for _ in range(args.steps):
-        k_b = floored_mobility(mesh, state.u, ws.iso_block)[0]
-        k_aniso = assemble_anisotropic_stiffness(mesh, aniso, state.u)
-        kwargs = dict(theta=cfg.theta, tau=cfg.tau, eps=cfg.eps,
-                      alpha=cfg.alpha, tol=cfg.tol)
-        counter = PcgCounter()
-        with counter:
-            # the Schur path with an LU solver f -> W of the floored K_b
-            _, _, stats = obstacle.solve_coupled_ch(
-                ws.mass, k_b, k_aniso, state.u,
-                kb_factor=obstacle.factor_mobility(k_b, ws.mass), **kwargs)
-        state = cahn_hilliard_step(state, ws)
-        print(f"step {state.n}: schur converged {stats.converged}, KKT "
-              f"residual {stats.residual:.1e}, {stats.iterations} rounds, "
-              f"CG iterations {counter.iterations}, {counter.failures} "
-              f"failed; saddle {state.stats.iterations} rounds, residual "
-              f"{state.stats.residual:.1e}")
 
 
 def cmd_ordering(args):
@@ -573,19 +459,12 @@ def cmd_transform(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, steps in (("fig4", cmd_fig4, 8),
-                              ("rounds", cmd_rounds, 20),
+    for name, func, steps in (("rounds", cmd_rounds, 20),
                               ("neumann", cmd_neumann, 30),
-                              ("update", cmd_update, 3),
-                              ("degenerate", cmd_degenerate, 10),
                               ("support", cmd_support, 100)):
         p = sub.add_parser(name)
         p.add_argument("--steps", type=int, default=steps)
         p.set_defaults(func=func)
-    p = sub.add_parser("precond")
-    p.add_argument("--steps", type=int, default=20)
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=cmd_precond)
     p = sub.add_parser("ordering")
     p.add_argument("--count", type=int, default=8)
     p.add_argument("--steps", type=int, default=20)

@@ -7,7 +7,6 @@ Cuthill-McKee ordering.  Each subcommand prints the numbers that
 DECISIONS.md records:
 
     PYTHONPATH=src python scripts/obstacle_lu.py band --steps 100
-    PYTHONPATH=src python scripts/obstacle_lu.py newton --steps 100
     PYTHONPATH=src python scripts/obstacle_lu.py fallback
 
 ``band`` runs an Allen-Cahn configuration (configs/fig1.cfg unless
@@ -15,11 +14,9 @@ DECISIONS.md records:
 ``obstacle._splu_symmetric`` (SuperLU with a symmetric minimum-degree
 ordering) in its place, and compares the factors (the band's size
 against SuperLU's fill), the active-set rounds of every step and U.
-``newton`` runs it once with projected Newton alone (from U^old, at
-most 100 rounds) as the obstacle solver and compares with the shipped
-loop-first solve.  ``fallback`` solves the random dense SPD systems
-A = R^T R + shift I of DECISIONS.md at tol = 1e-10.  BLAS runs on one
-thread, as in the benchmark.
+``fallback`` solves the random dense SPD systems A = R^T R + shift I of
+DECISIONS.md at tol = 1e-10.  BLAS runs on one thread, as in the
+benchmark.
 """
 
 import os
@@ -36,7 +33,6 @@ import numpy as np
 import scipy.sparse as sp
 
 import anisofield.obstacle as obstacle
-import anisofield.schemes as schemes
 from anisofield import parse_config, run_simulation, solve_obstacle
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -77,15 +73,14 @@ def _run(path, steps, factorize=None):
         obstacle._factor_spd = original
     u = np.array([s[0] for s in states])
     rounds = np.array([s[1].iterations for s in states[1:]])
-    unconverged = sum(not s[1].converged for s in states[1:])
     factors = np.array(factors).reshape(-1, 3)
-    return u, rounds, unconverged, factors, states[-1][2]
+    return u, rounds, factors, states[-1][2]
 
 
 def cmd_band(args):
     superlu = _run(args.config, args.steps, obstacle._splu_symmetric)
     band = _run(args.config, args.steps)
-    for label, (_, rounds, _, factors, energy) in (
+    for label, (_, rounds, factors, energy) in (
             ("SuperLU (MMD_AT_PLUS_A)", superlu),
             ("banded Cholesky (RCM)", band)):
         dim, size, seconds = factors.mean(axis=0)
@@ -95,27 +90,6 @@ def cmd_band(args):
     print(f"same rounds on every step: "
           f"{np.array_equal(superlu[1], band[1])}, max |dU| "
           f"{np.abs(superlu[0] - band[0]).max():.1e}")
-
-
-def cmd_newton(args):
-    def newton_alone(a_mat, rhs, x0=None, tol=1e-9, factor=None):
-        a_mat = a_mat.tocsr()
-        x, res, rounds, ok, _ = obstacle._projected_newton(
-            a_mat, rhs, np.clip(x0, -1.0, 1.0), tol, max_rounds=100)
-        return obstacle.ViSolution(x, np.zeros_like(x), rounds, res, ok)
-
-    loop = _run(args.config, args.steps)
-    original = schemes.solve_obstacle
-    schemes.solve_obstacle = newton_alone
-    try:
-        newton = _run(args.config, args.steps)
-    finally:
-        schemes.solve_obstacle = original
-    for label, (_, _, unconverged, factors, _) in (
-            ("loop first", loop), ("projected Newton", newton)):
-        print(f"{label:16s}: {len(factors)} factors, {unconverged} of "
-              f"{args.steps} solves unconverged")
-    print(f"max |dU| over all states {np.abs(loop[0] - newton[0]).max():.1e}")
 
 
 def cmd_fallback(args):
@@ -139,11 +113,10 @@ def cmd_fallback(args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func in (("band", cmd_band), ("newton", cmd_newton)):
-        p = sub.add_parser(name)
-        p.add_argument("--config", default=str(ROOT / "configs" / "fig1.cfg"))
-        p.add_argument("--steps", type=int, default=100)
-        p.set_defaults(func=func)
+    p = sub.add_parser("band")
+    p.add_argument("--config", default=str(ROOT / "configs" / "fig1.cfg"))
+    p.add_argument("--steps", type=int, default=100)
+    p.set_defaults(func=cmd_band)
     sub.add_parser("fallback").set_defaults(func=cmd_fallback)
     args = parser.parse_args()
     args.func(args)

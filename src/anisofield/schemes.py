@@ -391,7 +391,11 @@ def floored_mobility(mesh, u_old, block=None, far_field=None):
     of K_b at frozen nodes are those of ``far_field``, bit for bit.
     ``block`` as in ``assemble_mobility_stiffness``."""
     floored = 1.0 - u_old * u_old < MOBILITY_FLOOR
-    band = np.flatnonzero(~floored[mesh.elements].all(axis=1))
+    rows = mesh.local_vertices
+    all_floored = floored[rows[0]] & floored[rows[1]]
+    for row in rows[2:]:
+        all_floored &= floored[row]
+    band = np.flatnonzero(~all_floored)
     if far_field is None:
         far_field = assemble_mobility_stiffness(
             mesh, np.ones(mesh.n_vertices), _floored, block).data
@@ -399,7 +403,7 @@ def floored_mobility(mesh, u_old, block=None, far_field=None):
         mesh, u_old, lambda v: _floored(v) - MOBILITY_FLOOR, block,
         far_field, band)
     support = np.zeros(mesh.n_vertices, dtype=bool)
-    support[mesh.elements[band]] = True
+    support[rows[:, band]] = True
     return k_b, ~support
 
 

@@ -19,11 +19,12 @@ __all__ = ["SimplicialMesh", "SlotMap", "build_uniform_mesh"]
 class SlotMap(NamedTuple):
     """Fixed CSR pattern of the P1 matrices on a mesh.
 
-    ``indptr`` and ``indices`` describe the sorted pattern of all vertex
-    pairs that share an element; ``slots[e, a, b]`` is the position in
-    the CSR data of the entry (elements[e, a], elements[e, b]), and
-    ``diagonal[j]`` that of the entry (j, j).  Every vertex must lie in
-    some element.
+    ``indptr`` and ``indices`` (int32) describe the sorted pattern of all
+    vertex pairs that share an element; ``slots[e, a, b]`` is the position
+    in the CSR data of the entry (elements[e, a], elements[e, b]), and
+    ``diagonal[j]`` that of the entry (j, j) (both intp, the index type
+    ``np.bincount`` works in, so assembly casts nothing).  All four arrays
+    are read-only.  Every vertex must lie in some element.
     """
 
     indptr: np.ndarray
@@ -37,32 +38,58 @@ class SlotMap(NamedTuple):
 
 
 def _build_slot_map(elements, n_vertices):
-    """Slot map of a mesh, keyed by row * n_vertices + column.
+    """Slot map of a mesh, read from a table of its vertex-index offsets.
 
-    The keys of the off-diagonal pairs are sorted in place once and
-    deduplicated; the slots are then looked up one local pair at a time,
-    which keeps the temporaries at one index array per pair.
+    An entry (v, w) of the pattern is row v at offset w - v, and a row's
+    columns sort as its offsets do.  The build sorts and searches nothing:
+
+    1. the offset v_b - v_a of each local pair (a, b) of each element;
+    2. the distinct offsets, marked in a table of all 2n - 1 possible ones,
+       and the column of each in order;
+    3. the (n_vertices x distinct offsets) existence table of the entries,
+       and its running count in row order less one, which is each entry's
+       position in the CSR data;
+    4. ``indptr`` from that count at each row's end, ``indices`` from the
+       existence table's true entries;
+    5. each slot as the position of (v_a, the column of v_b - v_a), one
+       gather.  The array of step 1 becomes the slots in place.
+
+    The existence table and its count take n_vertices x (distinct
+    offsets) x 9 bytes.  A lexicographically numbered Kuhn mesh has at
+    most 7 distinct offsets in 2d and 15 in 3d, however its elements are
+    classed; a mesh with shuffled vertex numbers can have up to 2n - 1,
+    so that the tables grow with the square of the vertex count.
     """
     n = n_vertices
-    nloc = elements.shape[1]
-    pairs = [(a, b) for a in range(nloc) for b in range(nloc)]
-    keys = np.concatenate(
-        [elements[:, a] * n + elements[:, b] for a, b in pairs if a != b])
-    keys.sort()
-    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-    if not np.bincount(elements.ravel(), minlength=n).all():
+    # 1: shifted to 0 .. 2n - 2, to index the table of step 2
+    keys = np.subtract((elements + (n - 1))[:, None, :], elements[:, :, None])
+    # 2
+    seen = np.zeros(2 * n - 1, dtype=bool)
+    seen[keys] = True
+    offsets = np.flatnonzero(seen) - (n - 1)
+    width = offsets.size
+    column = np.cumsum(seen, dtype=np.intp) - 1
+    # mode="clip" keeps np.take from buffering its output; each gather
+    # reads a key before it writes the same place
+    np.take(column, keys, out=keys, mode="clip")
+    # 3: the keys become flat indices of (v_a, column)
+    keys += (elements * width)[:, :, None]
+    exists = np.zeros((n, width), dtype=bool)
+    exists.ravel()[keys] = True
+    zero = column[n - 1]
+    # the local pairs (a, a) mark the diagonal of every vertex in an element
+    if not exists[:, zero].all():
         raise ValueError("every vertex must lie in some element")
-    diag = np.arange(n) * (n + 1)
-    keys = np.insert(keys, np.searchsorted(keys, diag), diag)
-    rows = keys // n
+    position = np.cumsum(exists.ravel(), dtype=np.intp)
+    position -= 1
+    # 4
     indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-    indices = (keys - rows * n).astype(np.int32)
-    # intp, the index type np.bincount works in, so assembly casts nothing
-    slots = np.empty(elements.shape + (nloc,), dtype=np.intp)
-    for a, b in pairs:
-        slots[:, a, b] = np.searchsorted(keys, elements[:, a] * n + elements[:, b])
-    diagonal = np.searchsorted(keys, diag)
+    indptr[1:] = position[width - 1::width] + 1
+    indices = (np.arange(n, dtype=np.int32)[:, None]
+               + offsets.astype(np.int32))[exists]
+    # 5
+    slots = np.take(position, keys, out=keys, mode="clip")
+    diagonal = position[zero::width].copy()
     for arr in (indptr, indices, slots, diagonal):
         arr.setflags(write=False)
     return SlotMap(indptr, indices, slots, diagonal)
@@ -85,7 +112,7 @@ class SimplicialMesh:
     subdivisions : int
         Grid cells per axis.
     vertices : (n_vertices, dim) float array
-    elements : (n_elements, dim + 1) int array
+    elements : (n_elements, dim + 1) intp array
     boundary_mask : (n_vertices,) bool array, True on the domain boundary
     element_class : (n_elements,) int array, numbered from 0
     class_volume : (n_classes,) float array
@@ -106,7 +133,11 @@ class SimplicialMesh:
         self.half_width = float(half_width)
         self.subdivisions = int(subdivisions)
         self.vertices = vertices
-        self.elements = elements
+        elements = np.asarray(elements)
+        if elements.dtype.kind not in "iu":
+            raise ValueError("elements must be an integer array")
+        # intp, so index arithmetic on elements cannot overflow
+        self.elements = elements = elements.astype(np.intp, copy=False)
         self.boundary_mask = boundary_mask
 
         self.element_class = element_class = np.asarray(element_class)
@@ -240,6 +271,5 @@ def build_uniform_mesh(dim, half_width, subdivisions):
 
     on_face = np.abs(np.abs(vertices) - half_width) <= 1e-12 * half_width
     boundary_mask = np.any(on_face, axis=1)
-    return SimplicialMesh(dim, half_width, n, vertices,
-                          elements.astype(np.int64), boundary_mask,
-                          element_class)
+    return SimplicialMesh(dim, half_width, n, vertices, elements,
+                          boundary_mask, element_class)

@@ -59,6 +59,37 @@ def reference_stiffness(mesh, weights):
     return mat
 
 
+def reference_slot_map(elements, n_vertices):
+    """The slot map by sort and search, keyed by row * n_vertices + column.
+
+    The keys of the off-diagonal pairs are sorted and deduplicated, the
+    diagonal keys are inserted, and each slot is looked up by
+    ``searchsorted``.  Arrays and dtypes as in ``SlotMap``, writeable.
+    """
+    from anisofield.mesh import SlotMap
+
+    n = n_vertices
+    nloc = elements.shape[1]
+    pairs = [(a, b) for a in range(nloc) for b in range(nloc)]
+    keys = np.concatenate(
+        [elements[:, a] * n + elements[:, b] for a, b in pairs if a != b])
+    keys.sort()
+    keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    if not np.bincount(elements.ravel(), minlength=n).all():
+        raise ValueError("every vertex must lie in some element")
+    diag = np.arange(n) * (n + 1)
+    keys = np.insert(keys, np.searchsorted(keys, diag), diag)
+    rows = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    indices = (keys - rows * n).astype(np.int32)
+    slots = np.empty(elements.shape + (nloc,), dtype=np.intp)
+    for a, b in pairs:
+        slots[:, a, b] = np.searchsorted(keys, elements[:, a] * n + elements[:, b])
+    diagonal = np.searchsorted(keys, diag)
+    return SlotMap(indptr, indices, slots, diagonal)
+
+
 def shuffled_mesh(mesh, perm):
     """The mesh with its vertices renumbered: new vertex k is old vertex
     ``perm[k]``, so a nodal field ``u`` of ``mesh`` is ``u[perm]`` here.

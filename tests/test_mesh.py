@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from anisofield import SimplicialMesh, build_uniform_mesh
-from conftest import reference_element_data, shuffled_mesh
+from anisofield.fem import isotropic_stiffness
+from conftest import (reference_element_data, reference_slot_map,
+                      shuffled_mesh)
 
 
 def _element_volume(mesh):
@@ -117,6 +119,58 @@ def test_slot_map_diagonal_and_vertices_in_no_element():
                             mesh.element_class)
     with pytest.raises(ValueError, match="some element"):
         orphan.slot_map
+
+
+def _renumbered(mesh, variant):
+    """The Kuhn mesh as it is, with one class per element, with its
+    vertices shuffled or with each element's local vertex order reversed."""
+    if variant == "kuhn":
+        return mesh
+    if variant == "shuffled":
+        perm = np.random.default_rng(mesh.dim).permutation(mesh.n_vertices)
+        return shuffled_mesh(mesh, perm)
+    elements, element_class = mesh.elements, mesh.element_class
+    if variant == "one_class":
+        element_class = np.arange(mesh.n_elements)
+    else:
+        elements = elements[:, ::-1].copy()
+    return SimplicialMesh(mesh.dim, 0.5, mesh.subdivisions, mesh.vertices,
+                          elements, mesh.boundary_mask, element_class)
+
+
+@pytest.mark.parametrize("dim,n,variant", [
+    (2, 3, "kuhn"), (2, 37, "kuhn"), (2, 128, "kuhn"), (3, 5, "kuhn"),
+    (3, 24, "kuhn"), (2, 37, "one_class"), (3, 5, "one_class"),
+    (2, 24, "shuffled"), (3, 6, "shuffled"), (2, 9, "reversed"),
+    (3, 4, "reversed")])
+def test_slot_map_matches_sort_and_search(dim, n, variant):
+    mesh = _renumbered(build_uniform_mesh(dim, 0.5, n), variant)
+    expected = reference_slot_map(mesh.elements, mesh.n_vertices)
+    slot_map = mesh.slot_map
+    for name, want in zip(expected._fields, expected):
+        got = getattr(slot_map, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert not got.flags.writeable, name
+
+
+def test_int32_elements_give_the_int64_slot_map():
+    # 47,089 vertices: row * n_vertices + column exceeds 2**31 in int32
+    mesh = build_uniform_mesh(2, 0.5, 216)
+    narrow = SimplicialMesh(2, 0.5, 216, mesh.vertices,
+                            mesh.elements.astype(np.int32), mesh.boundary_mask,
+                            mesh.element_class)
+    assert narrow.elements.dtype == np.intp
+    for got, want in zip(narrow.slot_map, mesh.slot_map):
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+    got, want = isotropic_stiffness(narrow), isotropic_stiffness(mesh)
+    for name in ("indptr", "indices", "data"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    with pytest.raises(ValueError, match="integer"):
+        SimplicialMesh(2, 0.5, 216, mesh.vertices,
+                       mesh.elements.astype(float), mesh.boundary_mask,
+                       mesh.element_class)
 
 
 def test_build_rejects_bad_arguments():

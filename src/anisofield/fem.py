@@ -9,10 +9,11 @@ per-element weights w that change from step to step and exactly
 symmetric element blocks T that depend only on the mesh and the weight
 matrices.  The blocks are built once per element class
 (``stiffness_blocks``; ``SimplicialMesh.element_class``), and each
-assembly gathers them per element and scatters them with one weighted
-``bincount`` into the mesh's fixed CSR pattern
+assembly gathers them per element, ``_CHUNK`` elements at a time, and
+adds them by ``np.add.at`` into the mesh's fixed CSR pattern
 (``SimplicialMesh.slot_map``).  Summation follows the element order for
-every entry, so the result is exactly symmetric and deterministic.
+every entry, as one weighted ``bincount`` would, so the result is
+exactly symmetric and deterministic.
 
 The anisotropic stiffness is split into a far field and a band.  With the
 obstacle potential U is exactly +-1 outside a thin interface band, and on
@@ -42,12 +43,38 @@ __all__ = [
 ]
 
 
+# Elements per chunk of a scatter.  One chunk's gathered blocks take at
+# most 4 MiB (3d); at half this size the steps of a 2d N=128 run
+# page-faulted, as glibc sizes its mmap and trim thresholds by the largest
+# block freed, and these blocks were it (DECISIONS.md, "Scatters that
+# copy no slot table").
+_CHUNK = 2 ** 15
+
+
+def _scatter(index, values, size):
+    """Sums of ``values`` into ``size`` bins, at the positions ``index``.
+
+    ``index`` has one row per element, and ``values(chunk)`` gives the
+    values of the rows ``index[chunk]``, in the same shape, for slices of
+    ``_CHUNK`` rows.  Every bin sums its values in row order, as one
+    ``np.bincount`` over all rows would, to the same bits; ``np.add.at``
+    reads ``index`` in place, where ``bincount`` copies a read-only index
+    array, and no values are held beyond one chunk's.
+    """
+    out = np.zeros(size)
+    for start in range(0, len(index), _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        np.add.at(out, index[chunk].ravel(), values(chunk).ravel())
+    return out
+
+
 def lumped_mass(mesh):
     """Lumped mass vector M_j = integral of hat function j = sum |sigma|/(d+1)."""
-    share = (mesh.class_volume / (mesh.dim + 1))[mesh.element_class]
-    return np.bincount(mesh.elements.ravel(),
-                       weights=np.repeat(share, mesh.dim + 1),
-                       minlength=mesh.n_vertices)
+    share = mesh.class_volume / (mesh.dim + 1)
+    return _scatter(mesh.elements,
+                    lambda chunk: np.repeat(share[mesh.element_class[chunk]],
+                                            mesh.dim + 1),
+                    mesh.n_vertices)
 
 
 def stiffness_blocks(mesh, matrices):
@@ -74,11 +101,18 @@ def isotropic_block(mesh):
     return stiffness_blocks(mesh, np.eye(mesh.dim)[None])[0]
 
 
-def _scatter(mesh, local, subset=slice(None)):
-    """CSR data of the element blocks ``local`` of the elements ``subset``."""
+def _scatter_blocks(mesh, local, band=None):
+    """CSR data of the element blocks ``local(chunk)`` of every element, or
+    of the elements ``band``, by ``_scatter`` (``chunk`` slices them)."""
     slot_map = mesh.slot_map
-    return np.bincount(slot_map.slots[subset].ravel(), weights=local.ravel(),
-                       minlength=slot_map.nnz)
+    slots = slot_map.slots if band is None else slot_map.slots[band]
+    return _scatter(slots, local, slot_map.nnz)
+
+
+def _scatter_class_blocks(mesh, block):
+    """CSR data of the class blocks ``block`` of every element."""
+    classes = mesh.element_class
+    return _scatter_blocks(mesh, lambda chunk: block[classes[chunk]])
 
 
 def _csr(mesh, data):
@@ -91,8 +125,7 @@ def _csr(mesh, data):
 
 def isotropic_stiffness(mesh):
     """Standard P1 Laplacian stiffness, K_ij = sum |sigma| grad_j . grad_i."""
-    block = isotropic_block(mesh)
-    return _csr(mesh, _scatter(mesh, block[mesh.element_class]))
+    return _csr(mesh, _scatter_class_blocks(mesh, isotropic_block(mesh)))
 
 
 def interface_band(mesh, u):
@@ -123,7 +156,7 @@ def far_field_stiffness(mesh, aniso, blocks):
     """CSR data of the B(0) stiffness L sum_l K_l, the anisotropic
     stiffness of a constant field; ``blocks`` are
     ``stiffness_blocks(mesh, aniso.matrices)``, scattered one at a time."""
-    return aniso.n_terms * sum(_scatter(mesh, block[mesh.element_class])
+    return aniso.n_terms * sum(_scatter_class_blocks(mesh, block)
                                for block in blocks)
 
 
@@ -153,7 +186,8 @@ def assemble_anisotropic_stiffness(mesh, aniso, u_prev, blocks=None,
     coeffs = aniso.b_coefficients(grads) - aniso.n_terms
     local = np.einsum("le,leij->eij", coeffs,
                       blocks[:, mesh.element_class[band]])
-    return _csr(mesh, far_field + _scatter(mesh, local, band))
+    data = _scatter_blocks(mesh, lambda chunk: local[chunk], band)
+    return _csr(mesh, far_field + data)
 
 
 def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None,
@@ -177,8 +211,14 @@ def assemble_mobility_stiffness(mesh, u_prev, mobility, block=None,
         raise ValueError("mobility is negative at some vertex")
     if block is None:
         block = isotropic_block(mesh)
-    elements = slice(None) if band is None else band
-    local = block[mesh.element_class[elements]]
-    local *= vals[mesh.elements[elements]].mean(axis=1)[:, None, None]
-    data = _scatter(mesh, local, elements)
+    classes, elements = mesh.element_class, mesh.elements
+    if band is not None:
+        classes, elements = classes[band], elements[band]
+
+    def local(chunk):
+        blocks = block[classes[chunk]]
+        blocks *= vals[elements[chunk]].mean(axis=1)[:, None, None]
+        return blocks
+
+    data = _scatter_blocks(mesh, local, band)
     return _csr(mesh, data if far_field is None else far_field + data)

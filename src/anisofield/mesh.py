@@ -23,8 +23,11 @@ class SlotMap(NamedTuple):
     vertex pairs that share an element; ``slots[e, a, b]`` is the position
     in the CSR data of the entry (elements[e, a], elements[e, b]), and
     ``diagonal[j]`` that of the entry (j, j) (both intp, the index type
-    ``np.bincount`` works in, so assembly casts nothing).  All four arrays
-    are read-only.  Every vertex must lie in some element.
+    ``np.bincount`` and ``np.add.at`` work in, so assembly casts nothing).
+    All four arrays are read-only.  The assemblies read ``slots`` in place
+    by ``np.add.at``: ``np.bincount`` copies a read-only index array
+    whole, and ``slots`` is the largest array of a 3d run (81 MiB at
+    N=48).  Every vertex must lie in some element.
     """
 
     indptr: np.ndarray
@@ -101,8 +104,11 @@ class SimplicialMesh:
     The elements of a class are translates of its first element, with the
     same local vertex order, so the volume and the P1 basis gradients are
     computed once per class; the constructor checks every element's edge
-    vectors against its class's to 1e-12 h.  A mesh of arbitrary elements
-    passes ``np.arange(n_elements)``, one class per element.
+    vectors p_i - p_0 against its class's to 1e-12 h, one coordinate of
+    one edge at a time, so that it holds no (n_elements, dim + 1, dim)
+    table.  It refuses ``elements`` that are not (n_elements, dim + 1)
+    integers indexing the vertices.  A mesh of arbitrary elements passes
+    ``np.arange(n_elements)``, one class per element.
 
     Attributes
     ----------
@@ -133,11 +139,20 @@ class SimplicialMesh:
         self.half_width = float(half_width)
         self.subdivisions = int(subdivisions)
         self.vertices = vertices
+        if vertices.ndim != 2 or vertices.shape[1] != dim:
+            raise ValueError("vertices must have shape (n_vertices, dim)")
         elements = np.asarray(elements)
         if elements.dtype.kind not in "iu":
             raise ValueError("elements must be an integer array")
+        if (elements.ndim != 2 or elements.shape[1] != dim + 1
+                or not elements.size):
+            raise ValueError("elements must have shape (n_elements, dim + 1), "
+                             "n_elements >= 1")
         # intp, so index arithmetic on elements cannot overflow
         self.elements = elements = elements.astype(np.intp, copy=False)
+        if elements.min() < 0 or elements.max() >= vertices.shape[0]:
+            raise ValueError("elements must index vertices in "
+                             "[0, n_vertices)")
         self.boundary_mask = boundary_mask
 
         self.element_class = element_class = np.asarray(element_class)
@@ -147,13 +162,18 @@ class SimplicialMesh:
                 or classes[0] != 0 or classes[-1] != classes.size - 1):
             raise ValueError("element_class must give each element an "
                              "integer class, numbered from 0 without gaps")
-        points = np.take(vertices, elements, axis=0)
-        edges = points[:, 1:] - points[:, :1]  # rows p_i - p_0
-        rep_edges = edges[first]
-        edges -= np.take(rep_edges, element_class, axis=0)
-        if not np.abs(edges, out=edges).max() <= 1e-12 * self.mesh_size:
-            raise ValueError("element is not a translate of its class's "
-                             "first element")
+        # coordinate k of each edge p_i - p_0 against its class's
+        rep_edges = np.empty((classes.size, dim, dim))
+        for k, x in enumerate(vertices.T):
+            x0 = x[elements[:, 0]]
+            for i in range(1, dim + 1):
+                edge = x[elements[:, i]]
+                edge -= x0
+                rep_edges[:, i - 1, k] = edge[first]
+                edge -= rep_edges[element_class, i - 1, k]
+                if not np.abs(edge, out=edge).max() <= 1e-12 * self.mesh_size:
+                    raise ValueError("element is not a translate of its "
+                                     "class's first element")
         det = np.linalg.det(rep_edges)
         if np.any(det == 0.0):
             raise ValueError("degenerate element in mesh")
@@ -248,26 +268,18 @@ def build_uniform_mesh(dim, half_width, subdivisions):
 
     cell = np.arange(n)
     if dim == 2:
-        ci = np.tile(cell, n)
-        cj = np.repeat(cell, n)
-        v00 = ci + (n + 1) * cj
-        v10 = v00 + 1
-        v01 = v00 + (n + 1)
-        v11 = v01 + 1
-        parts = [np.column_stack([v00, v10, v11]),
-                 np.column_stack([v00, v11, v01])]
+        base = np.tile(cell, n) + (n + 1) * np.repeat(cell, n)
+        corners = [[0, 1, n + 2], [0, n + 2, n + 1]]
     else:
-        ci = np.tile(cell, n * n)
-        cj = np.tile(np.repeat(cell, n), n)
-        ck = np.repeat(cell, n * n)
-        base = ci + (n + 1) * cj + (n + 1) ** 2 * ck
-        strides = np.array([1, n + 1, (n + 1) ** 2])
-        parts = []
-        for perm in itertools.permutations(range(3)):
-            offs = np.cumsum([0] + [strides[axis] for axis in perm])
-            parts.append(np.column_stack([base + o for o in offs]))
-    elements = np.vstack(parts)
-    element_class = np.repeat(np.arange(len(parts)), n ** dim)
+        base = (np.tile(cell, n * n) + (n + 1) * np.tile(np.repeat(cell, n), n)
+                + (n + 1) ** 2 * np.repeat(cell, n * n))
+        strides = [1, n + 1, (n + 1) ** 2]
+        corners = [np.cumsum([0] + [strides[axis] for axis in perm])
+                   for perm in itertools.permutations(range(3))]
+    # class by class, each cell's first vertex plus the class's corners
+    corners = np.asarray(corners)
+    elements = (base[:, None] + corners[:, None, :]).reshape(-1, dim + 1)
+    element_class = np.repeat(np.arange(len(corners)), n ** dim)
 
     on_face = np.abs(np.abs(vertices) - half_width) <= 1e-12 * half_width
     boundary_mask = np.any(on_face, axis=1)

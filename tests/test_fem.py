@@ -1,12 +1,15 @@
 """Lumped mass and stiffness assembly against hand values and identities."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import anisofield.fem
 import anisofield.mesh
-from anisofield.fem import interface_band, isotropic_block, stiffness_blocks
+from anisofield.fem import (far_field_stiffness, interface_band,
+                            isotropic_block, stiffness_blocks)
 from anisofield import (AnisotropyDensity, SimplicialMesh,
                         assemble_anisotropic_stiffness,
                         assemble_mobility_stiffness, build_uniform_mesh,
@@ -185,6 +188,78 @@ def test_slot_map_is_built_once_per_mesh(monkeypatch):
     isotropic_stiffness(mesh)
     assemble_mobility_stiffness(mesh, u, lambda v: 1.0 - v * v)
     assert len(builds) == 1
+
+
+@pytest.mark.parametrize("dim,n,variant,chunk", [
+    (2, 12, "kuhn", 7), (3, 4, "kuhn", 7), (2, 12, "one_class", 7),
+    (3, 5, "shuffled", 7), (2, 129, "kuhn", None), (3, 18, "kuhn", None)])
+def test_whole_mesh_scatters_are_one_bincount(dim, n, variant, chunk,
+                                              monkeypatch):
+    # 2d N=129 has 33,282 and 3d N=18 34,992 elements, neither a multiple
+    # of the chunk; chunk 7 gives the small meshes many uneven chunks
+    if chunk is not None:
+        monkeypatch.setattr(anisofield.fem, "_CHUNK", chunk)
+    assert anisofield.fem._CHUNK < n ** dim * math.factorial(dim)
+    assert n ** dim * math.factorial(dim) % anisofield.fem._CHUNK
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    if variant == "one_class":
+        mesh = SimplicialMesh(dim, 0.5, n, mesh.vertices, mesh.elements,
+                              mesh.boundary_mask, np.arange(mesh.n_elements))
+    elif variant == "shuffled":
+        perm = np.random.default_rng(11).permutation(mesh.n_vertices)
+        mesh = shuffled_mesh(mesh, perm)
+    slots, classes, nnz = (mesh.slot_map.slots, mesh.element_class,
+                           mesh.slot_map.nnz)
+
+    def one_bincount(block, weight=1.0):
+        local = block[classes] * np.asarray(weight)[..., None, None]
+        return np.bincount(slots.ravel(), weights=local.ravel(),
+                           minlength=nnz)
+
+    share = (mesh.class_volume / (dim + 1))[classes]
+    np.testing.assert_array_equal(
+        lumped_mass(mesh),
+        np.bincount(mesh.elements.ravel(), weights=np.repeat(share, dim + 1),
+                    minlength=mesh.n_vertices))
+    block = isotropic_block(mesh)
+    np.testing.assert_array_equal(isotropic_stiffness(mesh).data,
+                                  one_bincount(block))
+    aniso = make_regularized_l1(dim, 0.01)
+    blocks = stiffness_blocks(mesh, aniso.matrices)
+    np.testing.assert_array_equal(
+        far_field_stiffness(mesh, aniso, blocks),
+        aniso.n_terms * sum(one_bincount(b) for b in blocks))
+    u = _plateau_field(mesh, 12)
+    weight = (1.0 - u * u)[mesh.elements].mean(axis=1)
+    np.testing.assert_array_equal(
+        assemble_mobility_stiffness(mesh, u, lambda v: 1.0 - v * v).data,
+        one_bincount(block, weight))
+    assert not any(arr.flags.writeable for arr in mesh.slot_map)
+
+
+def _traced_peak(func, *args):
+    tracemalloc.start()
+    try:
+        func(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_3d_set_up_builds_no_element_table():
+    # bounds from array sizes at 3d N=16 (24,576 elements): the mesh build
+    # holds no (n_elements, d+1, d) point table, and the far field neither
+    # an (n_elements, (d+1)^2) copy of the slots nor one of the blocks
+    dim, n = 3, 16
+    n_elements = math.factorial(dim) * n ** dim
+    peak = _traced_peak(build_uniform_mesh, dim, 0.5, n)
+    assert peak < n_elements * (dim + 1) * dim * 8
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    nnz = mesh.slot_map.nnz
+    aniso = make_regularized_l1(dim, 0.01)
+    blocks = stiffness_blocks(mesh, aniso.matrices)
+    peak = _traced_peak(far_field_stiffness, mesh, aniso, blocks)
+    assert peak < (n_elements * (dim + 1) ** 2 + 3 * nnz) * 8
 
 
 def test_flat_elements_take_the_zero_branch_despite_rounding():

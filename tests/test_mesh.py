@@ -242,6 +242,60 @@ def test_wrong_element_class_is_rejected(dim):
                        mesh.element_class)
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_translate_check_sees_every_local_position(dim):
+    # one element's vertex at local position a re-pointed to a copy of
+    # itself, moved by a fraction of h along one axis: each coordinate of
+    # each edge p_i - p_0 is checked, so every position and axis is caught
+    mesh = build_uniform_mesh(dim, 0.5, 3)
+    element = mesh.n_elements // 2 + 1
+
+    def repointed(a, shift):
+        moved = mesh.vertices[mesh.elements[element, a]] + shift
+        vertices = np.vstack([mesh.vertices, moved])
+        elements = mesh.elements.copy()
+        elements[element, a] = mesh.n_vertices
+        return SimplicialMesh(dim, 0.5, 3, vertices, elements,
+                              np.append(mesh.boundary_mask, False),
+                              mesh.element_class)
+
+    for a in range(dim + 1):
+        exact = repointed(a, 0.0)
+        np.testing.assert_array_equal(exact.class_gradients,
+                                      mesh.class_gradients)
+        for axis in range(dim):
+            shift = np.zeros(dim)
+            shift[axis] = 1e-6 * mesh.mesh_size
+            with pytest.raises(ValueError, match="translate"):
+                repointed(a, shift)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_elements_of_wrong_shape_or_index_are_rejected(dim):
+    mesh = build_uniform_mesh(dim, 0.5, 3)
+
+    def build(vertices, elements):
+        return SimplicialMesh(dim, 0.5, 3, vertices, elements,
+                              mesh.boundary_mask, mesh.element_class)
+
+    # a negative index used to wrap silently: these are the mesh's own
+    # elements, shifted down by n_vertices, so every element passed the
+    # translate check and the slot map was built on wrong rows
+    wrapped = mesh.elements - mesh.n_vertices
+    past_end = mesh.elements.copy()
+    past_end[3, 1] = mesh.n_vertices
+    for elements in (wrapped, past_end):
+        with pytest.raises(ValueError, match="n_vertices"):
+            build(mesh.vertices, elements)
+    # an element of width d used to raise LinAlgError
+    for elements in (mesh.elements[:, :dim], mesh.elements.ravel(),
+                     mesh.elements[:0]):
+        with pytest.raises(ValueError, match="shape"):
+            build(mesh.vertices, elements)
+    with pytest.raises(ValueError, match="shape"):
+        build(mesh.vertices[:, :dim - 1], mesh.elements)
+
+
 @pytest.mark.parametrize("dim,n", [(2, 7), (3, 4)])
 def test_shuffled_mesh_reproduces_its_parent(dim, n):
     mesh = build_uniform_mesh(dim, 0.5, n)

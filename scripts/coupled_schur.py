@@ -2,11 +2,11 @@
 
 With constant mobility ``solve_coupled_ch`` eliminates W and solves the
 inactive-set Schur complement by preconditioned CG, with one solver of
-K_b per run (a fast transform on a Kuhn grid where it is exact, else an
-LU); with degenerate mobility it factors the saddle system of every
-active-set round, with W on the mobility's support only.  Each subcommand
-prints the numbers that DECISIONS.md records or an open ROADMAP item
-needs:
+K_b per run (a fast transform on a Kuhn grid where it is exact, else a
+banded Cholesky); with degenerate mobility it factors the saddle system
+of every active-set round, with W on the mobility's support only.  Each
+subcommand prints the numbers that DECISIONS.md records or an open
+ROADMAP item needs:
 
     PYTHONPATH=src python scripts/coupled_schur.py rounds --steps 20
     PYTHONPATH=src python scripts/coupled_schur.py neumann --steps 30
@@ -22,11 +22,15 @@ of acceptance criterion 9 (natural boundary conditions, constant
 mobility, N = 64); ``support`` compares the degenerate saddle of
 configs/surface_diffusion.cfg on the mobility's support with the saddle
 of the whole domain, and counts the W-extension factors and the steps
-that reuse the one kept across steps; ``ordering`` compares the sparse
-LU with the banded LU on the saddles captured from that run;
-``transform`` the K_b LU with the transform solve of b0 K (b0 = 2) on
-2d and 3d Kuhn grids under both boundary conditions.  BLAS runs on one
-thread, as in the benchmark.
+that reuse the one kept across steps; ``ordering`` compares SuperLU
+with the banded LU on the saddles captured from that run; ``transform``
+compares SuperLU's factor of b0 K (b0 = 2; bordered by the mass under
+natural boundary conditions) with the banded Cholesky of
+``factor_mobility`` and with the transform solve, on 2d and 3d Kuhn
+grids under both boundary conditions and on a 2d grid whose vertex
+order the transform refuses.  SuperLU, which the package
+no longer uses, comes from ``_superlu`` here.  BLAS runs on one thread,
+as in the benchmark.
 """
 
 import os
@@ -41,9 +45,12 @@ import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import anisofield.obstacle as obstacle
-from anisofield import (Circle, MultiCircle, SchemeConfig, Workspace,
+from anisofield import (Circle, MultiCircle, SchemeConfig, SimplicialMesh,
+                        Workspace,
                         assemble_anisotropic_stiffness, build_uniform_mesh,
                         cahn_hilliard_step, initial_profile, initial_state,
                         isotropic_stiffness, lumped_mass, make_regularized_l1,
@@ -52,6 +59,15 @@ from anisofield.schemes import floored_mobility
 
 ROOT = Path(__file__).resolve().parents[1]
 EPS_INV = 16.0 * math.pi
+
+
+def _superlu(mat):
+    """SuperLU factor of ``mat`` with a symmetric minimum-degree ordering
+    that prefers diagonal pivots, its explicit zeros dropped."""
+    mat = mat.tocsc(copy=True)
+    mat.eliminate_zeros()
+    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True})
 
 
 def _fill(factor):
@@ -165,10 +181,10 @@ def _compare(case, steps):
 
 
 def _describe(solver):
-    """The K_b solver in use: the transform, or the LU."""
+    """The K_b solver in use: the transform, or the banded Cholesky."""
     if isinstance(solver, obstacle.GridTransform):
         return repr(solver)
-    return "LU (factor_mobility)"
+    return "banded Cholesky (factor_mobility)"
 
 
 def cmd_neumann(args):
@@ -264,7 +280,7 @@ def _rcm_bandwidth(mat):
 
 
 def cmd_ordering(args):
-    """The symmetric-ordering sparse LU against the banded LU after a
+    """SuperLU with a symmetric ordering against the banded LU after a
     reverse Cuthill-McKee ordering on captured degenerate saddles."""
     ws, state = _degenerate_case()
     saddles = []
@@ -284,7 +300,7 @@ def cmd_ordering(args):
     if not saddles:
         raise SystemExit(f"no saddle factored in {args.steps} step(s)")
     rng = np.random.default_rng(0)
-    factors = {"sparse LU (MMD_AT_PLUS_A)": obstacle._splu_symmetric,
+    factors = {"SuperLU (MMD_AT_PLUS_A)": _superlu,
                "RCM + banded LU": obstacle._factor_band_lu}
     rows = {label: [] for label in factors}
     for mat in saddles:
@@ -426,33 +442,80 @@ def _median_seconds(func, repeats):
     return float(np.median(times))
 
 
+def _superlu_mobility(k_b, mass, mask):
+    """SuperLU's solver ``f -> W`` with the contract of
+    ``factor_mobility``: the LU of K_b,II, or under natural boundary
+    conditions that of [[K_b, m], [m^T, 0]], whose multiplier is dropped.
+    Returns the factor and the solver."""
+    if mask is not None:
+        wdofs = np.flatnonzero(~mask)
+        lu = _superlu(k_b[wdofs][:, wdofs])
+        return lu, lu.solve
+    lu = _superlu(sp.bmat([[k_b, mass[:, None]], [mass[None, :], None]]))
+    return lu, lambda f: lu.solve(np.append(f, 0.0))[:-1]
+
+
+def _pair_swapped(mesh):
+    """The mesh with vertices 2k and 2k + 1 swapped: not lexicographic, so
+    the transform is refused, and, unlike a random order, with few vertex
+    offsets, so its slot map stays small (``mesh._build_slot_map``)."""
+    perm = np.minimum(np.arange(mesh.n_vertices) ^ 1, mesh.n_vertices - 1)
+    return SimplicialMesh(mesh.dim, mesh.half_width, mesh.subdivisions,
+                          mesh.vertices[perm], perm[mesh.elements],
+                          mesh.boundary_mask[perm], mesh.element_class)
+
+
 def cmd_transform(args):
-    """The K_b LU against the transform solve, one right side per case."""
-    print("case | K_b solver | LU factor | LU solve | transform solve | "
-          "max rel. diff")
-    for dim, n in ((2, args.n2), (3, args.n3)):
-        for dirichlet in (True, False):
-            mesh = build_uniform_mesh(dim, 0.5, n)
-            k_b = (2.0 * isotropic_stiffness(mesh)).tocsr()
-            mass = lumped_mass(mesh)
-            mask = mesh.boundary_mask if dirichlet else None
+    """SuperLU's factor of K_b against the banded Cholesky of
+    ``factor_mobility`` and the transform solve, one right side per case:
+    set-up and median solve times, the entries each factor stores (SuperLU's
+    fill, the band's size) and the largest gap to SuperLU's W."""
+    print("case | K_b solver | factor SuperLU, band | solve SuperLU, band, "
+          "transform | stored SuperLU, band | max rel. diff band, transform")
+    cases = [(dim, n, dirichlet, False) for dim, n in ((2, args.n2),
+                                                       (3, args.n3))
+             for dirichlet in (True, False)]
+    for dim, n, dirichlet, swap in cases + [(2, args.n2, False, True)]:
+        mesh = build_uniform_mesh(dim, 0.5, n)
+        if swap:
+            mesh = _pair_swapped(mesh)
+        k_b = (2.0 * isotropic_stiffness(mesh)).tocsr()
+        mass = lumped_mass(mesh)
+        mask = mesh.boundary_mask if dirichlet else None
+        tic = time.perf_counter()
+        lu, lu_solve = _superlu_mobility(k_b, mass, mask)
+        t_lu = time.perf_counter() - tic
+        factors = []
+
+        def collected(original):
+            def factor(mat, **kwargs):
+                factors.append(original(mat, **kwargs))
+                return factors[-1]
+            return factor
+
+        with _wrapped("_factor_spd", collected):
             tic = time.perf_counter()
-            lu = obstacle.factor_mobility(k_b, mass, mask)
-            t_factor = time.perf_counter() - tic
-            f = np.random.default_rng(0).standard_normal(
-                mesh.n_vertices if mask is None else np.count_nonzero(~mask))
-            ref = lu(f)
-            t_lu = _median_seconds(lambda: lu(f), args.repeats)
-            solver = obstacle.mobility_solver(k_b, mass, dim, mask)
-            case = f"{dim}d N={n} {'Dirichlet' if dirichlet else 'natural'}"
-            row = (f"{case} | {_describe(solver)} | {1e3 * t_factor:.1f} ms | "
-                   f"{1e3 * t_lu:.2f} ms | ")
-            if not isinstance(solver, obstacle.GridTransform):
-                print(row + "- | -")
-                continue
+            band_solve = obstacle.factor_mobility(k_b, mass, mask)
+            t_band = time.perf_counter() - tic
+        f = np.random.default_rng(0).standard_normal(
+            mesh.n_vertices if mask is None else np.count_nonzero(~mask))
+        ref = lu_solve(f)
+        scale = np.abs(ref).max()
+        s_lu = _median_seconds(lambda: lu_solve(f), args.repeats)
+        s_band = _median_seconds(lambda: band_solve(f), args.repeats)
+        d_band = np.abs(band_solve(f) - ref).max() / scale
+        solver = obstacle.mobility_solver(k_b, mass, dim, mask)
+        s_tr = d_tr = "-"
+        if isinstance(solver, obstacle.GridTransform):
             t_tr = _median_seconds(lambda: solver(f), args.repeats)
-            diff = np.abs(solver(f) - ref).max() / np.abs(ref).max()
-            print(row + f"{1e3 * t_tr:.2f} ms | {diff:.1e}")
+            s_tr = f"{1e3 * t_tr:.2f} ms"
+            d_tr = f"{np.abs(solver(f) - ref).max() / scale:.1e}"
+        case = (f"{dim}d N={n} {'Dirichlet' if dirichlet else 'natural'}"
+                f"{', pairs of vertices swapped' if swap else ''}")
+        print(f"{case} | {_describe(solver)} | {t_lu:.3f} s, {t_band:.3f} s | "
+              f"{1e3 * s_lu:.2f} ms, {1e3 * s_band:.2f} ms, {s_tr} | "
+              f"{_fill(lu) / 1e6:.2f}M, {_fill(factors[0]) / 1e6:.2f}M | "
+              f"{d_band:.1e}, {d_tr}")
     print(f"median of {args.repeats} solves; one factorization each")
 
 

@@ -10,9 +10,9 @@ DECISIONS.md records:
     PYTHONPATH=src python scripts/obstacle_lu.py fallback
 
 ``band`` runs an Allen-Cahn configuration (configs/fig1.cfg unless
-``--config`` names another) once as shipped and once with
-``obstacle._splu_symmetric`` (SuperLU with a symmetric minimum-degree
-ordering) in its place, and compares the factors (the band's size
+``--config`` names another) once as shipped and once with ``_superlu``
+(SuperLU with a symmetric minimum-degree ordering, which the package no
+longer uses) in its place, and compares the factors (the band's size
 against SuperLU's fill), the active-set rounds of every step and U.
 ``fallback`` solves the random dense SPD systems A = R^T R + shift I of
 DECISIONS.md at tol = 1e-10.  BLAS runs on one thread, as in the
@@ -31,11 +31,22 @@ from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 import anisofield.obstacle as obstacle
 from anisofield import parse_config, run_simulation, solve_obstacle
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def _superlu(mat, kept=False):
+    """SuperLU factor of ``mat`` with a symmetric minimum-degree ordering
+    that prefers diagonal pivots, its explicit zeros dropped; ``kept``,
+    which places a band, is ignored."""
+    mat = mat.tocsc(copy=True)
+    mat.eliminate_zeros()
+    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                     options={"SymmetricMode": True})
 
 
 def _size(factor):
@@ -78,7 +89,7 @@ def _run(path, steps, factorize=None):
 
 
 def cmd_band(args):
-    superlu = _run(args.config, args.steps, obstacle._splu_symmetric)
+    superlu = _run(args.config, args.steps, _superlu)
     band = _run(args.config, args.steps)
     for label, (_, rounds, factors, energy) in (
             ("SuperLU (MMD_AT_PLUS_A)", superlu),

@@ -8,6 +8,7 @@ the same volume h^d / d!.  The elements fall into d! classes of translates
 per class.
 """
 
+import functools
 import itertools
 from typing import NamedTuple
 
@@ -186,7 +187,6 @@ class SimplicialMesh:
                     self.element_class, self.class_volume,
                     self.class_gradients):
             arr.setflags(write=False)
-        self._slot_map = self._local_vertices = None
 
     @property
     def n_vertices(self):
@@ -210,21 +210,17 @@ class SimplicialMesh:
                 f"N={self.subdivisions}, {self.n_vertices} vertices, "
                 f"{self.n_elements} elements)")
 
-    @property
+    @functools.cached_property
     def slot_map(self):
         """The mesh's ``SlotMap``, built on first use."""
-        if self._slot_map is None:
-            self._slot_map = _build_slot_map(self.elements, self.n_vertices)
-        return self._slot_map
+        return _build_slot_map(self.elements, self.n_vertices)
 
-    @property
+    @functools.cached_property
     def local_vertices(self):
-        """The read-only ``(dim + 1, n_elements)`` copy of ``elements.T``,
-        built on first use."""
-        if self._local_vertices is None:
-            self._local_vertices = np.ascontiguousarray(self.elements.T)
-            self._local_vertices.setflags(write=False)
-        return self._local_vertices
+        """Read-only contiguous copy of ``elements.T``, built on first use."""
+        rows = np.ascontiguousarray(self.elements.T)
+        rows.setflags(write=False)
+        return rows
 
     def element_gradients(self, nodal_values, subset=None):
         """Gradients of the P1 interpolant, shape (ne, d), on all elements

@@ -19,7 +19,7 @@ differ only in the subsolve of each round:
   each round eliminates W and solves the SPD Schur complement on the
   inactive set by preconditioned CG, with one solver ``f -> W`` of the
   mobility stiffness per run (:func:`mobility_solver`: fast sine or cosine
-  transforms on a lexicographic Kuhn grid, else the LU of
+  transforms on a lexicographic Kuhn grid, else the banded Cholesky of
   :func:`factor_mobility`).  Only the step's last round must be exact, so
   the CG of an earlier round may stop at a tolerance scaled to the KKT
   residual so far (an inexact Newton method); the step always ends on a
@@ -44,6 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 import scipy.sparse as sp
+# SuperLU: nothing here calls spla.splu; the benchmark tracer wraps it
 import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from scipy.sparse.csgraph import reverse_cuthill_mckee
@@ -150,20 +151,6 @@ def _saddle_matrix(s11, coupling, kb):
     indptr = np.concatenate([a.indptr[:-1] + nodes,
                              a.nnz + n + k.indptr + np.arange(n + 1)])
     return sp.csr_matrix((data, indices, indptr), shape=(2 * n, 2 * n))
-
-
-def _splu_symmetric(mat):
-    """Sparse LU with a symmetric fill-reducing ordering that prefers
-    diagonal pivots: the LU of :func:`factor_mobility`.  The obstacle
-    solver's blocks, the Schur preconditioners and the W extension take
-    :func:`_factor_spd`, every saddle :func:`_factor_band_lu`.  The Kuhn
-    pattern's explicit zeros (isotropic entries across cell diagonals)
-    would enter the ordering and fill, so they are dropped; a CSC ``mat``
-    loses them in place."""
-    mat = mat.tocsc()
-    mat.eliminate_zeros()
-    return spla.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                     options={"SymmetricMode": True})
 
 
 class _BandFactor:
@@ -461,23 +448,34 @@ def solve_obstacle(a_mat, rhs, x0=None, tol=1e-9, factor=None):
 
 
 def factor_mobility(k_b, mass, boundary_mask=None):
-    """Sparse-LU solver ``f -> W`` of a mobility stiffness.
+    """Banded Cholesky solver ``f -> W`` of a mobility stiffness.
 
     With W prescribed on the boundary W = K_b,II^-1 f on the interior
     nodes.  With natural boundary conditions the constants span the
     kernel of K_b: W solves K_b W = f - (sum f / sum m) m with m . W = 0,
-    m the lumped ``mass``, by the LU of the bordered matrix
-    [[K_b, m], [m^T, 0]].  A constant mobility stiffness takes this LU
-    only where :func:`mobility_solver` finds no exact transform.
+    m the lumped ``mass``.  Grounding the node of the largest diagonal
+    entry, W = 0 there, leaves an SPD block and is exact for a right side
+    of zero sum (Bochev & Lehoucq, SIAM Review 47, 2005); W is then
+    shifted to m . W = 0.  On a floored degenerate K_b, grounding node 0,
+    which the floor all but cuts off from the interface, gave residuals
+    10 to 500 times larger.  The factor (:func:`_factor_spd`) lives as
+    long as a run but is not ``kept``: a mapping of its own saved no peak
+    memory of a 3d natural run and slowed its first step.
     """
     k_b = k_b.tocsr()
     if boundary_mask is not None:
         wdofs = np.flatnonzero(~boundary_mask)
-        return _splu_symmetric(k_b[wdofs][:, wdofs]).solve
-    lu = _splu_symmetric(sp.bmat([[k_b, mass[:, None]],
-                                  [mass[None, :], None]]))
-    # the border row asks m . W = 0; its multiplier, sum f / sum m, is dropped
-    return lambda f: lu.solve(np.append(f, 0.0))[:-1]
+        return _factor_spd(k_b[wdofs][:, wdofs]).solve
+    rest = np.delete(np.arange(mass.size), np.argmax(k_b.diagonal()))
+    factor = _factor_spd(k_b[rest][:, rest])
+    total = mass.sum()
+
+    def solve(f):
+        w = np.zeros(f.size)
+        w[rest] = factor.solve((f - (f.sum() / total) * mass)[rest])
+        return w - (mass @ w) / total
+
+    return solve
 
 
 class GridTransform:
@@ -548,7 +546,8 @@ def mobility_solver(k_b, mass, dim, boundary_mask=None):
     lexicographic Kuhn grid with W prescribed on the boundary (2d and 3d)
     or with natural boundary conditions in 2d.  Elsewhere (3d natural
     boundary conditions, whose boundary rows are not of Kronecker form,
-    or any other vertex order) this is :func:`factor_mobility`.
+    or any other vertex order) it is the banded Cholesky of
+    :func:`factor_mobility`.
     """
     k_b = k_b.tocsr()
     nodes = round(k_b.shape[0] ** (1.0 / dim))

@@ -249,8 +249,8 @@ class Workspace:
     degenerate mobility, the floored stiffness of a pure phase (see
     ``floored_mobility``), the constant mobility stiffness b0 K and its
     solver ``f -> W``: fast transforms on a Kuhn grid with W prescribed
-    on the boundary or, in 2d, natural boundary conditions, and an LU
-    otherwise (see ``mobility_solver``).
+    on the boundary or, in 2d, natural boundary conditions, and a banded
+    Cholesky factor otherwise (see ``factor_mobility``).
 
     Two slots follow the state, each a factor keyed on the node set it
     was made for, and keeping either across steps is exact:
@@ -271,6 +271,9 @@ class Workspace:
         self.mesh = mesh
         self.aniso = aniso
         self.config = config
+        if config.w_bdry is not None and mesh.boundary_mask.all():
+            raise ValueError("W is prescribed on the boundary, and the mesh "
+                             "has no interior node to solve for")
         self.mass = lumped_mass(mesh)
         self.extension = FactorSlot()
         self.obstacle_factor = FactorSlot()
@@ -293,8 +296,9 @@ class Workspace:
     @functools.cached_property
     def floor_stiffness(self):
         """CSR data of the floored mobility stiffness of a pure phase."""
-        return floored_mobility(self.mesh, np.ones(self.mesh.n_vertices),
-                                self.iso_block)[0].data
+        return assemble_mobility_stiffness(
+            self.mesh, np.ones(self.mesh.n_vertices), _floored,
+            self.iso_block).data
 
     @functools.cached_property
     def mobility_stiffness(self):

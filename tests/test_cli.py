@@ -121,6 +121,18 @@ def test_run_reports_a_missing_geometry_key(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_run_refuses_a_dirichlet_mesh_without_an_interior_node(tmp_path,
+                                                                capsys):
+    cfg = tmp_path / "n1.cfg"
+    cfg.write_text((CONFIGS / "fig4.cfg").read_text()
+                   + "\n[domain]\nsubdivisions = 1\n")
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "no interior node" in err
+    assert not (out / "energy.csv").exists()
+
+
 def test_run_rejects_infinite_t_end_before_writing(tmp_path, capsys):
     cfg = tmp_path / "inf.cfg"
     cfg.write_text(TINY_RUN.replace("t_end = 5e-4", "t_end = inf"))

@@ -25,7 +25,7 @@ from anisofield.obstacle import (GridTransform, _active_set_polish,
                                  mobility_solver, pattern_coloring)
 from anisofield.schemes import MOBILITY_FLOOR, floored_mobility
 from conftest import (enumerate_coupled_solution, projected_gradient_box_qp,
-                      shuffled_mesh)
+                      shuffled_mesh, superlu)
 
 
 def test_single_variable_clipped_to_bound():
@@ -301,10 +301,10 @@ def test_coupled_nonconvergence_is_flagged():
     assert stats.iterations == 3
 
 
-# -- constant mobility solves: transform and LU ------------------------
+# -- constant mobility solves: transform and banded Cholesky -----------
 
 
-def _lu_factor(k_b, mass, mesh, mask):
+def _band_factor(k_b, mass, mesh, mask):
     return factor_mobility(k_b, mass, mask)
 
 
@@ -316,7 +316,7 @@ def _transform_factor(k_b, mass, mesh, mask):
 
 # the two solvers of the Schur path with b0 K: each test that runs the
 # path on both loops over them
-FACTORS = (_lu_factor, _transform_factor)
+FACTORS = (_band_factor, _transform_factor)
 
 
 def _mobility_case(dim, n, dirichlet, b0=2.0):
@@ -389,11 +389,72 @@ def test_mobility_solver_keeps_the_lu_elsewhere():
         assert not isinstance(solver, GridTransform)
 
 
+@pytest.mark.parametrize("dim,n,shuffle,dirichlet", [
+    pytest.param(3, 6, False, False, id="3d-natural"),
+    pytest.param(2, 16, True, False, id="shuffled-2d-natural"),
+    pytest.param(2, 16, True, True, id="shuffled-2d-dirichlet")])
+def test_factor_mobility_solves_the_projected_system(dim, n, shuffle,
+                                                     dirichlet):
+    # meshes the transform probe refuses, and a right side of nonzero
+    # sum: with W prescribed on the boundary K_b,II W = f, and under
+    # natural boundary conditions, one node grounded, K_b W = f - (sum f /
+    # sum m) m with m . W = 0.  Measured: relative residuals 1.2e-15 (3d),
+    # 4.6e-15 and 4.3e-15 (shuffled 2d), |m . W| at most 7e-17 m . |W|
+    mesh = build_uniform_mesh(dim, 0.5, n)
+    if shuffle:
+        mesh = shuffled_mesh(
+            mesh, np.random.default_rng(3).permutation(mesh.n_vertices))
+    k_b = (2.0 * isotropic_stiffness(mesh)).tocsr()
+    mass = lumped_mass(mesh)
+    mask = mesh.boundary_mask if dirichlet else None
+    assert not isinstance(mobility_solver(k_b, mass, dim, mask),
+                          GridTransform)
+    rng = np.random.default_rng(4)
+    if dirichlet:
+        wdofs = np.flatnonzero(~mask)
+        f = rng.standard_normal(wdofs.size) + 0.5
+        rhs, k_w = f, k_b[wdofs][:, wdofs]
+    else:
+        f = rng.standard_normal(mesh.n_vertices) + 0.5
+        rhs, k_w = f - (f.sum() / mass.sum()) * mass, k_b
+    assert abs(f.sum()) > 0.1 * np.abs(f).sum()
+    w = factor_mobility(k_b, mass, mask)(f)
+    assert np.abs(k_w @ w - rhs).max() <= 1e-13 * np.abs(rhs).max()
+    if not dirichlet:
+        assert abs(mass @ w) <= 1e-15 * (mass @ np.abs(w))
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_factor_mobility_on_a_floored_mobility(n):
+    # the floored degenerate K_b of a circle: the floor all but cuts the
+    # pure phases off from the interface, so the system is ill-posed
+    # (|W| ~ 1e13; no workload solves it).  Grounding the node of the
+    # largest diagonal entry gives relative residuals of 8.1e-5 (N = 32)
+    # and 2.9e-4 (N = 64), against 1.3e-4 and 5.0e-4 for SuperLU's factor
+    # of the bordered [[K_b, m], [m^T, 0]]; the bound is the oracle's own
+    # residual, a margin of 1.6 and 1.7.  Grounding node 0 gave 4.3e-2
+    # and 3.1e-3
+    mesh = build_uniform_mesh(2, 0.5, n)
+    u = initial_profile(mesh, 1.0 / (16.0 * math.pi), Circle((0.1, 0.0), 0.3))
+    k_b = floored_mobility(mesh, u)[0]
+    mass = lumped_mass(mesh)
+    f = np.random.default_rng(0).standard_normal(mesh.n_vertices)
+    rhs = f - (f.sum() / mass.sum()) * mass
+    bordered = sp.bmat([[k_b, mass[:, None]], [mass[None, :], None]])
+    residuals = []
+    for w in (factor_mobility(k_b, mass)(f),
+              superlu(bordered).solve(np.append(f, 0.0))[:-1]):
+        assert np.abs(w).max() > 1e12
+        residuals.append(np.abs(k_b @ w - rhs).max() / np.abs(rhs).max())
+    band, oracle = residuals
+    assert band <= oracle
+
+
 # -- coupled solver, Schur-complement path (constant mobility) --------
 
 
-def _schur_case(mesh, u_old, dirichlet, w_bdry=-1.0, make_factor=_lu_factor,
-                tau=1e-5, density=None):
+def _schur_case(mesh, u_old, dirichlet, w_bdry=-1.0,
+                make_factor=_band_factor, tau=1e-5, density=None):
     """Inputs of a constant-mobility step (b0 = 2) and the matching factor."""
     eps = 1.0 / (16.0 * math.pi)
     mass, k_b, k_aniso = _coupled_inputs(mesh, u_old, b0=2.0, density=density)
@@ -701,7 +762,7 @@ def test_coupled_schur_deterministic(dirichlet):
 
 def _relative_gap(mat, b):
     """Relative max-norm gap of the banded Cholesky and the sparse LU."""
-    x_lu = obstacle._splu_symmetric(mat).solve(b)
+    x_lu = superlu(mat).solve(b)
     x_chol = obstacle._factor_spd(mat).solve(b)
     return np.abs(x_chol - x_lu).max() / np.abs(x_lu).max()
 
@@ -824,11 +885,11 @@ def test_dirichlet_run_with_banded_cholesky_matches_superlu(monkeypatch):
         return states
 
     cholesky = run()
-    monkeypatch.setattr(obstacle, "_factor_spd", obstacle._splu_symmetric)
-    superlu = run()
-    assert len(cholesky) == len(superlu) == 6
+    monkeypatch.setattr(obstacle, "_factor_spd", superlu)
+    sparse_lu = run()
+    assert len(cholesky) == len(sparse_lu) == 6
     assert sum(s.stats.iterations for s in cholesky) > 5
-    for a, b in zip(cholesky, superlu):
+    for a, b in zip(cholesky, sparse_lu):
         assert a.stats.iterations == b.stats.iterations
         assert a.stats.converged and b.stats.converged
         assert np.abs(a.u - b.u).max() <= 5e-8
@@ -841,7 +902,7 @@ def test_dirichlet_run_with_banded_cholesky_matches_superlu(monkeypatch):
 def _band_lu_gap(mat, b):
     """Relative max-norm gap of the banded LU and the sparse LU, and the
     banded LU's backward error."""
-    x_lu = obstacle._splu_symmetric(mat).solve(b)
+    x_lu = superlu(mat).solve(b)
     x_band = obstacle._factor_band_lu(mat).solve(b)
     backward = (np.abs(mat @ x_band - b).max()
                 / (abs(mat).sum(axis=1).max() * np.abs(x_band).max()))
@@ -1189,15 +1250,13 @@ def test_frozen_nodes_need_the_natural_saddle_path(mesh2d_small):
 # -- one factorization policy ------------------------------------------
 
 
-def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
-    # only the mobility factor goes to SuperLU, with the symmetric
-    # minimum-degree ordering in SymmetricMode and without the explicit
-    # zeros of the Kuhn pattern.  Every other block takes a band factor:
-    # the obstacle loop's inactive blocks and its projected-Newton
-    # fallback's free blocks, the SPD Schur preconditioners under either
-    # boundary condition and the degenerate path's W block off the
-    # mobility's support the banded Cholesky, every saddle of the
-    # degenerate path the banded LU.  Their ordering sees no explicit
+def test_every_factor_is_banded(monkeypatch):
+    # no SuperLU factor: every block takes a band factor.  The obstacle
+    # loop's inactive blocks and its projected-Newton fallback's free
+    # blocks, the mobility factor K_b under either boundary condition,
+    # the SPD Schur preconditioners and the degenerate path's W block off
+    # the mobility's support take the banded Cholesky, every saddle of
+    # the degenerate path the banded LU.  Their ordering sees no explicit
     # zero, and each band holds exactly the nonzeros of the lower triangle
     # (Cholesky) or of the whole block (LU), no wider, and is factored in
     # place
@@ -1207,8 +1266,7 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     band_lu, dgbtrf = obstacle._factor_band_lu, obstacle.dgbtrf
 
     def recording_splu(mat, *args, **kwargs):
-        calls.append((args, kwargs))
-        assert np.count_nonzero(mat.data == 0.0) == 0, mat.shape
+        calls.append(mat.shape)
         return splu(mat, *args, **kwargs)
 
     def recording_factor_spd(mat, **kwargs):
@@ -1264,27 +1322,32 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
         r.solver_iters for r in result.records) > 0
     assert calls == [] and len(spd_inputs) == len(bands)
     u_old = initial_profile(mesh, cfg.eps, Circle((0.1, 0.0), 0.3))
+    spd_before = len(spd_inputs)
+    # _schur_case factors K_b,II by the banded Cholesky
     args, kwargs = _schur_case(mesh, u_old, True)
-    lus_before = len(calls)  # _schur_case factors K_b through splu
-    assert lus_before > 0
+    assert len(spd_inputs) == spd_before + 1
     spd_before = len(spd_inputs)
     stats = solve_coupled_ch(*args, **kwargs)[2]
     assert stats.converged
     # every Dirichlet preconditioner goes through the banded Cholesky
-    assert len(calls) == lus_before
+    assert calls == []
     assert 0 < len(spd_inputs) - spd_before <= stats.iterations
     assert len(spd_inputs) == len(bands)
     kwargs.pop("kb_factor")
     assert solve_coupled_ch(*args, **kwargs)[2].converged
     # without it, the Dirichlet saddle path makes no SuperLU factor either
-    assert len(calls) == lus_before and lu_inputs
-    # every preconditioner of natural boundary conditions takes the banded
-    # Cholesky too, as its mass border needs no LU
+    assert calls == [] and lu_inputs
+    # under natural boundary conditions K_b, grounded at one node, and
+    # every preconditioner take the banded Cholesky too, as the mass
+    # border needs no LU
+    spd_before = len(spd_inputs)
     args, kwargs = _schur_case(mesh, u_old, False)
-    lus_before, spd_before = len(calls), len(spd_inputs)
+    assert len(spd_inputs) == spd_before + 1
+    assert spd_inputs[-1].shape[0] == mesh.n_vertices - 1
+    spd_before = len(spd_inputs)
     stats = solve_coupled_ch(*args, **kwargs)[2]
     assert stats.converged
-    assert len(calls) == lus_before
+    assert calls == []
     assert spd_before < len(spd_inputs) == len(bands)
     assert len(spd_inputs) - spd_before <= stats.iterations
     # the degenerate saddle on the mobility's support takes the banded
@@ -1294,15 +1357,11 @@ def test_every_lu_takes_the_symmetric_ordering(monkeypatch):
     assert frozen.any()
     stats = solve_coupled_ch(*args, frozen=frozen, **kwargs)[2]
     assert stats.converged
-    assert len(calls) == lus_before
+    assert calls == []
     assert spd_before < len(spd_inputs) == len(bands)
     assert len(spd_inputs) - spd_before <= stats.iterations
     assert lu_before < len(lu_inputs) == len(lu_bands)
     assert len(lu_inputs) - lu_before <= stats.iterations
-    for positional, keywords in calls:
-        assert positional == ()
-        assert keywords.get("permc_spec") == "MMD_AT_PLUS_A"
-        assert keywords.get("options", {}).get("SymmetricMode") is True
     for mat, band in zip(spd_inputs, bands):
         assert np.count_nonzero(band) == np.count_nonzero(sp.tril(mat).data)
         assert np.count_nonzero(band[-1]) > 0

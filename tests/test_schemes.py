@@ -276,6 +276,20 @@ def test_dirichlet_zero_boundary_zero_state(mesh2d_small):
     assert np.abs(nxt.w).max() == 0.0
 
 
+def test_dirichlet_mesh_without_an_interior_node_is_refused(monkeypatch):
+    # N = 1: every node is on the boundary, so W prescribed there leaves
+    # no unknown; the run is refused before anything is factored
+    factored = []
+    monkeypatch.setattr(anisofield.obstacle, "_factor_spd",
+                        lambda *args, **kwargs: factored.append(args))
+    cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
+                       t_end=1e-5, w_bdry=-65.0)
+    with pytest.raises(ValueError, match="no interior node"):
+        run_simulation(cfg, build_uniform_mesh(2, 0.5, 1), isotropic(2),
+                       Uniform(1.0))
+    assert factored == []
+
+
 def test_dirichlet_below_threshold_forms_layer(mesh2d_medium):
     cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
                        t_end=1e-4, alpha=1.0, b0=2.0, w_bdry=-65.0)
@@ -290,13 +304,16 @@ def test_dirichlet_below_threshold_forms_layer(mesh2d_medium):
     assert state.u.min() < 1.0 - 1e-6  # boundary layer has started
 
 
-@pytest.mark.parametrize("w_bdry", [-64.0, -65.0], ids=["steady", "layer"])
+@pytest.mark.parametrize("w_bdry", [-64.0, -65.0, None],
+                         ids=["steady", "layer", "3d-natural"])
 def test_mobility_factor_is_built_once_per_run(monkeypatch, w_bdry):
     # on a Kuhn grid with W prescribed on the boundary, the constant K_b
     # is solved by one transform, built in step 1 and reused by every
-    # later round and step: K_b is never factored, and W is eliminated,
-    # so no LU is larger than the mesh.  The Workspace's other caches
-    # (mass, b0 K, element blocks) are also built once per run.
+    # later round and step: K_b is never factored.  In 3d under natural
+    # boundary conditions the probe refuses the transform, and K_b is
+    # factored once, by the banded Cholesky.  No run makes a SuperLU
+    # factor.  The Workspace's other caches (mass, b0 K, element blocks)
+    # are also built once per run.
     dims = []
     splu = anisofield.obstacle.spla.splu
 
@@ -318,14 +335,24 @@ def test_mobility_factor_is_built_once_per_run(monkeypatch, w_bdry):
         count(anisofield.schemes, name)
     for name in ("GridTransform", "factor_mobility"):
         count(anisofield.obstacle, name)
-    mesh = build_uniform_mesh(2, 0.5, 16)
-    cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV, tau=1e-5,
-                       t_end=5e-5, alpha=1.0, b0=2.0, w_bdry=w_bdry)
-    result = run_simulation(cfg, mesh, isotropic(2), Uniform(1.0))
+    expected = {"stiffness_blocks": 1, "isotropic_stiffness": 1,
+                "lumped_mass": 1, "GridTransform": 1}
+    if w_bdry is None:
+        mesh = build_uniform_mesh(3, 0.5, 8)
+        cfg = SchemeConfig("cahn_hilliard_neumann", eps_inv=EPS_INV,
+                           tau=1e-5, t_end=5e-5, b0=2.0)
+        geometry = Sphere((0.0, 0.0, 0.0), 0.25)
+        expected["factor_mobility"] = 1
+    else:
+        mesh = build_uniform_mesh(2, 0.5, 16)
+        cfg = SchemeConfig("cahn_hilliard_dirichlet", eps_inv=EPS_INV,
+                           tau=1e-5, t_end=5e-5, alpha=1.0, b0=2.0,
+                           w_bdry=w_bdry)
+        geometry = Uniform(1.0)
+    result = run_simulation(cfg, mesh, isotropic(mesh.dim), geometry)
     assert len(result.step_seconds) == 5 and not result.failed
-    assert max(dims, default=0) <= mesh.n_vertices
-    assert calls == {"stiffness_blocks": 1, "isotropic_stiffness": 1,
-                     "lumped_mass": 1, "GridTransform": 1}
+    assert dims == []
+    assert calls == expected
 
 
 @pytest.mark.parametrize("scheme", ["cahn_hilliard_neumann",

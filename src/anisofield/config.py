@@ -21,6 +21,7 @@ import numpy as np
 
 from .anisotropy import (AnisotropyDensity, isotropic, make_regularized_l1,
                          rotation_2d, rotation_3d)
+from .mesh import build_uniform_mesh
 from .output import run_id_for
 from .schemes import (Circle, Cuboid, MultiCircle, SchemeConfig, Sphere,
                       Uniform)
@@ -111,8 +112,6 @@ class RunSetup:
         return run_id_for(emit_config(self))
 
     def build_mesh(self):
-        from .mesh import build_uniform_mesh
-
         return build_uniform_mesh(self.dim, self.half_width, self.subdivisions)
 
 

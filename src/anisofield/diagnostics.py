@@ -9,7 +9,8 @@ interpolation on element edges and measure how close it is to the scaled
 equilibrium (Wulff) shape of a density.
 """
 
-from dataclasses import dataclass, replace
+import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -17,6 +18,7 @@ from scipy.sparse import coo_matrix
 from scipy.sparse.csgraph import connected_components
 from scipy.spatial import cKDTree
 
+from .anisotropy import unit_directions
 from .fem import interface_band, lumped_mass
 
 __all__ = [
@@ -36,9 +38,9 @@ _KH_SLACK = 1e-12
 class EnergyReport:
     """Per-state energy diagnostics.
 
-    ``e_gamma_h`` always equals ``gradient_energy + potential_energy``;
-    ``f_gamma_h`` is filled for runs with prescribed boundary potential,
-    ``stability_residual`` by the time loop.
+    ``e_gamma_h`` always equals ``gradient_energy + potential_energy``.
+    The time loop sets ``f_gamma_h`` in place for runs with prescribed
+    boundary potential, and ``stability_residual`` after every step.
     """
 
     e_gamma_h: float
@@ -47,9 +49,6 @@ class EnergyReport:
     mass: float
     f_gamma_h: Optional[float] = None
     stability_residual: float = 0.0
-
-    def with_dirichlet(self, f_value):
-        return replace(self, f_gamma_h=f_value)
 
 
 def discrete_energy(mesh, aniso, eps, u, mass=None, band=None):
@@ -125,10 +124,6 @@ class LevelSet:
                               axis=1)
 
 
-_EDGE_PAIRS = {2: [(0, 1), (0, 2), (1, 2)],
-               3: [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]}
-
-
 def zero_level_set(mesh, u):
     """Extract the zero level set of a nodal field by edge interpolation.
 
@@ -139,22 +134,16 @@ def zero_level_set(mesh, u):
     cloud is returned.  A field without sign change yields an empty set.
     """
     u = np.asarray(u, dtype=float)
-    plus = u >= 0.0
-    elem_plus = plus[mesh.elements]
-    pairs = _EDGE_PAIRS[mesh.dim]
-
-    crossed = []  # per pair: mask of elements crossed on that local edge
-    for a, b in pairs:
-        crossed.append(elem_plus[:, a] != elem_plus[:, b])
-    edge_lists = []
-    for (a, b), mask in zip(pairs, crossed):
-        va = mesh.elements[mask, a]
-        vb = mesh.elements[mask, b]
-        edge_lists.append(np.sort(np.column_stack([va, vb]), axis=1))
-    if not edge_lists or sum(e.shape[0] for e in edge_lists) == 0:
+    elem_plus = (u >= 0.0)[mesh.elements]
+    a, b = np.array(list(itertools.combinations(range(mesh.dim + 1), 2))).T
+    # the crossed local edges, element by element
+    elem, edge = np.nonzero(elem_plus[:, a] != elem_plus[:, b])
+    if elem.size == 0:
         return LevelSet(np.zeros((0, mesh.dim)), np.zeros((0, 2), dtype=int), 0)
-    all_edges = np.vstack(edge_lists)
-    edges, inverse = np.unique(all_edges, axis=0, return_inverse=True)
+    ends = np.column_stack([mesh.elements[elem, a[edge]],
+                            mesh.elements[elem, b[edge]]])
+    edges, inverse = np.unique(np.sort(ends, axis=1), axis=0,
+                               return_inverse=True)
 
     ua, ub = u[edges[:, 0]], u[edges[:, 1]]
     t = ua / (ua - ub)
@@ -164,10 +153,9 @@ def zero_level_set(mesh, u):
     if mesh.dim == 3:
         return LevelSet(points, np.zeros((0, 2), dtype=int), 0)
 
-    # in 2d a crossed triangle is crossed on exactly two of its edges
-    elem_ids = np.concatenate([np.flatnonzero(m) for m in crossed])
-    order = np.argsort(elem_ids, kind="stable")
-    segments = inverse[order].reshape(-1, 2)
+    # in 2d a crossed triangle is crossed on exactly two of its edges,
+    # which are adjacent in element order
+    segments = inverse.reshape(-1, 2)
     graph = coo_matrix((np.ones(len(segments)), (segments[:, 0], segments[:, 1])),
                        shape=(len(points), len(points)))
     n_components, _ = connected_components(graph, directed=False)
@@ -192,9 +180,6 @@ def wulff_shape_distance(points, aniso, center, n_normals=2048):
     if radii.max() == 0.0 or radii.min() <= 1e-12 * radii.max():
         raise ValueError("degenerate point set")
     dirs = pts / radii[:, None]
-
-    from .anisotropy import unit_directions
-
     normals = unit_directions(pts.shape[1], n_normals)
     support = aniso.gamma(normals)
     dots = dirs @ normals.T

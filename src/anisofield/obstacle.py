@@ -565,7 +565,9 @@ def mobility_solver(k_b, mass, dim, boundary_mask=None):
         error = np.abs(solver(k @ probe) - probe).max()
         if error <= 1e-10 * np.abs(probe).max():
             return solver
-    return factor_mobility(k_b, mass, boundary_mask)
+    if boundary_mask is not None:
+        return _factor_spd(k).solve  # factor_mobility's, on the sliced block
+    return factor_mobility(k_b, mass)
 
 
 def _projected_cg(apply, r, x, v, precond, tol, max_iter=500):
@@ -720,7 +722,7 @@ def solve_coupled_ch(mass, k_b, k_aniso, u_old, *, theta, tau, eps, alpha,
     c_mass = c * mass[wdofs]  # the coupling of U to the mass equation
     rhs_mass = -c_mass * u_old[wdofs]
     if dirichlet:
-        rhs_mass += scale * (k_b[wdofs] @ w_fixed)
+        rhs_mass += scale * (k_b @ w_fixed)[wdofs]
     if kb_factor is None:
         # the saddle of every node, whose rounds slice their principal blocks
         kb = -scale * k_b

@@ -61,9 +61,6 @@ __all__ = [
 C_PSI = math.pi / 2
 MOBILITY_FLOOR = 1e-12
 
-SCHEMES = ("allen_cahn", "cahn_hilliard_neumann", "cahn_hilliard_dirichlet")
-
-
 class SolverFailure(RuntimeError):
     """A per-step solve did not reach its tolerance."""
 
@@ -96,7 +93,7 @@ class SchemeConfig:
     tol: float = 1e-9
 
     def __post_init__(self):
-        if self.scheme not in SCHEMES:
+        if self.scheme not in _STEP_FUNCTIONS:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         for name in ("eps_inv", "tau", "t_end", "theta", "alpha", "tol"):
             if not 0 < getattr(self, name) < math.inf:
@@ -323,8 +320,8 @@ def _state(ws, n, u, w, dissipation, stats, prev=None):
     report = discrete_energy(ws.mesh, ws.aniso, config.eps, u, mass=ws.mass,
                              band=band)
     if config.w_bdry is not None:
-        report = report.with_dirichlet(dirichlet_energy_functional(
-            report, config.alpha, config.c_psi, config.w_bdry))
+        report.f_gamma_h = dirichlet_energy_functional(
+            report, config.alpha, config.c_psi, config.w_bdry)
     if prev is not None:
         report.stability_residual = stability_residual(prev.report, report,
                                                        dissipation)
@@ -370,8 +367,8 @@ def allen_cahn_step(state, ws):
     kept = ws.obstacle_factor if ws.aniso.n_terms == 1 else None
     sol = solve_obstacle(a_mat, rhs, x0=u_old, tol=config.tol, factor=kept)
     u = sol.solution
-    w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * (u - u_old)
     delta = u - u_old
+    w = -(2.0 * config.alpha / config.c_psi) * (eps / tau) * delta
     dissipation = (eps / tau) * float(ws.mass @ (delta * delta))
     stats = SolverStats(sol.iterations, sol.residual, sol.converged)
     return _state(ws, state.n + 1, u, w, dissipation, stats, prev=state)
@@ -505,8 +502,15 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
     :class:`SolverFailure` (manifest status ``aborted``), otherwise the run
     is truncated with ``failed`` set (status ``failed``).  A step that
     raises also ends the run with status ``aborted``.  The manifest is
-    written on every exit.
+    written on every exit.  A ``ValueError`` refuses a ``t_end`` that is
+    not a whole number of steps (t_end / tau at least 1 and whole to 1e-9
+    relative) before anything is written.
     """
+    steps = config.t_end / config.tau
+    n_steps = round(steps)
+    if n_steps < 1 or abs(steps - n_steps) > 1e-9 * steps:
+        raise ValueError(f"t_end = {config.t_end!r} is not a whole number of "
+                         f"steps of tau = {config.tau!r}: t_end / tau = {steps!r}")
     if out_dir is not None and not config_text:
         raise ValueError("a run that writes to out_dir needs its config_text")
     step_fn = _STEP_FUNCTIONS[config.scheme]
@@ -523,7 +527,6 @@ def run_simulation(config, mesh, aniso, geometry, out_dir=None,
         writer = output.EnergyCsvWriter(csv_path)
 
     records = [output.CsvRecord.of(state)]
-    n_steps = max(int(round(config.t_end / config.tau)), 1)
     violations = cg_iterations = 0
     failure = None
     step_seconds = []

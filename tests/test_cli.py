@@ -142,6 +142,21 @@ def test_run_rejects_infinite_t_end_before_writing(tmp_path, capsys):
     assert not (out / "energy.csv").exists()
 
 
+@pytest.mark.parametrize("t_end,tau", [("1e-3", "3e-4"), ("4e-4", "1e-3")],
+                         ids=["partial-last-step", "below-one-step"])
+def test_run_rejects_a_t_end_off_the_step_grid_before_writing(tmp_path, capsys,
+                                                              t_end, tau):
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(TINY_RUN.replace("tau = 1e-4", f"tau = {tau}")
+                   .replace("t_end = 5e-4", f"t_end = {t_end}"))
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: t_end = {float(t_end)!r} is not a whole "
+                          f"number of steps of tau = {float(tau)!r}")
+    assert not out.exists()
+
+
 NON_FINITE = {
     "half_width_nan": ("subdivisions = 16",
                        "subdivisions = 16\nhalf_width = nan"),

@@ -1,6 +1,7 @@
 """Config grammar, CSV contract, VTK snapshots and the files of a run."""
 
 import math
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -234,6 +235,96 @@ def test_geometry_without_a_required_key_names_kind_and_key(kind, key):
     del keys[key]
     with pytest.raises(ConfigError, match=rf"'{kind}'.*'{key}'"):
         parse_config(_geometry_text(kind, keys))
+
+
+DIM3 = "[domain]\ndim = 3\n[geometry]\nkind = sphere\ncenter = 0,0,0\n" \
+       "radius = 0.3\n"
+
+# every ConfigError of config text: text, exact message
+CONFIG_ERRORS = [
+    ("foo\n", "line 1: expected key = value"),
+    ("[bogus]\n", "line 1: unknown section [bogus]"),
+    ("dim = 2\n", "line 1: key outside any section"),
+    (MINIMAL + "bogus = 1\n", "line 6: unknown key 'bogus' in [scheme]"),
+    (MINIMAL + "tau = 2\n", "line 6: duplicate key 'tau'"),
+    ("[domain]\nhalf_width = abc\n" + MINIMAL,
+     "[domain] half_width: not a number: 'abc'"),
+    ("[domain]\nhalf_width = inf\n" + MINIMAL,
+     "[domain] half_width: not finite: 'inf'"),
+    ("[domain]\nsubdivisions = 1.5\n" + MINIMAL,
+     "[domain] subdivisions: not an integer: '1.5'"),
+    (MINIMAL + "implicit = maybe\n",
+     "[scheme] implicit: not a boolean: 'maybe'"),
+    ("[geometry]\nkind = circle\ncenter = 0,0,0\nradius = 0.3\n" + MINIMAL,
+     "[geometry] center: expected 2 components"),
+    ("[anisotropy]\nspec = iso:1\n" + MINIMAL,
+     "malformed anisotropy spec 'iso:1'"),
+    ("[anisotropy]\nspec = foo\n" + MINIMAL, "malformed anisotropy spec 'foo'"),
+    ("[anisotropy]\nspec = l1reg:0.1:spin=30\n" + MINIMAL,
+     "malformed anisotropy spec 'l1reg:0.1:spin=30'"),
+    ("[anisotropy]\nspec = l1reg:abc\n" + MINIMAL,
+     "anisotropy spec 'l1reg:abc': could not convert string to float: 'abc'"),
+    ("[anisotropy]\nspec = l1reg:0\n" + MINIMAL,
+     "anisotropy spec 'l1reg:0': delta must be positive and finite"),
+    ("[anisotropy]\nspec = l1reg:0.1:rot=30,1\n" + MINIMAL,
+     "anisotropy spec 'l1reg:0.1:rot=30,1': 2d rotation takes one angle"),
+    (DIM3 + "[anisotropy]\nspec = l1reg:0.1:rot=30\n" + MINIMAL,
+     "anisotropy spec 'l1reg:0.1:rot=30': 3d rotation takes axis,angle"),
+    (DIM3 + "[anisotropy]\nspec = l1reg:0.1:rot=w,30\n" + MINIMAL,
+     "anisotropy spec 'l1reg:0.1:rot=w,30': axis must be x, y, z or 0-2"),
+    ("[anisotropy]\nmatrices = 1,0,0\n" + MINIMAL,
+     "[anisotropy] matrices: each matrix needs 4 row-major entries, got 3"),
+    ("[anisotropy]\nmatrices = 1,0,0,-1\n" + MINIMAL,
+     "[anisotropy] matrices: weight matrices must be positive definite"),
+    ("[anisotropy]\nspec = iso\nmatrices = 1,0,0,1\n" + MINIMAL,
+     "[anisotropy] give either spec or matrices, not both"),
+    ("[geometry]\nradius = 0.3\n" + MINIMAL, "[geometry] requires a kind"),
+    ("[geometry]\nkind = blob\n" + MINIMAL, "[geometry] unknown kind 'blob'"),
+    ("[geometry]\nkind = sphere\ncenter = 0,0\nradius = 0.3\n" + MINIMAL,
+     "[geometry] sphere requires dim = 3"),
+    ("[geometry]\nkind = uniform\nvalue = 1\nradius = 0.3\n" + MINIMAL,
+     "[geometry] keys ['radius'] do not apply to kind 'uniform'"),
+    ("[geometry]\nkind = circle\ncenter = 0,0\n" + MINIMAL,
+     "[geometry] kind 'circle' requires keys ['radius']"),
+    ("[scheme]\nscheme = allen_cahn\ntau = 1e-4\n",
+     "[scheme] missing required key 't_end'"),
+    ("[domain]\ndim = 4\n" + MINIMAL, "[domain] dim must be 2 or 3"),
+    ("[domain]\nsubdivisions = 0\n" + MINIMAL,
+     "[domain] half_width and subdivisions must be positive"),
+    (MINIMAL + "mobility = variable\n", "[scheme] unknown mobility 'variable'"),
+    (MINIMAL + "mobility = constant:abc\n",
+     "[scheme] mobility: not a number: 'abc'"),
+    (MINIMAL + "eps_inv = -1\n", "[scheme] eps_inv must be positive"),
+    (MINIMAL.replace("allen_cahn", "heat"), "unknown scheme 'heat'"),
+]
+
+
+@pytest.mark.parametrize("text,message", CONFIG_ERRORS,
+                         ids=[re.sub(r"\W+", "-", m).strip("-")
+                              for _, m in CONFIG_ERRORS])
+def test_every_config_error_names_its_cause(text, message):
+    with pytest.raises(ConfigError) as excinfo:
+        parse_config(text)
+    assert str(excinfo.value) == message
+
+
+def test_a_foreign_geometry_is_not_emitted():
+    setup = parse_config(MINIMAL)
+    setup.geometry = object()
+    with pytest.raises(ConfigError, match="^cannot emit geometry"):
+        emit_config(setup)
+
+
+@pytest.mark.parametrize("value", ["true", "yes", "1", "True"])
+def test_implicit_true_round_trips(value):
+    setup = parse_config(MINIMAL + f"implicit = {value}\n")
+    assert setup.scheme.implicit is True
+    emitted = emit_config(setup)
+    assert "implicit = true\n" in emitted
+    again = parse_config(emitted)
+    assert again.scheme == setup.scheme
+    assert again.run_id == setup.run_id
+    assert again.run_id != parse_config(MINIMAL).run_id
 
 
 # run ids of the shipped configurations: a change to parsing or emitting

@@ -1247,6 +1247,73 @@ def test_frozen_nodes_need_the_natural_saddle_path(mesh2d_small):
                          **kwargs)
 
 
+# -- failure exits of the Schur path ----------------------------------
+
+
+def _identity_precond(r):
+    return r, r
+
+
+def test_projected_cg_refuses_a_nonpositive_curvature():
+    def apply(d):
+        return -d, d
+
+    r = np.ones(3)
+    with pytest.raises(RuntimeError, match="not positive definite"):
+        obstacle._projected_cg(apply, r, np.zeros(3), np.zeros(3),
+                               _identity_precond, 1e-12)
+
+
+def test_projected_cg_stops_at_its_iteration_cap():
+    diag = np.array([1.0, 10.0, 100.0])
+
+    def apply(d):
+        return diag * d, d
+
+    # three distinct eigenvalues take CG three iterations, and the residual
+    # is checked before each iteration: a cap of 3 never sees the third's
+    with pytest.raises(RuntimeError, match="did not converge in 3 iterations"):
+        obstacle._projected_cg(apply, np.ones(3), np.zeros(3), np.zeros(3),
+                               _identity_precond, 1e-12, max_iter=3)
+    x, _, iterations = obstacle._projected_cg(
+        apply, np.ones(3), np.zeros(3), np.zeros(3), _identity_precond, 1e-12,
+        max_iter=4)
+    assert iterations == 3
+    np.testing.assert_allclose(x, 1.0 / diag, rtol=1e-12)
+
+
+def test_dirichlet_data_needs_a_boundary_mask(mesh2d_small):
+    u_old = initial_profile(mesh2d_small, 0.1, Circle((0.0, 0.0), 0.25))
+    args, kwargs = _schur_case(mesh2d_small, u_old, True)
+    del kwargs["boundary_mask"]
+    with pytest.raises(ValueError, match="requires a boundary mask"):
+        solve_coupled_ch(*args, **kwargs)
+
+
+def test_the_schur_path_needs_the_explicit_potential(mesh2d_small):
+    u_old = initial_profile(mesh2d_small, 0.1, Circle((0.0, 0.0), 0.25))
+    args, kwargs = _schur_case(mesh2d_small, u_old, False)
+    with pytest.raises(ValueError, match="needs the explicit potential"):
+        solve_coupled_ch(*args, implicit=True, **kwargs)
+
+
+def test_coupled_schur_without_a_finished_round_returns_u_old():
+    # a solver -K_b^-1 of the wrong sign makes the Schur complement
+    # indefinite: the first CG raises, so no round finishes
+    mesh = build_uniform_mesh(2, 0.5, 16)
+    eps = 1.0 / (16.0 * math.pi)
+    u_old = initial_profile(mesh, eps, Circle((0.0, 0.0), 0.3))
+    args, kwargs = _schur_case(mesh, u_old, False)
+    solve = kwargs["kb_factor"]
+    kwargs["kb_factor"] = lambda f: -solve(f)
+    u, w, stats = solve_coupled_ch(*args, **kwargs)
+    np.testing.assert_array_equal(u, u_old)
+    assert np.abs(w).max() == 0.0
+    assert stats.residual == np.inf
+    assert not stats.converged
+    assert stats.iterations == 1 and stats.cg_iterations == 0
+
+
 # -- one factorization policy ------------------------------------------
 
 

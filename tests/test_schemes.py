@@ -524,6 +524,22 @@ def test_run_simulation_with_out_dir_needs_config_text(mesh2d_small, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("t_end,tau", [(1e-3, 3e-4), (4e-4, 1e-3)],
+                         ids=["partial-last-step", "below-one-step"])
+def test_run_simulation_refuses_a_t_end_off_the_step_grid(mesh2d_small,
+                                                          tmp_path, t_end,
+                                                          tau):
+    # refused before any write: the first would stop at t = 9e-4 < t_end,
+    # the second would run past t_end to t = 1e-3
+    out = tmp_path / "out"
+    with pytest.raises(ValueError, match=rf"^t_end = {t_end!r} .* tau = "
+                                         rf"{tau!r}: t_end / tau = "):
+        run_simulation(_ac_config(tau=tau, t_end=t_end), mesh2d_small,
+                       isotropic(2), Circle((0.0, 0.0), 0.3), out_dir=out,
+                       config_text="off the step grid")
+    assert not out.exists()
+
+
 def test_scheme_config_validation():
     with pytest.raises(ValueError):
         SchemeConfig("unknown", eps_inv=1.0, tau=1e-4, t_end=1e-3)
